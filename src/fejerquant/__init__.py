@@ -34,7 +34,6 @@ from .iteration import (
     gamma_k_check,
     gamma_witness,
     run,
-    step,
 )
 from .moduli import (
     DEFAULT_CAP,

@@ -10,6 +10,8 @@ certificates are built from.
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +25,7 @@ from .errors import (
     HorizonExceeded,
     InvariantViolation,
     MissingSolutions,
+    NonPositiveParameter,
     ScheduleError,
 )
 from .moduli import ModulusFn
@@ -34,7 +37,6 @@ from .operators import (
     evaluate,
     hstar_check,
     minimal_selection,
-    operator_dim,
     resolvent,
     yosida,
 )
@@ -42,11 +44,31 @@ from .operators import (
 _MU_FLOOR = 1e-300
 _RESIDUAL_RECOMPUTE_TOL = 1e-12
 _CLAUSE_TOL = 1e-12
+_EXACT_DIAMETER_MAX_STEPS = 20000
 
 
 # --------------------------------------------------------------------------
 # parameter schedules
 # --------------------------------------------------------------------------
+
+
+def _int64_max_base(p: int) -> int:
+    """The largest base m with m**p < 2**63, so bases up to m power exactly in int64."""
+    if p == 0:
+        return 2**63 - 1
+    m = int(2 ** (63 / p))
+    while m**p >= 2**63:
+        m -= 1
+    while (m + 1) ** p < 2**63:
+        m += 1
+    return m
+
+
+def _float_or_inf(i: int) -> float:
+    try:
+        return float(i)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -69,6 +91,24 @@ class PowerRule:
         except OverflowError:
             # denominator beyond float range: the value has underflowed
             return 0.0
+
+    def value_array(self, n0: int, n1: int) -> np.ndarray:
+        """value(n) for n0 <= n < n1, bit for bit.
+
+        The powers (n+1)^p are exact integers rounded once to float, as in
+        value(): int64 while below 2^63, Python ints beyond. A float power
+        would round differently.
+        """
+        try:
+            c = float(self.c)
+        except OverflowError:
+            return np.zeros(n1 - n0)
+        # stage n has base n + 1, so stages below the largest int64 base fit
+        cut = min(n1, max(n0, _int64_max_base(self.p)))
+        small = np.arange(n0 + 1, cut + 1, dtype=np.int64) ** self.p
+        big = np.array([_float_or_inf((n + 1) ** self.p) for n in range(cut, n1)])
+        # an infinite denominator gives the 0.0 of value()'s overflow case
+        return c / np.concatenate([small.astype(float), big])
 
     def value_fraction(self, n: int) -> Fraction:
         return self.c / (n + 1) ** self.p
@@ -96,6 +136,12 @@ class TableRule:
         if n >= len(self.values):
             raise HorizonExceeded(f"stage {n} beyond table of length {len(self.values)}")
         return self.values[n]
+
+    def value_array(self, n0: int, n1: int) -> np.ndarray:
+        """value(n) for n0 <= n < n1."""
+        if n1 > len(self.values):
+            raise HorizonExceeded(f"stage {n1 - 1} beyond table of length {len(self.values)}")
+        return np.array(self.values[n0:n1], dtype=float)
 
     def value_fraction(self, n: int) -> Fraction:
         return Fraction(self.value(n))
@@ -156,11 +202,28 @@ class ParameterSchedule:
         self._check(n)
         return self.mu_rule.value_fraction(n)
 
+    def lams(self, n0: int, n1: int) -> np.ndarray:
+        """lam(n) for the stages n0 <= n < n1."""
+        self._check_range(n0, n1)
+        return self.lam_rule.value_array(n0, n1)
+
+    def mus(self, n0: int, n1: int) -> np.ndarray:
+        """mu(n) for the stages n0 <= n < n1."""
+        self._check_range(n0, n1)
+        return self.mu_rule.value_array(n0, n1)
+
     def _check(self, n: int):
         if n < 0:
             raise ValueError("stage indices are naturals")
         if n > self.horizon:
             raise HorizonExceeded(f"stage {n} beyond horizon {self.horizon}")
+
+    def _check_range(self, n0: int, n1: int):
+        if n1 < n0:
+            raise ValueError(f"bad stage range [{n0}, {n1})")
+        if n1 > n0:
+            self._check(n0)
+            self._check(n1 - 1)
 
     def to_json(self) -> dict:
         return {
@@ -249,8 +312,8 @@ class QuantitativeData:
         certification of the full-sum constants remains the caller's claim.
         """
         h = schedule.horizon
-        lams = np.array([schedule.lam(n) for n in range(h + 1)])
-        mus = np.array([schedule.mu(n) for n in range(h + 1)])
+        lams = schedule.lams(0, h + 1)
+        mus = schedule.mus(0, h + 1)
         if float(np.sum(mus / lams)) > float(self.A) + 1e-9:
             raise InvariantViolation("partial sums of mu/lambda exceed A on the horizon")
         if float(np.max(lams)) > self.B + 1e-12 or mus[0] > self.B + 1e-12:
@@ -340,8 +403,8 @@ class ProblemInstance:
         object.__setattr__(self, "x0", x0)
         sols = tuple(as_point(s, x0.shape[0]) for s in self.known_solutions)
         object.__setattr__(self, "known_solutions", sols)
-        d = operator_dim(self.S)
-        if operator_dim(self.T) != d or x0.shape[0] != d or self.quant.d != d:
+        d = self.S.dim
+        if self.T.dim != d or x0.shape[0] != d or self.quant.d != d:
             raise DimensionMismatch("operators, start point and constants disagree on d")
         if isinstance(self.T, NormalConeBox):
             # structural dom S subset dom T check: S must confine iterates to T's box
@@ -453,57 +516,96 @@ class Trace:
 # --------------------------------------------------------------------------
 
 
-def step(inst: ProblemInstance, x, n: int) -> np.ndarray:
-    """One stage: resolvent of S at x advanced along the Yosida approximant of T."""
-    x = as_point(x, inst.dim)
-    if not domain_contains(inst.S, x):
-        raise DomainError(f"iterate at stage {n} outside the domain of S")
-    lam = inst.schedule.lam(n)
-    mu = inst.schedule.mu(n)
-    t_val = yosida(inst.T, lam, x)
-    return resolvent(inst.S, mu, x + mu * t_val)
-
-
 def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
-    """Run the iteration for n_steps stages and record the trace."""
+    """Run the iteration for n_steps stages and record the trace.
+
+    In one dimension the stages step on plain floats through the operators'
+    scalar forms, which round exactly like the array formulas of
+    ``resolvent`` and ``yosida``; higher dimensions step on arrays.
+    """
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
     if n_steps > inst.schedule.horizon:
         raise HorizonExceeded(
             f"{n_steps} steps requested beyond horizon {inst.schedule.horizon}"
         )
-    d = inst.dim
-    pts = np.empty((n_steps + 1, d))
-    lams = np.empty(n_steps)
-    mus = np.empty(n_steps)
-    res = np.empty(n_steps)
+    lams = inst.schedule.lams(0, n_steps)
+    mus = inst.schedule.mus(0, n_steps)
+    # stepping stops before the first non-positive parameter (a lambda that
+    # underflowed) and raises there, after any error of the earlier stages
+    positive = (lams > 0) & (mus > 0)
+    stop = n_steps if positive.all() else int(np.argmin(positive))
+    stepper = _run_1d if inst.dim == 1 else _run_nd
+    pts, res = stepper(inst, memoryview(lams[:stop]), memoryview(mus[:stop]))
+    if not np.all(np.isfinite(pts[-1])):
+        raise DomainError(f"iterate at stage {stop} is not finite")
+    if stop < n_steps:
+        raise NonPositiveParameter(
+            f"stage {stop} has lambda={float(lams[stop])!r}, mu={float(mus[stop])!r}; "
+            "both must be > 0"
+        )
+    trace = Trace(pts, lams, mus, res)
+    if validate_l and n_steps > 0:
+        _check_diameter(inst, trace)
+    return trace
+
+
+def _run_1d(inst: ProblemInstance, lams, mus):
+    yosida_t = inst.T.yosida1
+    resolvent_s = inst.S.resolvent1
+    isfinite, sqrt = math.isfinite, math.sqrt
+    x = float(inst.x0[0])
+    pts = array("d", [x])
+    res = array("d")
+    for lam, mu in zip(lams, mus):
+        shifted = x + mu * yosida_t(lam, x)
+        if not isfinite(shifted):
+            raise DomainError("points must have finite coordinates")
+        nxt = resolvent_s(mu, shifted)
+        dx = x - nxt
+        # sqrt(dx*dx) is np.linalg.norm's arithmetic, under- and overflow included
+        res.append(sqrt(dx * dx) / mu)
+        pts.append(nxt)
+        x = nxt
+    return np.frombuffer(pts).reshape(-1, 1), np.frombuffer(res)
+
+
+def _run_nd(inst: ProblemInstance, lams, mus):
+    pts = np.empty((len(lams) + 1, inst.dim))
+    res = np.empty(len(lams))
     x = inst.x0.copy()
     pts[0] = x
-    for n in range(n_steps):
-        lam = inst.schedule.lam(n)
-        mu = inst.schedule.mu(n)
+    for n, (lam, mu) in enumerate(zip(lams, mus)):
         nxt = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
-        lams[n] = lam
-        mus[n] = mu
         res[n] = float(np.linalg.norm(x - nxt)) / mu
         pts[n + 1] = nxt
         x = nxt
-    trace = Trace(pts, lams, mus, res)
-    if validate_l and n_steps > 0:
-        # bounding-box diagonal over-approximates the trajectory diameter; it
-        # is exact in one dimension, where all acceptance instances live
-        span = float(np.linalg.norm(np.max(pts, axis=0) - np.min(pts, axis=0)))
-        if d == 1 and span > float(inst.quant.L) + 1e-12:
-            raise InvariantViolation(
-                f"realized trajectory diameter {span:.6g} exceeds certified L={inst.quant.L}"
-            )
-        if d > 1 and span > float(inst.quant.L) + 1e-12:
-            exact = trace.window_diameter(0, n_steps) if n_steps <= 20000 else span
-            if exact > float(inst.quant.L) + 1e-12:
-                raise InvariantViolation(
-                    f"realized trajectory diameter {exact:.6g} exceeds certified L={inst.quant.L}"
-                )
-    return trace
+    return pts, res
+
+
+def _check_diameter(inst: ProblemInstance, trace: Trace) -> None:
+    """Compare the trajectory diameter with the certified L.
+
+    The bounding-box diagonal bounds the diameter from above and is exact in
+    one dimension. In higher dimensions the exact diameter replaces it when
+    the trace is short enough for the pairwise scan.
+    """
+    limit = float(inst.quant.L) + 1e-12
+    pts = trace.points
+    diag = float(np.linalg.norm(np.max(pts, axis=0) - np.min(pts, axis=0)))
+    if diag <= limit:
+        return
+    if trace.dim == 1 or trace.steps <= _EXACT_DIAMETER_MAX_STEPS:
+        what = "realized trajectory diameter"
+        value = diag if trace.dim == 1 else trace.window_diameter(0, trace.steps)
+    else:
+        what = (
+            "bounding-box diagonal, an upper bound on the trajectory diameter "
+            f"(not computed exactly beyond {_EXACT_DIAMETER_MAX_STEPS} steps),"
+        )
+        value = diag
+    if value > limit:
+        raise InvariantViolation(f"{what} {value:.6g} exceeds certified L={inst.quant.L}")
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +642,7 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
         return False
     if not hstar_check(ValueSet.singleton(y), evaluate(inst.T, x), bound + tol):
         return False
-    mus = np.array([inst.schedule.mu(i) for i in range(k + 1)])
+    mus = inst.schedule.mus(0, k + 1)
     shifted = x[None, :] + mus[:, None] * y[None, :]
     moved = resolvent_batch_points(inst.S, mus, shifted)
     dists = np.linalg.norm(moved - x[None, :], axis=1)

@@ -148,10 +148,24 @@ class AffinePSD:
             raise InvariantViolation("matrix must be symmetric within 1e-9")
         if a.size and np.min(np.linalg.eigvalsh(a)) < -_PSD_TOL:
             raise InvariantViolation("matrix must be positive semidefinite within 1e-9")
+        # the d = 1 forms read (a, b) as floats
+        ab = (float(a[0, 0]), float(b[0])) if b.shape == (1,) else None
+        object.__setattr__(self, "_ab", ab)
 
     @property
     def dim(self) -> int:
         return self.offset.shape[0]
+
+    def resolvent1(self, lam: float, x: float) -> float:
+        """The d = 1 resolvent on floats, bit-identical to the 1x1 solve."""
+        a, b = self._ab
+        den = 1.0 + lam * a
+        if den == 0.0:
+            raise SingularSystem("Singular matrix")
+        return (x - lam * b) / den
+
+    def yosida1(self, lam: float, x: float) -> float:
+        return (x - self.resolvent1(lam, x)) / lam
 
     @property
     def is_diagonal(self) -> bool:
@@ -163,6 +177,25 @@ class SubdiffAbsSum:
     """Subdifferential of x -> sum_i |x_i| (coordinatewise sign intervals)."""
 
     dim: int
+
+    # The d = 1 forms reproduce np.sign(x) * (...) with its signed zeros:
+    # np.sign(-0.0) is +0.0, and a negative x clipped to 0 gives -0.0.
+
+    def resolvent1(self, lam: float, x: float) -> float:
+        m = abs(x) - lam
+        if not m > 0.0:
+            m = 0.0
+        if x > 0.0:
+            return m
+        return -m if x < 0.0 else 0.0
+
+    def yosida1(self, lam: float, x: float) -> float:
+        q = abs(x) / lam
+        if not q < 1.0:
+            q = 1.0
+        if x > 0.0:
+            return q
+        return -q if x < 0.0 else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +216,22 @@ class NormalConeBox:
             raise InvariantViolation("box bounds must be finite")
         if np.any(lo > hi):
             raise InvariantViolation("box needs lo <= hi")
+        lohi = (float(lo[0]), float(hi[0])) if lo.shape == (1,) else None
+        object.__setattr__(self, "_lohi", lohi)
 
     @property
     def dim(self) -> int:
         return self.lo.shape[0]
+
+    def resolvent1(self, lam: float, x: float) -> float:
+        """The d = 1 clamp; like np.maximum/np.minimum it returns the bound on
+        a tie, which decides the sign of a zero at an endpoint."""
+        lo, hi = self._lohi
+        v = x if x > lo else lo
+        return v if v < hi else hi
+
+    def yosida1(self, lam: float, x: float) -> float:
+        return (x - self.resolvent1(lam, x)) / lam
 
 
 @dataclass(frozen=True)
@@ -195,12 +240,11 @@ class ZeroOperator:
 
     dim: int
 
+    def resolvent1(self, lam: float, x: float) -> float:
+        return x
 
-OperatorSpec = (AffinePSD, SubdiffAbsSum, NormalConeBox, ZeroOperator)
-
-
-def operator_dim(op) -> int:
-    return op.dim
+    def yosida1(self, lam: float, x: float) -> float:
+        return (x - x) / lam
 
 
 def domain_contains(op, x, tol: float = 0.0) -> bool:

@@ -215,7 +215,7 @@ def check_approx_error(
     error of order ulp(x)/mu_n, well above the slack once mu_n is small.
     """
     steps = trace.steps
-    mus_all = np.array([inst.schedule.mu(i) for i in range(max_i + 1)])
+    mus_all = inst.schedule.mus(0, max_i + 1)
     violations = []
     checked = 0
     max_overshoot: Optional[float] = None
@@ -466,15 +466,21 @@ def build_empirical_phi(
         n_max = steps - 1
     n_max = min(n_max, steps - 1)
     raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
+    head = np.arange(n_max + 1, dtype=np.int64)
     for k in range(k_max + 1):
-        thr = 1.0 / (k + 1)
-        next_qual = np.full(steps + 1, -1, dtype=np.int64)
-        for n in range(steps - 1, -1, -1):
-            next_qual[n] = n if res[n] < thr else next_qual[n + 1]
-        for n in range(n_max + 1):
-            if next_qual[n] < 0:
-                raise ResidualFloor(k, n, float(np.min(res[n:])))
-            raw[k, n] = next_qual[n]
+        # the first index at or after n whose residual qualifies, `steps` if
+        # none: a reversed running minimum over n <= n_max, seeded with the
+        # first qualifying index beyond n_max
+        below = res < 1.0 / (k + 1)
+        beyond = below[n_max + 1 :]
+        after = n_max + 1 + int(np.argmax(beyond)) if beyond.any() else steps
+        qualifying = np.where(below[: n_max + 1], head, after)
+        next_qual = np.minimum.accumulate(qualifying[::-1])[::-1]
+        missing = np.flatnonzero(next_qual == steps)
+        if missing.size:
+            n = int(missing[0])
+            raise ResidualFloor(k, n, float(np.min(res[n:])))
+        raw[k] = next_qual
     table = monotonize_table(raw)
     stationary_from: Optional[int] = None
     tail = trace.points[-1]

@@ -35,7 +35,6 @@ from fejerquant.iteration import (
     resolvent_batch_points,
     rule_from_json,
     run,
-    step,
     theta_from_rule,
     xi_from_rule,
 )
@@ -285,16 +284,12 @@ def test_nearest_known_solution():
 
 
 def test_single_steps_closed_form():
-    inst = dc_instance()
-    assert step(inst, [2.0], 0)[0] == pytest.approx(2.0, abs=1e-12)
-    assert step(inst, [0.5], 0)[0] == 0.0
-    assert step(inst, [0.0], 0)[0] == 0.0
+    def one_step(x0):
+        return run(dc_instance(x0=np.array([x0])), 1).points[1, 0]
 
-
-def test_step_rejects_points_outside_domain():
-    ba = fq.preset("box-affine-nd")
-    with pytest.raises(DomainError):
-        step(ba, [2.0, 0.5], 0)
+    assert one_step(2.0) == pytest.approx(2.0, abs=1e-12)
+    assert one_step(0.5) == 0.0
+    assert one_step(0.0) == 0.0
 
 
 def test_zero_step_run_is_the_start_point():
@@ -337,6 +332,22 @@ def test_run_guards():
     with pytest.raises(InvariantViolation, match="diameter"):
         run(tight, 10)
     run(tight, 10, validate_l=False)  # opt-out for diagnostics
+
+
+def test_run_names_the_diameter_bound_beyond_the_exact_scan():
+    # above 20,000 steps in d > 1 only the bounding-box diagonal is compared
+    # with L; it bounds the diameter from above, and the error says so
+    inst = ProblemInstance(
+        T=ZeroOperator(2),
+        S=SubdiffAbsSum(2),
+        x0=np.array([2.0, 2.0]),
+        schedule=standard_schedule(20_001),
+        quant=quant(d=2, L=Fraction(1, 100)),
+    )
+    with pytest.raises(InvariantViolation, match="upper bound on the trajectory diameter"):
+        run(inst, 20_001)
+    with pytest.raises(InvariantViolation, match="realized trajectory diameter"):
+        run(inst, 50)
 
 
 # --------------------------------------------------------------------------

@@ -277,6 +277,50 @@ def test_empirical_phi_reports_residual_floors():
         build_empirical_phi(tr, 1)
 
 
+def reference_phi_table(res, k_max, n_max):
+    """The per-index scan build_empirical_phi replaced: for each k, walk
+    back from the end carrying the next index whose residual is below 1/(k+1)."""
+    steps = res.shape[0]
+    raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
+    for k in range(k_max + 1):
+        thr = 1.0 / (k + 1)
+        next_qual = np.full(steps + 1, -1, dtype=np.int64)
+        for n in range(steps - 1, -1, -1):
+            next_qual[n] = n if res[n] < thr else next_qual[n + 1]
+        for n in range(n_max + 1):
+            if next_qual[n] < 0:
+                raise ResidualFloor(k, n, float(np.min(res[n:])))
+            raw[k, n] = next_qual[n]
+    return monotonize_table(raw)
+
+
+def test_empirical_phi_matches_the_reference_scan():
+    rng = np.random.default_rng(11)
+    outcomes = {"table": 0, "floor": 0}
+    for trial in range(300):
+        steps = int(rng.integers(1, 60))
+        # residuals on the thresholds 1/(k+1) themselves, and a tail that
+        # stays high in some trials so the floor is hit at varied (k, n)
+        res = rng.choice([2.0, 1.0, 0.5, 0.4, 1 / 3, 0.2, 0.05, 0.0], size=steps)
+        if trial % 3 == 0:
+            res[int(rng.integers(0, steps)) :] = rng.choice([0.6, 0.3, 0.21])
+        tr = Trace(np.zeros((steps + 1, 1)), np.ones(steps), np.ones(steps), res)
+        k_max = int(rng.integers(0, 6))
+        n_max = int(rng.integers(0, steps))
+        try:
+            expected = reference_phi_table(res, k_max, n_max)
+        except ResidualFloor as want:
+            with pytest.raises(ResidualFloor) as got:
+                build_empirical_phi(tr, k_max, n_max)
+            assert (got.value.k, got.value.n, got.value.floor) == (want.k, want.n, want.floor)
+            outcomes["floor"] += 1
+            continue
+        table = build_empirical_phi(tr, k_max, n_max).table
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        outcomes["table"] += 1
+    assert min(outcomes.values()) > 50
+
+
 # --------------------------------------------------------------------------
 # Cauchy-modulus certificates
 # --------------------------------------------------------------------------
