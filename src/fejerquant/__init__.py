@@ -67,6 +67,7 @@ from .operators import (
     minimal_selection,
     resolvent,
     resolvent_identity_residual,
+    resolvent_rows,
     yosida,
 )
 from .regularity import (
@@ -74,6 +75,7 @@ from .regularity import (
     GHModuli,
     RegularityModulus,
     eval_gap,
+    eval_gaps,
     grid_regularity_oracle,
     theta_generic,
     theta_moudafi,

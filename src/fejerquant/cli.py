@@ -209,6 +209,14 @@ def resolved_config(cfg: dict, inst: ProblemInstance) -> dict:
     }
 
 
+def _flag(obj: dict, key: str, default: bool) -> bool:
+    """A boolean config field: only JSON true or false, never a truthy string."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _params(cfg: dict, allowed: set) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
@@ -284,6 +292,8 @@ def _task_certify_metastability(
     params = _params(
         cfg, {"k", "g", "steps", "k_max", "n_max", "use_psi_prime", "check_gamma"}
     )
+    use_psi_prime = _flag(params, "use_psi_prime", False)
+    check_gamma = _flag(params, "check_gamma", False)
     k = int(params.get("k", 0))
     g = ModulusFn.from_json(params.get("g", {"kind": "affine", "a": 1, "b": 1}))
     steps = horizon if horizon is not None else int(params.get("steps", 1000))
@@ -298,8 +308,8 @@ def _task_certify_metastability(
         phi,
         steps,
         trace=trace,
-        use_psi_prime=bool(params.get("use_psi_prime", False)),
-        check_gamma=bool(params.get("check_gamma", False)),
+        use_psi_prime=use_psi_prime,
+        check_gamma=check_gamma,
         cap=cap,
         phi_provenance=phi.provenance,
     )
@@ -313,6 +323,7 @@ def _task_cauchy_modulus(
     params = _params(
         cfg, {"eps", "steps", "k_max", "n_max", "use_kappa_hat", "phi_reg", "b"}
     )
+    use_hat = _flag(params, "use_kappa_hat", False)
     eps_list = [Fraction(str(e)) for e in params.get("eps", ["1/4"])]
     steps = horizon if horizon is not None else int(params.get("steps", 1000))
     if "phi_reg" not in params:
@@ -324,7 +335,6 @@ def _task_cauchy_modulus(
     phi = build_empirical_phi(
         trace, int(params.get("k_max", 25)), int(params.get("n_max", 200)), inst
     )
-    use_hat = bool(params.get("use_kappa_hat", False))
 
     def theta_eval(eps: Fraction):
         return theta_moudafi(eps, inst.quant, phi, phi_reg, use_hat, cap)
@@ -425,6 +435,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        vacuous_ok = _flag(cfg, "vacuous_ok", True)
         if args.task == "moduli-eval":
             if args.dump_config:
                 print(json.dumps(cfg, sort_keys=True, indent=2))
@@ -448,7 +459,6 @@ def main(argv=None) -> int:
         print(f"config/problem error: {exc}", file=sys.stderr)
         return 2
 
-    vacuous_ok = bool(cfg.get("vacuous_ok", True))
     for cert in certs:
         print(_summarize(cert))
     if args.csv and certs:

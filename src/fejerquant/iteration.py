@@ -38,6 +38,7 @@ from .operators import (
     hstar_check,
     minimal_selection,
     resolvent,
+    resolvent_rows,
     yosida,
 )
 
@@ -112,6 +113,16 @@ class PowerRule:
 
     def value_fraction(self, n: int) -> Fraction:
         return self.c / (n + 1) ** self.p
+
+    def rate(self) -> ModulusFn:
+        """theta: the rate of convergence of the values toward 0, exact."""
+        if self.p < 1:
+            raise ScheduleError("a closed-form rate needs a decaying power rule")
+        return ModulusFn.power_rate(self.c, self.p)
+
+    def sum_rate(self) -> ModulusFn:
+        """xi: a Cauchy rate for the partial sums of the values, exact (needs p >= 2)."""
+        return ModulusFn.power_sum_rate(self.c, self.p)
 
     def to_json(self) -> dict:
         c = self.c
@@ -246,20 +257,6 @@ class ParameterSchedule:
             rule_from_json(obj["mu"]),
             int(obj["horizon"]),
         )
-
-
-def theta_from_rule(rule) -> ModulusFn:
-    """Convergence rate of a power rule toward 0, exact."""
-    if not isinstance(rule, PowerRule) or rule.p < 1:
-        raise ScheduleError("a closed-form rate needs a decaying power rule")
-    return ModulusFn.power_rate(rule.c, rule.p)
-
-
-def xi_from_rule(rule) -> ModulusFn:
-    """Cauchy rate for the partial sums of a power rule, exact (needs p >= 2)."""
-    if not isinstance(rule, PowerRule):
-        raise ScheduleError("a closed-form Cauchy rate needs a power rule")
-    return ModulusFn.power_sum_rate(rule.c, rule.p)
 
 
 # --------------------------------------------------------------------------
@@ -644,32 +641,9 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
         return False
     mus = inst.schedule.mus(0, k + 1)
     shifted = x[None, :] + mus[:, None] * y[None, :]
-    moved = resolvent_batch_points(inst.S, mus, shifted)
+    moved = resolvent_rows(inst.S, mus, shifted)
     dists = np.linalg.norm(moved - x[None, :], axis=1)
     return bool(np.all(dists <= bound + tol))
-
-
-def resolvent_batch_points(op, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Resolvents of many points at matching parameters, shape (m, d)."""
-    from .operators import (  # local import keeps the catalog dispatch in one place
-        AffinePSD,
-        SubdiffAbsSum,
-        ZeroOperator,
-    )
-
-    lams = np.asarray(lams, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    if isinstance(op, SubdiffAbsSum):
-        return np.sign(xs) * np.maximum(np.abs(xs) - lams[:, None], 0.0)
-    if isinstance(op, NormalConeBox):
-        return np.minimum(np.maximum(xs, op.lo), op.hi)
-    if isinstance(op, ZeroOperator):
-        return xs.copy()
-    if isinstance(op, AffinePSD):
-        return np.stack(
-            [resolvent(op, float(l), xs[i]) for i, l in enumerate(lams)]
-        )
-    raise TypeError(f"unknown operator {op!r}")
 
 
 def nearest_known_solution_distance(inst: ProblemInstance, x) -> float:

@@ -4,16 +4,24 @@ Every operator here is separable or affine, so set values are interval
 products, resolvents are exact formulas, and all the set computations a
 certificate needs (distances, one-sided Hausdorff excess, minimal-norm
 selections) reduce to per-coordinate interval arithmetic.
+
+Each catalog class has row forms over an (N, d) array of points: its value
+sets as bound rows (``value_rows``), its domain as a row mask
+(``domain_rows``) and its resolvent with one parameter per row
+(``resolvent_rows``). The per-point ``evaluate`` and ``domain_contains``
+read the first row of a one-row batch, so the row forms are the only place
+these are decided. ``resolvent``/``yosida`` keep per-point formulas, which
+are faster per call; ``resolvent_rows`` equals them row by row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
     InvariantViolation,
@@ -39,6 +47,49 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def as_rows(xs, dim: int) -> np.ndarray:
+    """Validate and convert to an (N, dim) float64 array of finite points."""
+    v = np.asarray(xs, dtype=float)
+    if v.ndim != 2:
+        raise DimensionMismatch(f"point rows are 2-D, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("points must have finite coordinates")
+    if v.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[1]}")
+    return v
+
+
+def check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
+    """The interval-product invariants, on bound arrays of any matching shape."""
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise InvariantViolation("interval bounds cannot be NaN")
+    if np.any(lo > hi):
+        raise InvariantViolation("interval product needs lo <= hi")
+    if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        raise InvariantViolation("degenerate infinite endpoints")
+
+
+def dist_rows(lo: np.ndarray, hi: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Row i: the Euclidean distance from ps[i] to the product of [lo[i], hi[i]].
+
+    Exact per coordinate, summed in coordinate order like a per-point loop.
+    """
+    total = np.zeros(ps.shape[0])
+    for i in range(ps.shape[1]):
+        gap = np.maximum(np.maximum(lo[:, i] - ps[:, i], ps[:, i] - hi[:, i]), 0.0)
+        total = total + gap * gap
+    return np.sqrt(total)
+
+
+def row_norms(r: np.ndarray) -> np.ndarray:
+    """Row i: np.linalg.norm(r[i]), bit for bit.
+
+    A stacked (1, d) @ (d, 1) product takes the same dot kernel as the
+    single-vector norm; np.linalg.norm(r, axis=1) rounds differently.
+    """
+    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+
+
 @dataclass(frozen=True, eq=False)
 class ValueSet:
     """A per-coordinate interval product [lo_1, hi_1] x ... x [lo_d, hi_d].
@@ -57,12 +108,7 @@ class ValueSet:
         object.__setattr__(self, "hi", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("interval product needs matching 1-D bounds")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise InvariantViolation("interval bounds cannot be NaN")
-        if np.any(lo > hi):
-            raise InvariantViolation("interval product needs lo <= hi")
-        if np.any(lo == np.inf) or np.any(hi == -np.inf):
-            raise InvariantViolation("degenerate infinite endpoints")
+        check_bounds(lo, hi)
 
     @property
     def dim(self) -> int:
@@ -80,13 +126,7 @@ class ValueSet:
     def dist_point(self, p) -> float:
         """Euclidean distance from point p to the set (exact per coordinate)."""
         p = as_point(p, self.dim)
-        total = 0.0
-        for i in range(self.dim):
-            below = self.lo[i] - p[i]
-            above = p[i] - self.hi[i]
-            gap = max(below, above, 0.0)
-            total += gap * gap
-        return math.sqrt(total)
+        return float(dist_rows(self.lo[None], self.hi[None], p[None])[0])
 
     def project(self, p) -> np.ndarray:
         """Nearest point of the set to p (per-coordinate clamp)."""
@@ -167,6 +207,26 @@ class AffinePSD:
     def yosida1(self, lam: float, x: float) -> float:
         return (x - self.resolvent1(lam, x)) / lam
 
+    # stacked products and solves take the per-point kernels row by row;
+    # xs @ A.T or one solve with many right-hand sides round differently
+
+    def value_rows(self, xs: np.ndarray):
+        v = np.matmul(self.matrix, xs[:, :, None])[..., 0] + self.offset
+        if not np.all(np.isfinite(v)):
+            raise DomainError("points must have finite coordinates")
+        return v, v
+
+    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return np.ones(xs.shape[0], dtype=bool)
+
+    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        sys = np.eye(self.dim) + lams[:, None, None] * self.matrix
+        rhs = (xs - lams[:, None] * self.offset)[..., None]
+        try:
+            return np.linalg.solve(sys, rhs)[..., 0]
+        except np.linalg.LinAlgError as exc:  # PSD keeps this invertible
+            raise SingularSystem(str(exc)) from exc
+
     @property
     def is_diagonal(self) -> bool:
         return bool(np.all(self.matrix == np.diag(np.diagonal(self.matrix))))
@@ -196,6 +256,15 @@ class SubdiffAbsSum:
         if x > 0.0:
             return q
         return -q if x < 0.0 else 0.0
+
+    def value_rows(self, xs: np.ndarray):
+        return np.where(xs > 0, 1.0, -1.0), np.where(xs < 0, -1.0, 1.0)
+
+    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return np.ones(xs.shape[0], dtype=bool)
+
+    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return np.sign(xs) * np.maximum(np.abs(xs) - lams[:, None], 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +302,17 @@ class NormalConeBox:
     def yosida1(self, lam: float, x: float) -> float:
         return (x - self.resolvent1(lam, x)) / lam
 
+    def value_rows(self, xs: np.ndarray):
+        if not np.all(self.domain_rows(xs)):
+            raise DomainError("point outside the box domain of the normal cone")
+        return np.where(xs == self.lo, -np.inf, 0.0), np.where(xs == self.hi, np.inf, 0.0)
+
+    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return np.all(xs >= self.lo - tol, axis=1) & np.all(xs <= self.hi + tol, axis=1)
+
+    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(xs, self.lo), self.hi)
+
 
 @dataclass(frozen=True)
 class ZeroOperator:
@@ -246,33 +326,28 @@ class ZeroOperator:
     def yosida1(self, lam: float, x: float) -> float:
         return (x - x) / lam
 
+    def value_rows(self, xs: np.ndarray):
+        zero = np.zeros_like(xs)
+        return zero, zero
+
+    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return np.ones(xs.shape[0], dtype=bool)
+
+    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return xs.copy()
+
 
 def domain_contains(op, x, tol: float = 0.0) -> bool:
     """Membership in the (closed) domain; only the normal cone restricts it."""
     x = as_point(x, op.dim)
-    if isinstance(op, NormalConeBox):
-        return bool(np.all(x >= op.lo - tol) and np.all(x <= op.hi + tol))
-    return True
+    return bool(op.domain_rows(x[None], tol)[0])
 
 
 def evaluate(op, x) -> ValueSet:
     """The set value at x as an interval product."""
     x = as_point(x, op.dim)
-    if isinstance(op, AffinePSD):
-        return ValueSet.singleton(op.matrix @ x + op.offset)
-    if isinstance(op, SubdiffAbsSum):
-        lo = np.where(x > 0, 1.0, np.where(x < 0, -1.0, -1.0))
-        hi = np.where(x > 0, 1.0, np.where(x < 0, -1.0, 1.0))
-        return ValueSet(lo, hi)
-    if isinstance(op, NormalConeBox):
-        if not domain_contains(op, x):
-            raise DomainError("point outside the box domain of the normal cone")
-        lo = np.where(x == op.lo, -np.inf, 0.0)
-        hi = np.where(x == op.hi, np.inf, 0.0)
-        return ValueSet(lo, hi)
-    if isinstance(op, ZeroOperator):
-        return ValueSet.singleton(np.zeros(op.dim))
-    raise TypeError(f"unknown operator {op!r}")
+    lo, hi = op.value_rows(x[None])
+    return ValueSet(lo[0], hi[0])
 
 
 def resolvent(op, lam: float, x) -> np.ndarray:
@@ -295,21 +370,17 @@ def resolvent(op, lam: float, x) -> np.ndarray:
     raise TypeError(f"unknown operator {op!r}")
 
 
-def resolvent_batch(op, lams: np.ndarray, x) -> np.ndarray:
-    """Resolvents of one point at many parameters, shape (len(lams), d)."""
+def resolvent_rows(op, lams, xs) -> np.ndarray:
+    """Row i is resolvent(op, lams[i], xs[i]) bit for bit; shape (N, d)."""
     lams = np.asarray(lams, dtype=float)
-    if np.any(lams <= 0):
+    if not np.all(lams > 0):
         raise NonPositiveParameter("resolvent parameters must be > 0")
-    x = as_point(x, op.dim)
-    if isinstance(op, SubdiffAbsSum):
-        return np.sign(x)[None, :] * np.maximum(np.abs(x)[None, :] - lams[:, None], 0.0)
-    if isinstance(op, NormalConeBox):
-        return np.broadcast_to(
-            np.minimum(np.maximum(x, op.lo), op.hi), (lams.shape[0], op.dim)
-        ).copy()
-    if isinstance(op, ZeroOperator):
-        return np.broadcast_to(x, (lams.shape[0], op.dim)).copy()
-    return np.stack([resolvent(op, float(l), x) for l in lams])
+    xs = as_rows(xs, op.dim)
+    if lams.shape != (xs.shape[0],):
+        raise DimensionMismatch(
+            f"need one parameter per row: {lams.shape} for {xs.shape[0]} rows"
+        )
+    return op.resolvent_rows(lams, xs)
 
 
 def yosida(op, lam: float, x) -> np.ndarray:
@@ -380,7 +451,7 @@ def operator_to_json(op) -> dict:
 
 def operator_from_json(obj: dict):
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError(f"not a serialized operator: {obj!r}")
+        raise ConfigError(f"not a serialized operator: {obj!r}")
     kind = obj["kind"]
     fields_by_kind = {
         "affine_psd": {"matrix", "offset"},
@@ -389,10 +460,10 @@ def operator_from_json(obj: dict):
         "zero": {"dim"},
     }
     if kind not in fields_by_kind:
-        raise ValueError(f"unknown operator kind {kind!r}")
+        raise ConfigError(f"unknown operator kind {kind!r}")
     extra = set(obj) - {"kind"} - fields_by_kind[kind]
     if extra:
-        raise ValueError(f"unknown operator fields {sorted(extra)}")
+        raise ConfigError(f"unknown operator fields {sorted(extra)}")
     if kind == "affine_psd":
         return AffinePSD(np.array(obj["matrix"], dtype=float), np.array(obj["offset"], dtype=float))
     if kind == "subdiff_abs":

@@ -28,7 +28,14 @@ from .moduli import (
     phi_liminf,
     xi_tilde,
 )
-from .operators import as_point, domain_contains, evaluate, minimal_selection, resolvent
+from .operators import (
+    as_point,
+    as_rows,
+    check_bounds,
+    dist_rows,
+    resolvent_rows,
+    row_norms,
+)
 
 _GAP_VARIANTS = ("F1", "F2", "FDiff")
 
@@ -53,20 +60,49 @@ class GapFunctional:
         return eval_gap(self, x)
 
 
-def eval_gap(gap: GapFunctional, x) -> float:
+_OUTSIDE = "gap functionals need x in the domain of both operators"
+
+
+def _in_domain(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
+    return inst.T.domain_rows(xs) & inst.S.domain_rows(xs)
+
+
+def _value_rows(op, xs: np.ndarray):
+    lo, hi = op.value_rows(xs)
+    check_bounds(lo, hi)
+    return lo, hi
+
+
+def eval_gaps(gap: GapFunctional, xs) -> np.ndarray:
+    """The gap at every row of an (N, d) array of points, shape (N,).
+
+    Row i equals the single-point evaluation at xs[i] bit for bit: the row
+    forms apply the per-point arithmetic elementwise, and distances and
+    norms sum in the per-point order.
+    """
     inst = gap.inst
-    x = as_point(x, inst.dim)
-    if not (domain_contains(inst.T, x) and domain_contains(inst.S, x)):
-        raise DomainError("gap functionals need x in the domain of both operators")
-    if gap.variant == "F1":
-        mu0 = inst.schedule.mu(0)
-        t_min = minimal_selection(inst.T, x)
-        moved = resolvent(inst.S, mu0, x + mu0 * t_min)
-        return float(np.linalg.norm(x - moved))
+    xs = as_rows(xs, inst.dim)
+    if not np.all(_in_domain(inst, xs)):
+        raise DomainError(_OUTSIDE)
+    t_lo, t_hi = _value_rows(inst.T, xs)
+    zero = np.zeros_like(xs)
+    if gap.variant == "FDiff":
+        s_lo, s_hi = _value_rows(inst.S, xs)
+        lo, hi = t_lo - s_hi, t_hi - s_lo
+        check_bounds(lo, hi)
+        return dist_rows(lo, hi, zero)
+    # the minimal selection of T: the origin clamped into T's value set
+    t_min = np.minimum(np.maximum(zero, t_lo), t_hi)
     if gap.variant == "F2":
-        return evaluate(inst.S, x).dist_point(minimal_selection(inst.T, x))
-    diff = evaluate(inst.T, x).minkowski_diff(evaluate(inst.S, x))
-    return diff.dist_point(np.zeros(inst.dim))
+        return dist_rows(*_value_rows(inst.S, xs), t_min)
+    mu0 = inst.schedule.mu(0)
+    moved = resolvent_rows(inst.S, np.full(xs.shape[0], mu0), xs + mu0 * t_min)
+    return row_norms(xs - moved)
+
+
+def eval_gap(gap: GapFunctional, x) -> float:
+    """The gap at one point: the one-row case of ``eval_gaps``."""
+    return float(eval_gaps(gap, as_point(x, gap.inst.dim)[None])[0])
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +349,11 @@ def _ball_grid(z: np.ndarray, r: Fraction, pitch: Fraction) -> np.ndarray:
     return pts[keep]
 
 
+def _zero_distances(pts: np.ndarray, zero_pts: np.ndarray) -> np.ndarray:
+    """Distance from each grid point to the nearest declared zero."""
+    return np.min(np.linalg.norm(pts[:, None, :] - zero_pts[None, :, :], axis=2), axis=1)
+
+
 def grid_regularity_oracle(
     gap: GapFunctional,
     zeros: Sequence,
@@ -338,10 +379,8 @@ def grid_regularity_oracle(
     zero_pts = np.stack([as_point(p, z.shape[0]) for p in zeros])
     pitch = min(eps_list) / 100
     pts = _ball_grid(z, r, pitch)
-    gaps = np.array([eval_gap(gap, p) for p in pts])
-    dists = np.min(
-        np.linalg.norm(pts[:, None, :] - zero_pts[None, :, :], axis=2), axis=1
-    )
+    gaps = eval_gaps(gap, pts)
+    dists = _zero_distances(pts, zero_pts)
     entries = []
     for eps in eps_list:
         mask = dists >= float(eps)
@@ -370,14 +409,23 @@ def verify_regularity_on_grid(
     pitch: Fraction,
 ) -> bool:
     """Check the defining implication |F(x)| < phi(eps) => dist(x, zeros) < eps
-    on an independent grid of the stated pitch."""
+    on an independent grid of the stated pitch.
+
+    False at the first violating grid point; DomainError if a grid point
+    outside the domain of T or S comes before it.
+    """
     eps = Fraction(eps)
     z = phi_reg.center
     zero_pts = np.stack([as_point(p, z.shape[0]) for p in zeros])
-    pts = _ball_grid(z, phi_reg.radius, pitch)
+    pts = as_rows(_ball_grid(z, phi_reg.radius, pitch), gap.inst.dim)
     phi_val = float(phi_reg.phi_value(eps))
-    for p in pts:
-        if eval_gap(gap, p) < phi_val:
-            if float(np.min(np.linalg.norm(zero_pts - p[None, :], axis=1))) >= float(eps):
-                return False
-    return True
+    inside = _in_domain(gap.inst, pts)
+    gaps = eval_gaps(gap, pts[inside])
+    far = _zero_distances(pts[inside], zero_pts) >= float(eps)
+    violations = np.flatnonzero(inside)[(gaps < phi_val) & far]
+    # the grid is checked in order: a point outside the domain is an error
+    # only if it comes before the first violation
+    outside = np.flatnonzero(~inside)
+    if outside.size and (not violations.size or outside[0] < violations[0]):
+        raise DomainError(_OUTSIDE)
+    return not violations.size

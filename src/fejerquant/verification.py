@@ -23,7 +23,6 @@ from .iteration import (
     Trace,
     gamma_k_check,
     gamma_witness,
-    resolvent_batch_points,
     run,
 )
 from .moduli import (
@@ -40,7 +39,7 @@ from .moduli import (
     sqrt_upper,
     total_boundedness_P,
 )
-from .operators import evaluate, minimal_selection, yosida
+from .operators import evaluate, minimal_selection, resolvent_rows, yosida
 
 _SLACK = 1e-9
 _CAUCHY_GUARD = 1e-12
@@ -225,7 +224,7 @@ def check_approx_error(
         mu_n = trace.mus[n]
         rate = float(np.linalg.norm(yosida(inst.S, mu_n, x_n + mu_n * t_n) - t_n))
         shifted = x_n[None, :] + mus_all[:, None] * t_n[None, :]
-        moved = resolvent_batch_points(inst.S, mus_all, shifted)
+        moved = resolvent_rows(inst.S, mus_all, shifted)
         lhs = np.linalg.norm(moved - x_n[None, :], axis=1)
         rhs = mu_n * rate + np.abs(mu_n - mus_all) * rate
         checked += mus_all.shape[0]

@@ -1,8 +1,10 @@
 """Command-line entry point: presets, config validation, tasks, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +163,54 @@ def test_vacuous_certificates_exit_1_when_not_tolerated(tmp_path, capsys):
     )
     assert main(["cauchy-modulus", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "vacuous=True" in capsys.readouterr().out
+
+
+PHI_REG = {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}
+
+
+@pytest.mark.parametrize(
+    "task,cfg",
+    [
+        ("run", {"problem": "dc-abs-1d", "params": {"steps": 10}, "vacuous_ok": "false"}),
+        ("certify-metastability", {"params": {"k": 0, "steps": 50, "use_psi_prime": "false"}}),
+        ("certify-metastability", {"params": {"k": 0, "steps": 50, "check_gamma": "false"}}),
+        (
+            "cauchy-modulus",
+            {"params": {"steps": 50, "phi_reg": PHI_REG, "b": "1/2", "use_kappa_hat": "false"}},
+        ),
+    ],
+)
+def test_boolean_fields_accept_only_json_booleans(tmp_path, capsys, task, cfg):
+    # "false" is a truthy string: read through bool() it turned checks on and
+    # let a vacuous certificate through with exit 0
+    path = write_config(tmp_path, cfg)
+    assert main([task, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "must be true or false" in capsys.readouterr().err
+
+
+def test_unknown_operator_kind_exits_2_without_a_traceback(tmp_path):
+    inst = preset("dc-abs-1d")
+    cfg = write_config(
+        tmp_path,
+        {
+            "problem": {
+                "T": {"kind": "affine_psd", "matrix": [[1.0]], "offset": [0.0]},
+                "S": {"kind": "subdiff_l2", "dim": 1},
+                "x0": [0.5],
+            },
+            "schedule": inst.schedule.to_json(),
+            "quant": inst.quant.to_json(),
+        },
+    )
+    src = os.path.dirname(os.path.dirname(fq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from fejerquant.cli import main; sys.exit(main())",
+         "run", "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "unknown operator kind" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # --------------------------------------------------------------------------

@@ -32,11 +32,8 @@ from fejerquant.iteration import (
     gamma_k_check,
     gamma_witness,
     nearest_known_solution_distance,
-    resolvent_batch_points,
     rule_from_json,
     run,
-    theta_from_rule,
-    xi_from_rule,
 )
 from fejerquant.moduli import ModulusFn
 from fejerquant.operators import (
@@ -45,6 +42,7 @@ from fejerquant.operators import (
     SubdiffAbsSum,
     ZeroOperator,
     resolvent,
+    resolvent_rows,
 )
 
 
@@ -120,14 +118,12 @@ def test_schedule_json_round_trip():
 
 
 def test_closed_form_rates_from_rules():
-    th = theta_from_rule(PowerRule(Fraction(1), 2))
+    th = PowerRule(Fraction(1), 2).rate()
     assert th.to_json() == ModulusFn.power_rate(1, 2).to_json()
-    xi = xi_from_rule(PowerRule(Fraction(1), 4))
+    xi = PowerRule(Fraction(1), 4).sum_rate()
     assert xi.to_json() == ModulusFn.power_sum_rate(1, 4).to_json()
     with pytest.raises(ScheduleError):
-        theta_from_rule(PowerRule(Fraction(1), 0))
-    with pytest.raises(ScheduleError):
-        theta_from_rule(TableRule((1.0,)))
+        PowerRule(Fraction(1), 0).rate()
 
 
 # --------------------------------------------------------------------------
@@ -445,6 +441,6 @@ def test_batched_resolvent_points_match_scalar_calls():
     lams = np.array([0.2, 1.0, 3.0])
     for op in ops:
         xs = rng.uniform(-2.0, 2.0, size=(3, 2))
-        batch = resolvent_batch_points(op, lams, xs)
+        batch = resolvent_rows(op, lams, xs)
         for i, lam in enumerate(lams):
-            assert np.allclose(batch[i], resolvent(op, float(lam), xs[i]), atol=1e-12)
+            assert batch[i].tobytes() == resolvent(op, float(lam), xs[i]).tobytes()

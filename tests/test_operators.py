@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fejerquant.errors import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
     InvariantViolation,
@@ -30,8 +31,8 @@ from fejerquant.operators import (
     operator_from_json,
     operator_to_json,
     resolvent,
-    resolvent_batch,
     resolvent_identity_residual,
+    resolvent_rows,
     sup_dist_sq,
     yosida,
 )
@@ -264,11 +265,11 @@ def test_resolvent_batch_matches_single():
     lams = np.array([0.1, 0.5, 1.0, 2.0, 7.5])
     for op in catalog():
         x = sample_domain_point(op, rng)
-        batch = resolvent_batch(op, lams, x)
+        batch = resolvent_rows(op, lams, np.tile(x, (lams.shape[0], 1)))
         for i, lam in enumerate(lams):
-            assert np.allclose(batch[i], resolvent(op, float(lam), x), atol=EXACT)
+            assert batch[i].tobytes() == resolvent(op, float(lam), x).tobytes()
     with pytest.raises(NonPositiveParameter):
-        resolvent_batch(SubdiffAbsSum(1), np.array([1.0, 0.0]), [1.0])
+        resolvent_rows(SubdiffAbsSum(1), np.array([1.0, 0.0]), [[1.0], [1.0]])
 
 
 # --------------------------------------------------------------------------
@@ -375,11 +376,11 @@ def test_operator_json_round_trip():
 
 
 def test_operator_json_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         operator_from_json({"kind": "mystery"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         operator_from_json({"kind": "zero", "dim": 1, "extra": 2})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         operator_from_json({"dim": 1})
 
 

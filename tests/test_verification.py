@@ -132,12 +132,12 @@ def test_approx_error_catches_a_broken_resolvent(monkeypatch):
     # break it; shift the stage images and the tight pairs must overshoot
     inst = from_two()
     tr = run(inst, 60)
-    real = fq.verification.resolvent_batch_points
+    real = fq.verification.resolvent_rows
 
     def skewed(op, lams, pts):
         return real(op, lams, pts) + 5e-9
 
-    monkeypatch.setattr(fq.verification, "resolvent_batch_points", skewed)
+    monkeypatch.setattr(fq.verification, "resolvent_rows", skewed)
     cert = check_approx_error(tr, inst, 40, 40)
     assert not cert.sound and cert.violations
     assert all(v["lhs"] > v["rhs"] for v in cert.violations)
