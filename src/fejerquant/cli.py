@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, FejerQuantError, UnknownPreset
+from .fields import field, floats, integer, list_of, rational
 from .iteration import (
     ParameterSchedule,
     PowerRule,
@@ -162,6 +163,8 @@ def build_instance(cfg: dict) -> ProblemInstance:
     problem = cfg.get("problem", "dc-abs-1d")
     if isinstance(problem, str):
         inst = preset(problem)
+    elif not isinstance(problem, dict):
+        raise ConfigError(f"problem must be a preset name or an object, got {problem!r}")
     else:
         extra = set(problem) - {"T", "S", "x0", "known_solutions"}
         if extra:
@@ -169,23 +172,21 @@ def build_instance(cfg: dict) -> ProblemInstance:
         if "schedule" not in cfg or "quant" not in cfg:
             raise ConfigError("inline problems need explicit schedule and quant")
         inst = ProblemInstance(
-            T=operator_from_json(problem["T"]),
-            S=operator_from_json(problem["S"]),
-            x0=np.array(problem["x0"], dtype=float),
-            schedule=ParameterSchedule.from_json(cfg["schedule"]),
-            quant=QuantitativeData.from_json(cfg["quant"]),
-            known_solutions=tuple(
-                np.array(s, dtype=float) for s in problem.get("known_solutions", ())
-            ),
+            T=field(problem, "T", operator_from_json),
+            S=field(problem, "S", operator_from_json),
+            x0=field(problem, "x0", floats),
+            schedule=field(cfg, "schedule", ParameterSchedule.from_json),
+            quant=field(cfg, "quant", QuantitativeData.from_json),
+            known_solutions=tuple(field(problem, "known_solutions", list_of(floats), [])),
         )
         return inst
     if "schedule" in cfg or "quant" in cfg:
         from dataclasses import replace
 
         if "schedule" in cfg:
-            inst = replace(inst, schedule=ParameterSchedule.from_json(cfg["schedule"]))
+            inst = replace(inst, schedule=field(cfg, "schedule", ParameterSchedule.from_json))
         if "quant" in cfg:
-            inst = replace(inst, quant=QuantitativeData.from_json(cfg["quant"]))
+            inst = replace(inst, quant=field(cfg, "quant", QuantitativeData.from_json))
     return inst
 
 
@@ -215,6 +216,18 @@ def _flag(obj: dict, key: str, default: bool) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
+
+
+def _steps(params: dict, horizon: int | None, default: int) -> int:
+    """The step count: --horizon if given, else the steps param."""
+    if horizon is not None:
+        return horizon
+    return field(params, "steps", integer, default)
+
+
+def _phi_range(params: dict) -> tuple:
+    """The (k_max, n_max) rectangle of the empirical residual modulus."""
+    return field(params, "k_max", integer, 25), field(params, "n_max", integer, 200)
 
 
 def _params(cfg: dict, allowed: set) -> dict:
@@ -259,7 +272,7 @@ def _summarize(cert) -> str:
 
 def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
     params = _params(cfg, {"steps"})
-    steps = horizon if horizon is not None else int(params.get("steps", 100))
+    steps = _steps(params, horizon, 100)
     trace = run(inst, steps)
     path = _write(out_dir, "trace.jsonl", trace.to_jsonl())
     print(f"trace: {steps} steps -> {path}")
@@ -272,10 +285,10 @@ def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | Non
 
 def _task_check_lemmas(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
     params = _params(cfg, {"max_n", "max_l", "max_i", "steps"})
-    max_n = int(params.get("max_n", 100))
-    max_l = int(params.get("max_l", 100))
-    max_i = int(params.get("max_i", 200))
-    steps = horizon if horizon is not None else int(params.get("steps", max_n + max_l))
+    max_n = field(params, "max_n", integer, 100)
+    max_l = field(params, "max_l", integer, 100)
+    max_i = field(params, "max_i", integer, 200)
+    steps = _steps(params, horizon, max_n + max_l)
     trace = run(inst, steps)
     certs = [
         check_quasi_fejer(trace, inst, max_n, max_l),
@@ -294,13 +307,12 @@ def _task_certify_metastability(
     )
     use_psi_prime = _flag(params, "use_psi_prime", False)
     check_gamma = _flag(params, "check_gamma", False)
-    k = int(params.get("k", 0))
-    g = ModulusFn.from_json(params.get("g", {"kind": "affine", "a": 1, "b": 1}))
-    steps = horizon if horizon is not None else int(params.get("steps", 1000))
+    k = field(params, "k", integer, 0)
+    g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
+    steps = _steps(params, horizon, 1000)
+    k_max, n_max = _phi_range(params)
     trace = run(inst, steps)
-    phi = build_empirical_phi(
-        trace, int(params.get("k_max", 25)), int(params.get("n_max", 200)), inst
-    )
+    phi = build_empirical_phi(trace, k_max, n_max, inst)
     cert = certify_metastability(
         inst,
         k,
@@ -324,17 +336,16 @@ def _task_cauchy_modulus(
         cfg, {"eps", "steps", "k_max", "n_max", "use_kappa_hat", "phi_reg", "b"}
     )
     use_hat = _flag(params, "use_kappa_hat", False)
-    eps_list = [Fraction(str(e)) for e in params.get("eps", ["1/4"])]
-    steps = horizon if horizon is not None else int(params.get("steps", 1000))
+    eps_list = field(params, "eps", list_of(rational), [Fraction(1, 4)])
+    steps = _steps(params, horizon, 1000)
+    k_max, n_max = _phi_range(params)
     if "phi_reg" not in params:
         raise ConfigError("cauchy-modulus needs a phi_reg regularity modulus")
-    phi_reg = RegularityModulus.from_json(params["phi_reg"])
-    b = Fraction(str(params.get("b", "1")))
+    phi_reg = field(params, "phi_reg", RegularityModulus.from_json)
+    b = field(params, "b", rational, Fraction(1))
     validate_regularity_ball(inst, phi_reg, b)
     trace = run(inst, steps)
-    phi = build_empirical_phi(
-        trace, int(params.get("k_max", 25)), int(params.get("n_max", 200)), inst
-    )
+    phi = build_empirical_phi(trace, k_max, n_max, inst)
 
     def theta_eval(eps: Fraction):
         return theta_moudafi(eps, inst.quant, phi, phi_reg, use_hat, cap)
@@ -350,40 +361,27 @@ def _task_moduli_eval(cfg: dict) -> list:
         {"modulus", "k", "r", "n", "m", "M", "B", "Bprime", "A", "L", "d", "varpi", "xi"},
     )
     name = params.get("modulus")
-    mod = lambda key: ModulusFn.from_json(params[key])  # noqa: E731
-    frac = lambda key, default=None: Fraction(  # noqa: E731
-        str(params.get(key, default))
-    )
+    nat = lambda key: field(params, key, integer)  # noqa: E731
+    mod = lambda key: field(params, key, ModulusFn.from_json)  # noqa: E731
+    frac = lambda key: field(params, key, rational)  # noqa: E731
     if name == "delta":
-        value = delta(int(params["k"]))
+        value = delta(nat("k"))
     elif name == "omega":
-        value = omega(int(params["k"]), int(params["M"]), mod("varpi"))
+        value = omega(nat("k"), nat("M"), mod("varpi"))
     elif name == "varpi_prime":
-        value = varpi_prime(int(params["k"]), int(params["B"]), mod("varpi"))
+        value = varpi_prime(nat("k"), nat("B"), mod("varpi"))
     elif name == "chi":
-        value = chi(
-            int(params["r"]), int(params["n"]), int(params["m"]), exp_upper(frac("A"))
-        ).to_json()
+        value = chi(nat("r"), nat("n"), nat("m"), exp_upper(frac("A"))).to_json()
     elif name == "xi_tilde":
-        value = xi_tilde(int(params["n"]), int(params["M"]), exp_upper(frac("A")), mod("xi"))
+        value = xi_tilde(nat("n"), nat("M"), exp_upper(frac("A")), mod("xi"))
     elif name == "P":
         value = total_boundedness_P(
-            int(params["k"]),
-            exp_upper(frac("A")),
-            sqrt_upper(int(params["d"])),
-            frac("L"),
-            int(params["d"]),
+            nat("k"), exp_upper(frac("A")), sqrt_upper(nat("d")), frac("L"), nat("d")
         ).to_json()
     elif name == "kappa":
-        value = kappa(int(params["k"]), int(params["M"]), int(params["B"]))
+        value = kappa(nat("k"), nat("M"), nat("B"))
     elif name == "kappa_hat":
-        value = kappa_hat(
-            int(params["k"]),
-            int(params["M"]),
-            int(params["B"]),
-            int(params["Bprime"]),
-            mod("varpi"),
-        )
+        value = kappa_hat(nat("k"), nat("M"), nat("B"), nat("Bprime"), mod("varpi"))
     else:
         raise ConfigError(f"unknown modulus {name!r}")
     if isinstance(value, dict):
@@ -399,10 +397,14 @@ def _task_moduli_eval(cfg: dict) -> list:
 
 
 def _parse_cap(text: str) -> int:
+    """An integer >= 1, read exactly: "1e30" is 10**30, "2.5" is rejected."""
     try:
-        return int(text)
-    except ValueError:
-        return int(float(text))
+        value = rational(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value.denominator != 1 or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(value)
 
 
 def main(argv=None) -> int:

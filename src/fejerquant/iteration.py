@@ -28,6 +28,7 @@ from .errors import (
     NonPositiveParameter,
     ScheduleError,
 )
+from .fields import field, integer, list_of, number, rational, string
 from .moduli import ModulusFn
 from .operators import (
     NormalConeBox,
@@ -162,19 +163,17 @@ class TableRule:
 
 
 def rule_from_json(obj: dict):
-    if not isinstance(obj, dict) or "rule" not in obj:
-        raise ScheduleError(f"not a serialized schedule rule: {obj!r}")
-    kind = obj["rule"]
+    kind = field(obj, "rule", string)
     if kind == "power":
         extra = set(obj) - {"rule", "c", "p"}
         if extra:
             raise ScheduleError(f"unknown rule fields {sorted(extra)}")
-        return PowerRule(Fraction(str(obj["c"])), int(obj["p"]))
+        return PowerRule(field(obj, "c", rational), field(obj, "p", integer))
     if kind == "table":
         extra = set(obj) - {"rule", "values"}
         if extra:
             raise ScheduleError(f"unknown rule fields {sorted(extra)}")
-        return TableRule(tuple(obj["values"]))
+        return TableRule(tuple(field(obj, "values", list_of(number))))
     raise ScheduleError(f"unknown schedule rule {kind!r}")
 
 
@@ -245,17 +244,16 @@ class ParameterSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterSchedule":
+        if not isinstance(obj, dict):
+            raise ScheduleError(f"not a serialized schedule: {obj!r}")
         keys = {"lambda", "mu", "horizon"}
         extra = set(obj) - keys
         if extra:
             raise ScheduleError(f"unknown schedule fields {sorted(extra)}")
-        missing = keys - set(obj)
-        if missing:
-            raise ScheduleError(f"missing schedule fields {sorted(missing)}")
         return cls(
-            rule_from_json(obj["lambda"]),
-            rule_from_json(obj["mu"]),
-            int(obj["horizon"]),
+            field(obj, "lambda", rule_from_json),
+            field(obj, "mu", rule_from_json),
+            field(obj, "horizon", integer),
         )
 
 
@@ -355,26 +353,25 @@ class QuantitativeData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuantitativeData":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"not serialized quantitative data: {obj!r}")
         known = {"A", "B", "Bprime", "C", "M", "L", "d", "theta", "xi", "varpi", "varpi_hat"}
         extra = set(obj) - known
         if extra:
             raise ConfigError(f"unknown quantitative-data fields {sorted(extra)}")
-        missing = known - {"varpi_hat"} - set(obj)
-        if missing:
-            raise ConfigError(f"missing quantitative-data fields {sorted(missing)}")
         vh = obj.get("varpi_hat")
         return cls(
-            A=Fraction(str(obj["A"])),
-            B=int(obj["B"]),
-            Bprime=int(obj["Bprime"]),
-            C=Fraction(str(obj["C"])),
-            M=int(obj["M"]),
-            L=Fraction(str(obj["L"])),
-            d=int(obj["d"]),
-            theta=ModulusFn.from_json(obj["theta"]),
-            xi=ModulusFn.from_json(obj["xi"]),
-            varpi=ModulusFn.from_json(obj["varpi"]),
-            varpi_hat=None if vh is None else ModulusFn.from_json(vh),
+            A=field(obj, "A", rational),
+            B=field(obj, "B", integer),
+            Bprime=field(obj, "Bprime", integer),
+            C=field(obj, "C", rational),
+            M=field(obj, "M", integer),
+            L=field(obj, "L", rational),
+            d=field(obj, "d", integer),
+            theta=field(obj, "theta", ModulusFn.from_json),
+            xi=field(obj, "xi", ModulusFn.from_json),
+            varpi=field(obj, "varpi", ModulusFn.from_json),
+            varpi_hat=None if vh is None else field(obj, "varpi_hat", ModulusFn.from_json),
         )
 
 

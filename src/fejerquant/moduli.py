@@ -21,10 +21,12 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (
+    ConfigError,
     InvariantViolation,
     NegativeExponent,
     TableRangeError,
 )
+from .fields import field, integer, list_of, rational, string
 
 #: Default cap for symbolic bounds: values above this become Overflow markers.
 DEFAULT_CAP = 10 ** 10000
@@ -317,9 +319,7 @@ class ModulusFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModulusFn":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError(f"not a serialized modulus: {obj!r}")
-        kind = obj["kind"]
+        kind = field(obj, "kind", string)
         known = {
             "identity": (),
             "affine": ("a", "b"),
@@ -329,22 +329,22 @@ class ModulusFn:
             "power_sum_rate": ("c", "p"),
         }
         if kind not in known:
-            raise ValueError(f"unknown modulus kind {kind!r}")
+            raise ConfigError(f"unknown modulus kind {kind!r}")
         extra = set(obj) - {"kind"} - set(known[kind])
         if extra:
-            raise ValueError(f"unknown modulus fields {sorted(extra)}")
+            raise ConfigError(f"unknown modulus fields {sorted(extra)}")
         if kind == "identity":
             return cls.identity()
         if kind == "affine":
-            return cls.affine(int(obj["a"]), int(obj["b"]))
+            return cls.affine(field(obj, "a", integer), field(obj, "b", integer))
         if kind == "polynomial":
-            return cls.polynomial(obj["coeffs"])
+            return cls.polynomial(field(obj, "coeffs", list_of(integer)))
         if kind == "table":
-            return cls.table(obj["values"])
-        c = Fraction(str(obj["c"]))
+            return cls.table(field(obj, "values", list_of(integer)))
+        c = field(obj, "c", rational)
         if kind == "power_rate":
-            return cls.power_rate(c, int(obj["p"]))
-        return cls.power_sum_rate(c, int(obj["p"]))
+            return cls.power_rate(c, field(obj, "p", integer))
+        return cls.power_sum_rate(c, field(obj, "p", integer))
 
 
 #: A counterfunction is just a represented map N -> N used as the window

@@ -28,6 +28,7 @@ from .errors import (
     NonPositiveParameter,
     SingularSystem,
 )
+from .fields import field, floats, integer, string
 
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -450,9 +451,7 @@ def operator_to_json(op) -> dict:
 
 
 def operator_from_json(obj: dict):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError(f"not a serialized operator: {obj!r}")
-    kind = obj["kind"]
+    kind = field(obj, "kind", string)
     fields_by_kind = {
         "affine_psd": {"matrix", "offset"},
         "subdiff_abs": {"dim"},
@@ -465,9 +464,9 @@ def operator_from_json(obj: dict):
     if extra:
         raise ConfigError(f"unknown operator fields {sorted(extra)}")
     if kind == "affine_psd":
-        return AffinePSD(np.array(obj["matrix"], dtype=float), np.array(obj["offset"], dtype=float))
+        return AffinePSD(field(obj, "matrix", floats), field(obj, "offset", floats))
     if kind == "subdiff_abs":
-        return SubdiffAbsSum(int(obj["dim"]))
+        return SubdiffAbsSum(field(obj, "dim", integer))
     if kind == "normal_cone_box":
-        return NormalConeBox(np.array(obj["lo"], dtype=float), np.array(obj["hi"], dtype=float))
-    return ZeroOperator(int(obj["dim"]))
+        return NormalConeBox(field(obj, "lo", floats), field(obj, "hi", floats))
+    return ZeroOperator(field(obj, "dim", integer))

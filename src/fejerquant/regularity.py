@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
+from .fields import field, floats, list_of, rational, string
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -178,31 +179,23 @@ class RegularityModulus:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegularityModulus":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ConfigError(f"not a serialized regularity modulus: {obj!r}")
+        kind = field(obj, "kind", string)
         allowed = {"kind", "provenance", "center", "radius"}
-        allowed |= {"scale"} if obj["kind"] == "linear" else {"entries"}
+        allowed |= {"scale"} if kind == "linear" else {"entries"}
         extra = set(obj) - allowed
         if extra:
             raise ConfigError(f"unknown regularity modulus fields {sorted(extra)}")
-        if obj["kind"] == "linear":
-            return cls(
-                "linear",
-                np.array(obj["center"], dtype=float),
-                Fraction(str(obj["radius"])),
-                obj["provenance"],
-                scale=Fraction(str(obj["scale"])),
-            )
-        entries = tuple(
-            (Fraction(str(d["eps"])), Fraction(str(d["phi"]))) for d in obj["entries"]
-        )
-        return cls(
-            "table",
-            np.array(obj["center"], dtype=float),
-            Fraction(str(obj["radius"])),
-            obj["provenance"],
-            entries=entries,
-        )
+        center = field(obj, "center", floats)
+        radius = field(obj, "radius", rational)
+        provenance = field(obj, "provenance", string)
+        if kind == "linear":
+            return cls(kind, center, radius, provenance, scale=field(obj, "scale", rational))
+        entries = field(obj, "entries", list_of(_entry_from_json))
+        return cls(kind, center, radius, provenance, entries=tuple(entries))
+
+
+def _entry_from_json(obj: dict) -> tuple:
+    return field(obj, "eps", rational), field(obj, "phi", rational)
 
 
 # --------------------------------------------------------------------------

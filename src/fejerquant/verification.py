@@ -111,6 +111,11 @@ def _instance_params(inst: ProblemInstance) -> dict:
 # --------------------------------------------------------------------------
 
 
+# violation forms, in the order they are listed for one (solution, n, l)
+_PREMISE = -1
+_FORMS = ("product", "exp")
+
+
 def check_quasi_fejer(
     trace: Trace, inst: ProblemInstance, max_n: int, max_l: int
 ) -> Certificate:
@@ -124,66 +129,85 @@ def check_quasi_fejer(
                        + 2||T°x*|| sum mu_k prod_{j>k}(1 + mu/lambda) + 1e-9
       e^A form:      ||x_{n+l} - x*|| <= e^A ||x_n - x*||
                        + (2M+1) e^A sum mu + 1e-9
+
+    for n <= max_n and l <= max_l within the trace. The check sweeps the
+    offset l once and advances every (solution, n) row at each offset, with
+    the scalar recurrence's operations element by element, so the right-hand
+    sides are the ones of a loop over (n, l) bit for bit. Violations are
+    listed in (solution, n, l, form) order, the first 50 of them.
     """
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
     e_a = float(exp_upper(inst.quant.A).value)
     m_coeff = 2 * inst.quant.M + 1
     steps = trace.steps
-    violations = []
-    checked = 0
-    for x_star in inst.known_solutions:
+    # violation records: arrays of solution index, n, l, form, lhs, rhs
+    found = []
+    kept, dists, t2 = [], [], []
+    for i, x_star in enumerate(inst.known_solutions):
         y_star = minimal_selection(inst.T, x_star)
         t_norm = float(np.linalg.norm(y_star))
         if not evaluate(inst.S, x_star).contains(y_star, _SLACK):
+            found.append(tuple(np.array([v]) for v in (i, 0, 0, _PREMISE, np.nan, np.nan)))
+            continue
+        kept.append(i)
+        dists.append(np.linalg.norm(trace.points - x_star[None, :], axis=1))
+        t2.append(2.0 * t_norm)
+    n_top = min(max_n, steps)
+    # the last offset checked from row n is min(max_l, steps - n)
+    tops = np.minimum(max_l, steps - np.arange(n_top + 1))
+    checked = 0
+    if kept and tops.size and tops[0] >= 0:
+        checked = len(kept) * int(np.sum(tops + 1))
+        sol = np.array(kept)
+        dist = np.stack(dists)
+        base = dist[:, : n_top + 1]
+        prod = np.ones(base.shape)
+        acc = np.zeros(base.shape)
+        musum = np.zeros(base.shape)
+        t2 = np.array(t2)[:, None]
+        coef = m_coeff * e_a
+        mus = trace.mus
+        rho = 1.0 + mus / trace.lambdas
+        for l in range(int(tops[0]) + 1):
+            rows = min(n_top, steps - l) + 1  # rows n still checked at offset l
+            lhs = dist[:, l : l + rows]
+            rhs_prod = prod[:, :rows] * base[:, :rows] + t2 * acc[:, :rows] + _SLACK
+            rhs_exp = e_a * base[:, :rows] + coef * musum[:, :rows] + _SLACK
+            for form, rhs in enumerate((rhs_prod, rhs_exp)):
+                s, n = np.nonzero(lhs > rhs)
+                if s.size:
+                    at_l, of_form = np.full(s.size, l), np.full(s.size, form)
+                    found.append((sol[s], n, at_l, of_form, lhs[s, n], rhs[s, n]))
+            if l < max_l:
+                live = min(rows, steps - l)  # rows n that go on to offset l + 1
+                prod[:, :live] *= rho[l : l + live]
+                acc[:, :live] = acc[:, :live] * rho[l : l + live] + mus[l : l + live]
+                musum[:, :live] += mus[l : l + live]
+    violations = []
+    if found:
+        sols, ns, ls, forms, lhss, rhss = (np.concatenate(c) for c in zip(*found))
+        for j in np.lexsort((forms, ls, ns, sols))[:50]:
+            solution = [float(v) for v in inst.known_solutions[sols[j]]]
+            if forms[j] == _PREMISE:
+                violations.append(
+                    {
+                        "form": "premise",
+                        "solution": solution,
+                        "detail": "T°x* not in Sx*: not an exact solution",
+                    }
+                )
+                continue
             violations.append(
                 {
-                    "form": "premise",
-                    "solution": [float(v) for v in x_star],
-                    "detail": "T°x* not in Sx*: not an exact solution",
+                    "form": _FORMS[forms[j]],
+                    "solution": solution,
+                    "n": int(ns[j]),
+                    "l": int(ls[j]),
+                    "lhs": float(lhss[j]),
+                    "rhs": float(rhss[j]),
                 }
             )
-            continue
-        dists = np.linalg.norm(trace.points - x_star[None, :], axis=1)
-        for n in range(min(max_n, steps) + 1):
-            prod = 1.0
-            acc = 0.0
-            musum = 0.0
-            base = dists[n]
-            top = min(max_l, steps - n)
-            for l in range(top + 1):
-                lhs = dists[n + l]
-                rhs_prod = prod * base + 2.0 * t_norm * acc + _SLACK
-                rhs_exp = e_a * base + m_coeff * e_a * musum + _SLACK
-                checked += 1
-                if lhs > rhs_prod:
-                    violations.append(
-                        {
-                            "form": "product",
-                            "solution": [float(v) for v in x_star],
-                            "n": n,
-                            "l": l,
-                            "lhs": lhs,
-                            "rhs": rhs_prod,
-                        }
-                    )
-                if lhs > rhs_exp:
-                    violations.append(
-                        {
-                            "form": "exp",
-                            "solution": [float(v) for v in x_star],
-                            "n": n,
-                            "l": l,
-                            "lhs": lhs,
-                            "rhs": rhs_exp,
-                        }
-                    )
-                if l < top:
-                    mu = trace.mus[n + l]
-                    rho = 1.0 + mu / trace.lambdas[n + l]
-                    prod *= rho
-                    acc = acc * rho + mu
-                    musum += mu
     return Certificate(
         kind="lemma-inequality",
         params={
@@ -194,8 +218,8 @@ def check_quasi_fejer(
         },
         witness={"checked": checked},
         bound=None,
-        sound=not violations,
-        violations=tuple(violations[:50]),
+        sound=not found,
+        violations=tuple(violations),
         provenance={"slack": _SLACK, "witnesses": "exact minimal selections"},
     )
 

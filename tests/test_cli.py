@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fejerquant as fq
-from fejerquant.cli import build_instance, main, preset
+from fejerquant.cli import _parse_cap, build_instance, main, preset
 from fejerquant.errors import UnknownPreset
 from fejerquant.operators import NormalConeBox, SubdiffAbsSum
 
@@ -211,6 +211,192 @@ def test_unknown_operator_kind_exits_2_without_a_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert "unknown operator kind" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _inline_dc(**problem_overrides):
+    inst = preset("dc-abs-1d")
+    problem = {
+        "T": {"kind": "affine_psd", "matrix": [[1.0]], "offset": [0.0]},
+        "S": {"kind": "subdiff_abs", "dim": 1},
+        "x0": [0.5],
+        **problem_overrides,
+    }
+    return {"problem": problem, "schedule": inst.schedule.to_json(), "quant": inst.quant.to_json()}
+
+
+MALFORMED_VALUES = {
+    "operator dim": ("run", _inline_dc(S={"kind": "subdiff_abs", "dim": "one"}), "S: dim"),
+    "schedule rule c": (
+        "run",
+        {"schedule": {"lambda": {"rule": "power", "c": "x", "p": 1},
+                      "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 500}},
+        "schedule: lambda: c",
+    ),
+    "quant B": ("run", {"quant": {**preset("dc-abs-1d").quant.to_json(), "B": "x"}}, "quant: B"),
+    "g kind": ("certify-metastability", {"params": {"k": 0, "g": {"kind": "bogus"}}}, "g: unknown"),
+    "moduli-eval without k": ("moduli-eval", {"params": {"modulus": "delta"}}, "'k'"),
+    # well-typed text or numbers that Fraction or float cannot take
+    "quant A 1/0": ("run", {"quant": {**preset("dc-abs-1d").quant.to_json(), "A": "1/0"}}, "quant: A"),
+    "quant A huge exponent": (
+        "run",
+        {"quant": {**preset("dc-abs-1d").quant.to_json(), "A": "1e999999999"}},
+        "quant: A: exponent out of range",
+    ),
+    "cauchy b 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "b": "1/0"}}, "b: expected"),
+    "cauchy eps 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "eps": ["1/0"]}}, "eps:"),
+    "table value beyond float range": (
+        "run",
+        {"schedule": {"lambda": {"rule": "table", "values": [10**400]},
+                      "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 1}},
+        "schedule: lambda: values: number out of float range",
+    ),
+    "x0 beyond float range": ("run", _inline_dc(x0=[10**400]), "x0: number out of float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+def test_malformed_config_values_exit_2_without_a_traceback(tmp_path, capsys, case):
+    # each of these was a bare ValueError or KeyError: a traceback and exit 1,
+    # the code of an unsound certificate
+    task, cfg, named = MALFORMED_VALUES[case]
+    path = write_config(tmp_path, cfg)
+    assert main([task, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config/problem error" in err and named in err and "Traceback" not in err
+
+
+INTEGER_PARAMS = [
+    ("run", {"steps": 10.7}),
+    ("run", {"steps": "20"}),
+    ("run", {"steps": True}),
+    ("check-lemmas", {"max_n": 10.0}),
+    ("check-lemmas", {"max_l": "10"}),
+    ("check-lemmas", {"max_i": 2.5}),
+    ("check-lemmas", {"steps": 30.5}),
+    ("certify-metastability", {"k": 0.5}),
+    ("certify-metastability", {"k_max": "25"}),
+    ("certify-metastability", {"n_max": 200.0}),
+    ("cauchy-modulus", {"phi_reg": PHI_REG, "b": "1/2", "n_max": 1.5}),
+]
+
+
+@pytest.mark.parametrize("task,params", INTEGER_PARAMS)
+def test_integer_params_accept_only_json_integers(tmp_path, capsys, monkeypatch, task, params):
+    # int() truncated 10.7 to 10 and read "20" as 20; now the config is
+    # rejected before any stepping
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped on a malformed config")
+
+    monkeypatch.setattr("fejerquant.cli.run", no_stepping)
+    path = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    assert main([task, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_cap_is_parsed_exactly():
+    assert _parse_cap("1e30") == 10**30
+    assert _parse_cap("1e6") == 10**6
+    assert _parse_cap("1e10000") == 10**10000
+    assert _parse_cap("12") == 12
+
+
+@pytest.mark.parametrize("text", ["2.5", "abc", "-1", "0", "1/0", "1e999999999"])
+def test_malformed_caps_exit_2_with_a_usage_message(tmp_path, capsys, text):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"k": 0, "steps": 50}})
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-metastability", "--config", cfg, "--out", str(tmp_path), "--cap", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--cap" in err
+
+
+SMALL_SCHEDULE = {
+    "lambda": {"rule": "power", "c": 1, "p": 1},
+    "mu": {"rule": "power", "c": 1, "p": 3},
+    "horizon": 40,
+}
+
+# one valid config per task; the fuzz test replaces each field under the
+# listed key (the whole config for run, whose config has every problem field)
+FUZZ_CONFIGS = [
+    ("run", None, {
+        **_inline_dc(known_solutions=[[1.0]]),
+        "schedule": SMALL_SCHEDULE,
+        "params": {"steps": 20},
+        "vacuous_ok": True,
+    }),
+    ("check-lemmas", "params", {
+        "problem": "dc-abs-1d",
+        "schedule": SMALL_SCHEDULE,
+        "params": {"max_n": 5, "max_l": 5, "max_i": 5, "steps": 12},
+    }),
+    ("certify-metastability", "params", {
+        "problem": "dc-abs-1d",
+        "schedule": SMALL_SCHEDULE,
+        "params": {
+            "k": 0, "g": {"kind": "affine", "a": 1, "b": 1}, "steps": 30, "k_max": 2,
+            "n_max": 10, "use_psi_prime": True, "check_gamma": True,
+        },
+    }),
+    ("cauchy-modulus", "params", {
+        "problem": "dc-abs-1d",
+        "schedule": SMALL_SCHEDULE,
+        "params": {
+            "eps": ["1/4"], "steps": 30, "phi_reg": PHI_REG, "b": "1/2",
+            "use_kappa_hat": False, "k_max": 2, "n_max": 10,
+        },
+    }),
+    ("moduli-eval", "params", {
+        "params": {
+            "modulus": "kappa_hat", "k": 0, "M": 1, "B": 1, "Bprime": 0,
+            "varpi": {"kind": "polynomial", "coeffs": [0, 1]},
+        },
+    }),
+    ("moduli-eval", "params", {"params": {"modulus": "P", "k": 0, "A": "2", "d": 1, "L": "4"}}),
+]
+
+WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0")
+
+
+def _field_paths(obj, prefix=()):
+    """The path of every field of a JSON value, list items included."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    out = json.loads(json.dumps(obj))
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+def test_configs_with_a_wrongly_typed_field_never_raise(tmp_path, capsys):
+    failures = []
+    for task, under, cfg in FUZZ_CONFIGS:
+        paths = _field_paths(cfg) if under is None else _field_paths(cfg[under], (under,))
+        for path in paths:
+            for value in WRONG_TYPES:
+                file = write_config(tmp_path, _replaced(cfg, path, value))
+                argv = [task, "--config", file, "--out", str(tmp_path / "out")]
+                try:
+                    code = main(argv)
+                except Exception as exc:  # at the command line, a traceback
+                    failures.append(f"{task} {path} = {value!r}: {exc!r}")
+                    continue
+                if code not in (0, 1, 2):
+                    failures.append(f"{task} {path} = {value!r}: exit {code}")
+    capsys.readouterr()
+    assert not failures, "\n".join(failures)
 
 
 # --------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_rule_json_round_trip():
         rule_from_json({"rule": "power", "c": 1, "p": 1, "q": 2})
     with pytest.raises(ScheduleError):
         rule_from_json({"rule": "mystery"})
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ConfigError, match="missing field 'rule'"):
         rule_from_json({"c": 1})
 
 
@@ -113,7 +113,7 @@ def test_schedule_json_round_trip():
     sched = ParameterSchedule(PowerRule(Fraction(1), 2), PowerRule(Fraction(1), 4), 50)
     again = ParameterSchedule.from_json(sched.to_json())
     assert again.to_json() == sched.to_json()
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ConfigError, match="missing field 'mu'"):
         ParameterSchedule.from_json({"lambda": {"rule": "power", "c": 1, "p": 1}})
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fejerquant.errors import (
+    ConfigError,
     InvariantViolation,
     NegativeExponent,
     TableRangeError,
@@ -397,11 +398,11 @@ def test_modulus_json_round_trip():
 
 
 def test_modulus_json_rejects_unknown_fields():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModulusFn.from_json({"kind": "identity", "extra": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModulusFn.from_json({"kind": "mystery"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         ModulusFn.from_json({"no_kind": True})
 
 
