@@ -69,6 +69,7 @@ from .operators import (
     resolvent_identity_residual,
     resolvent_rows,
     yosida,
+    yosida_rows,
 )
 from .regularity import (
     GapFunctional,

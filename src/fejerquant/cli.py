@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, FejerQuantError, UnknownPreset
-from .fields import field, floats, integer, list_of, rational
+from .fields import field, floats, integer, list_of, only, rational
 from .iteration import (
     ParameterSchedule,
     PowerRule,
@@ -48,6 +48,7 @@ from .operators import (
     NormalConeBox,
     SubdiffAbsSum,
     operator_from_json,
+    operator_to_json,
 )
 from .regularity import RegularityModulus, theta_moudafi, validate_regularity_ball
 from .verification import (
@@ -153,9 +154,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    extra = set(obj) - _TOP_KEYS
-    if extra:
-        raise ConfigError(f"unknown config fields {sorted(extra)}")
+    only(obj, _TOP_KEYS, "config fields")
     return obj
 
 
@@ -166,9 +165,7 @@ def build_instance(cfg: dict) -> ProblemInstance:
     elif not isinstance(problem, dict):
         raise ConfigError(f"problem must be a preset name or an object, got {problem!r}")
     else:
-        extra = set(problem) - {"T", "S", "x0", "known_solutions"}
-        if extra:
-            raise ConfigError(f"unknown problem fields {sorted(extra)}")
+        only(problem, {"T", "S", "x0", "known_solutions"}, "problem fields")
         if "schedule" not in cfg or "quant" not in cfg:
             raise ConfigError("inline problems need explicit schedule and quant")
         inst = ProblemInstance(
@@ -191,8 +188,6 @@ def build_instance(cfg: dict) -> ProblemInstance:
 
 
 def resolved_config(cfg: dict, inst: ProblemInstance) -> dict:
-    from .operators import operator_to_json
-
     problem = cfg.get("problem", "dc-abs-1d")
     if not isinstance(problem, str):
         problem = {
@@ -234,9 +229,7 @@ def _params(cfg: dict, allowed: set) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigError(f"unknown params {sorted(extra)}")
+    only(params, allowed, "params")
     return params
 
 

@@ -37,6 +37,13 @@ def field(obj, key: str, convert: Callable, default=_REQUIRED):
         raise ConfigError(f"{key}: {exc}") from None
 
 
+def only(obj: dict, allowed, what: str) -> None:
+    """Reject the keys of ``obj`` outside ``allowed``: ``unknown <what> [...]``."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise ConfigError(f"unknown {what} {sorted(extra)}")
+
+
 def integer(value) -> int:
     """A JSON integer; booleans, floats and numeric strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):

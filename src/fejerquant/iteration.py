@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveParameter,
     ScheduleError,
 )
-from .fields import field, integer, list_of, number, rational, string
+from .fields import field, integer, list_of, number, only, rational, string
 from .moduli import ModulusFn
 from .operators import (
     NormalConeBox,
@@ -165,14 +165,10 @@ class TableRule:
 def rule_from_json(obj: dict):
     kind = field(obj, "rule", string)
     if kind == "power":
-        extra = set(obj) - {"rule", "c", "p"}
-        if extra:
-            raise ScheduleError(f"unknown rule fields {sorted(extra)}")
+        only(obj, {"rule", "c", "p"}, "rule fields")
         return PowerRule(field(obj, "c", rational), field(obj, "p", integer))
     if kind == "table":
-        extra = set(obj) - {"rule", "values"}
-        if extra:
-            raise ScheduleError(f"unknown rule fields {sorted(extra)}")
+        only(obj, {"rule", "values"}, "rule fields")
         return TableRule(tuple(field(obj, "values", list_of(number))))
     raise ScheduleError(f"unknown schedule rule {kind!r}")
 
@@ -246,10 +242,7 @@ class ParameterSchedule:
     def from_json(cls, obj: dict) -> "ParameterSchedule":
         if not isinstance(obj, dict):
             raise ScheduleError(f"not a serialized schedule: {obj!r}")
-        keys = {"lambda", "mu", "horizon"}
-        extra = set(obj) - keys
-        if extra:
-            raise ScheduleError(f"unknown schedule fields {sorted(extra)}")
+        only(obj, {"lambda", "mu", "horizon"}, "schedule fields")
         return cls(
             field(obj, "lambda", rule_from_json),
             field(obj, "mu", rule_from_json),
@@ -356,9 +349,7 @@ class QuantitativeData:
         if not isinstance(obj, dict):
             raise ConfigError(f"not serialized quantitative data: {obj!r}")
         known = {"A", "B", "Bprime", "C", "M", "L", "d", "theta", "xi", "varpi", "varpi_hat"}
-        extra = set(obj) - known
-        if extra:
-            raise ConfigError(f"unknown quantitative-data fields {sorted(extra)}")
+        only(obj, known, "quantitative-data fields")
         vh = obj.get("varpi_hat")
         return cls(
             A=field(obj, "A", rational),

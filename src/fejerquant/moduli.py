@@ -26,7 +26,7 @@ from .errors import (
     NegativeExponent,
     TableRangeError,
 )
-from .fields import field, integer, list_of, rational, string
+from .fields import field, integer, list_of, only, rational, string
 
 #: Default cap for symbolic bounds: values above this become Overflow markers.
 DEFAULT_CAP = 10 ** 10000
@@ -330,21 +330,22 @@ class ModulusFn:
         }
         if kind not in known:
             raise ConfigError(f"unknown modulus kind {kind!r}")
-        extra = set(obj) - {"kind"} - set(known[kind])
-        if extra:
-            raise ConfigError(f"unknown modulus fields {sorted(extra)}")
-        if kind == "identity":
-            return cls.identity()
-        if kind == "affine":
-            return cls.affine(field(obj, "a", integer), field(obj, "b", integer))
-        if kind == "polynomial":
-            return cls.polynomial(field(obj, "coeffs", list_of(integer)))
-        if kind == "table":
-            return cls.table(field(obj, "values", list_of(integer)))
-        c = field(obj, "c", rational)
-        if kind == "power_rate":
-            return cls.power_rate(c, field(obj, "p", integer))
-        return cls.power_sum_rate(c, field(obj, "p", integer))
+        only(obj, {"kind", *known[kind]}, "modulus fields")
+        try:  # the constructor checks ranges: naturals, c > 0, p >= 1 (2 for sums)
+            if kind == "identity":
+                return cls.identity()
+            if kind == "affine":
+                return cls.affine(field(obj, "a", integer), field(obj, "b", integer))
+            if kind == "polynomial":
+                return cls.polynomial(field(obj, "coeffs", list_of(integer)))
+            if kind == "table":
+                return cls.table(field(obj, "values", list_of(integer)))
+            c = field(obj, "c", rational)
+            if kind == "power_rate":
+                return cls.power_rate(c, field(obj, "p", integer))
+            return cls.power_sum_rate(c, field(obj, "p", integer))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 #: A counterfunction is just a represented map N -> N used as the window

@@ -5,13 +5,14 @@ products, resolvents are exact formulas, and all the set computations a
 certificate needs (distances, one-sided Hausdorff excess, minimal-norm
 selections) reduce to per-coordinate interval arithmetic.
 
-Each catalog class has row forms over an (N, d) array of points: its value
+Each catalog class owns its forms over an (N, d) array of points: its value
 sets as bound rows (``value_rows``), its domain as a row mask
-(``domain_rows``) and its resolvent with one parameter per row
-(``resolvent_rows``). The per-point ``evaluate`` and ``domain_contains``
-read the first row of a one-row batch, so the row forms are the only place
-these are decided. ``resolvent``/``yosida`` keep per-point formulas, which
-are faster per call; ``resolvent_rows`` equals them row by row.
+(``domain_rows``), its resolvent and Yosida approximant with one parameter
+per row (``resolvent_rows``, ``yosida_rows``), the scalar d = 1 forms of
+the stepper (``resolvent1``, ``yosida1``) and its JSON form (``kind`` and
+``json_fields``). The per-point ``evaluate``, ``domain_contains``,
+``resolvent`` and ``yosida`` are one-row cases of the row forms, so each of
+these is decided in one place.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NonPositiveParameter,
     SingularSystem,
 )
-from .fields import field, floats, integer, string
+from .fields import field, floats, integer, only, string
 
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -53,7 +54,9 @@ def as_rows(xs, dim: int) -> np.ndarray:
     v = np.asarray(xs, dtype=float)
     if v.ndim != 2:
         raise DimensionMismatch(f"point rows are 2-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # count_nonzero is the cheapest full check on the one-row calls of the
+    # d > 1 stepper, two per step
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise DomainError("points must have finite coordinates")
     if v.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.shape[1]}")
@@ -167,9 +170,30 @@ def sup_dist_sq(p_set: ValueSet, q_set: ValueSet) -> float:
 # --------------------------------------------------------------------------
 
 
+class _Operator:
+    """The forms most catalog classes share.
+
+    A subclass names its JSON ``kind`` and maps each dataclass field to the
+    ``fields`` converter that reads it (``json_fields``), and defines
+    ``resolvent_rows``, ``value_rows`` and the scalar ``resolvent1``.
+    """
+
+    def yosida1(self, lam: float, x: float) -> float:
+        return (x - self.resolvent1(lam, x)) / lam
+
+    def yosida_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        return (xs - self.resolvent_rows(lams, xs)) / lams[:, None]
+
+    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
+        return np.ones(xs.shape[0], dtype=bool)
+
+
 @dataclass(frozen=True, eq=False)
-class AffinePSD:
+class AffinePSD(_Operator):
     """x -> {A x + b} with A symmetric positive semidefinite."""
+
+    kind = "affine_psd"
+    json_fields = {"matrix": floats, "offset": floats}
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -189,9 +213,10 @@ class AffinePSD:
             raise InvariantViolation("matrix must be symmetric within 1e-9")
         if a.size and np.min(np.linalg.eigvalsh(a)) < -_PSD_TOL:
             raise InvariantViolation("matrix must be positive semidefinite within 1e-9")
-        # the d = 1 forms read (a, b) as floats
+        # the d = 1 forms read (a, b) as floats; the row forms reuse one identity
         ab = (float(a[0, 0]), float(b[0])) if b.shape == (1,) else None
         object.__setattr__(self, "_ab", ab)
+        object.__setattr__(self, "_eye", np.eye(a.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -205,9 +230,6 @@ class AffinePSD:
             raise SingularSystem("Singular matrix")
         return (x - lam * b) / den
 
-    def yosida1(self, lam: float, x: float) -> float:
-        return (x - self.resolvent1(lam, x)) / lam
-
     # stacked products and solves take the per-point kernels row by row;
     # xs @ A.T or one solve with many right-hand sides round differently
 
@@ -217,11 +239,8 @@ class AffinePSD:
             raise DomainError("points must have finite coordinates")
         return v, v
 
-    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.ones(xs.shape[0], dtype=bool)
-
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        sys = np.eye(self.dim) + lams[:, None, None] * self.matrix
+        sys = self._eye + lams[:, None, None] * self.matrix
         rhs = (xs - lams[:, None] * self.offset)[..., None]
         try:
             return np.linalg.solve(sys, rhs)[..., 0]
@@ -234,8 +253,11 @@ class AffinePSD:
 
 
 @dataclass(frozen=True)
-class SubdiffAbsSum:
+class SubdiffAbsSum(_Operator):
     """Subdifferential of x -> sum_i |x_i| (coordinatewise sign intervals)."""
+
+    kind = "subdiff_abs"
+    json_fields = {"dim": integer}
 
     dim: int
 
@@ -261,16 +283,21 @@ class SubdiffAbsSum:
     def value_rows(self, xs: np.ndarray):
         return np.where(xs > 0, 1.0, -1.0), np.where(xs < 0, -1.0, 1.0)
 
-    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.ones(xs.shape[0], dtype=bool)
-
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return np.sign(xs) * np.maximum(np.abs(xs) - lams[:, None], 0.0)
 
+    def yosida_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        # saturated coordinates give exactly +-1; the generic difference
+        # quotient would round x - soft(x, lam) and magnify that by 1/lam
+        return np.sign(xs) * np.minimum(np.abs(xs) / lams[:, None], 1.0)
+
 
 @dataclass(frozen=True, eq=False)
-class NormalConeBox:
+class NormalConeBox(_Operator):
     """Normal cone of the box [lo, hi]; domain is the box itself."""
+
+    kind = "normal_cone_box"
+    json_fields = {"lo": floats, "hi": floats}
 
     lo: np.ndarray
     hi: np.ndarray
@@ -300,9 +327,6 @@ class NormalConeBox:
         v = x if x > lo else lo
         return v if v < hi else hi
 
-    def yosida1(self, lam: float, x: float) -> float:
-        return (x - self.resolvent1(lam, x)) / lam
-
     def value_rows(self, xs: np.ndarray):
         if not np.all(self.domain_rows(xs)):
             raise DomainError("point outside the box domain of the normal cone")
@@ -316,23 +340,20 @@ class NormalConeBox:
 
 
 @dataclass(frozen=True)
-class ZeroOperator:
+class ZeroOperator(_Operator):
     """x -> {0}."""
+
+    kind = "zero"
+    json_fields = {"dim": integer}
 
     dim: int
 
     def resolvent1(self, lam: float, x: float) -> float:
         return x
 
-    def yosida1(self, lam: float, x: float) -> float:
-        return (x - x) / lam
-
     def value_rows(self, xs: np.ndarray):
         zero = np.zeros_like(xs)
         return zero, zero
-
-    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.ones(xs.shape[0], dtype=bool)
 
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return xs.copy()
@@ -351,49 +372,38 @@ def evaluate(op, x) -> ValueSet:
     return ValueSet(lo[0], hi[0])
 
 
-def resolvent(op, lam: float, x) -> np.ndarray:
-    """(Id + lam * op)^(-1) at x, exact closed forms."""
-    if not lam > 0:
-        raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
-    x = as_point(x, op.dim)
-    if isinstance(op, AffinePSD):
-        sys = np.eye(op.dim) + lam * op.matrix
-        try:
-            return np.linalg.solve(sys, x - lam * op.offset)
-        except np.linalg.LinAlgError as exc:  # PSD keeps this invertible
-            raise SingularSystem(str(exc)) from exc
-    if isinstance(op, SubdiffAbsSum):
-        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-    if isinstance(op, NormalConeBox):
-        return np.minimum(np.maximum(x, op.lo), op.hi)
-    if isinstance(op, ZeroOperator):
-        return x.copy()
-    raise TypeError(f"unknown operator {op!r}")
-
-
-def resolvent_rows(op, lams, xs) -> np.ndarray:
-    """Row i is resolvent(op, lams[i], xs[i]) bit for bit; shape (N, d)."""
+def _row_args(op, lams, xs) -> tuple:
+    """The checked (lams, xs) of a row form: every parameter > 0, finite rows
+    of op's dimension, one parameter per row."""
     lams = np.asarray(lams, dtype=float)
-    if not np.all(lams > 0):
+    if np.count_nonzero(lams > 0) != lams.size:  # NaN counts as not > 0
         raise NonPositiveParameter("resolvent parameters must be > 0")
     xs = as_rows(xs, op.dim)
     if lams.shape != (xs.shape[0],):
         raise DimensionMismatch(
             f"need one parameter per row: {lams.shape} for {xs.shape[0]} rows"
         )
-    return op.resolvent_rows(lams, xs)
+    return lams, xs
+
+
+def resolvent_rows(op, lams, xs) -> np.ndarray:
+    """Row i is (Id + lams[i] * op)^(-1) at xs[i], exact closed forms; shape (N, d)."""
+    return op.resolvent_rows(*_row_args(op, lams, xs))
+
+
+def yosida_rows(op, lams, xs) -> np.ndarray:
+    """Row i is the Yosida approximant (xs[i] - J_{lams[i]} xs[i]) / lams[i]."""
+    return op.yosida_rows(*_row_args(op, lams, xs))
+
+
+def resolvent(op, lam: float, x) -> np.ndarray:
+    """(Id + lam * op)^(-1) at x: the one-row case of resolvent_rows."""
+    return resolvent_rows(op, (lam,), (np.atleast_1d(x),))[0]
 
 
 def yosida(op, lam: float, x) -> np.ndarray:
-    """(x - resolvent(op, lam, x)) / lam: the single-valued approximant."""
-    x = as_point(x, op.dim)
-    if isinstance(op, SubdiffAbsSum):
-        if not lam > 0:
-            raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
-        # saturated coordinates give exactly +-1; the generic difference
-        # quotient would round x - soft(x, lam) and magnify that by 1/lam
-        return np.sign(x) * np.minimum(np.abs(x) / lam, 1.0)
-    return (x - resolvent(op, lam, x)) / lam
+    """The Yosida approximant (x - J_lam x) / lam: the one-row case of yosida_rows."""
+    return yosida_rows(op, (lam,), (np.atleast_1d(x),))[0]
 
 
 def minimal_selection(op, x) -> np.ndarray:
@@ -430,43 +440,18 @@ def resolvent_identity_residual(op, gamma: float, lam: float, x) -> float:
 # --------------------------------------------------------------------------
 
 
+_CATALOG = {cls.kind: cls for cls in (AffinePSD, SubdiffAbsSum, NormalConeBox, ZeroOperator)}
+
+
 def operator_to_json(op) -> dict:
-    if isinstance(op, AffinePSD):
-        return {
-            "kind": "affine_psd",
-            "matrix": [[float(v) for v in row] for row in op.matrix],
-            "offset": [float(v) for v in op.offset],
-        }
-    if isinstance(op, SubdiffAbsSum):
-        return {"kind": "subdiff_abs", "dim": op.dim}
-    if isinstance(op, NormalConeBox):
-        return {
-            "kind": "normal_cone_box",
-            "lo": [float(v) for v in op.lo],
-            "hi": [float(v) for v in op.hi],
-        }
-    if isinstance(op, ZeroOperator):
-        return {"kind": "zero", "dim": op.dim}
-    raise TypeError(f"unknown operator {op!r}")
+    fields = {name: np.asarray(getattr(op, name)).tolist() for name in op.json_fields}
+    return {"kind": op.kind, **fields}
 
 
 def operator_from_json(obj: dict):
     kind = field(obj, "kind", string)
-    fields_by_kind = {
-        "affine_psd": {"matrix", "offset"},
-        "subdiff_abs": {"dim"},
-        "normal_cone_box": {"lo", "hi"},
-        "zero": {"dim"},
-    }
-    if kind not in fields_by_kind:
+    if kind not in _CATALOG:
         raise ConfigError(f"unknown operator kind {kind!r}")
-    extra = set(obj) - {"kind"} - fields_by_kind[kind]
-    if extra:
-        raise ConfigError(f"unknown operator fields {sorted(extra)}")
-    if kind == "affine_psd":
-        return AffinePSD(field(obj, "matrix", floats), field(obj, "offset", floats))
-    if kind == "subdiff_abs":
-        return SubdiffAbsSum(field(obj, "dim", integer))
-    if kind == "normal_cone_box":
-        return NormalConeBox(field(obj, "lo", floats), field(obj, "hi", floats))
-    return ZeroOperator(field(obj, "dim", integer))
+    cls = _CATALOG[kind]
+    only(obj, {"kind", *cls.json_fields}, "operator fields")
+    return cls(**{name: field(obj, name, read) for name, read in cls.json_fields.items()})

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
-from .fields import field, floats, list_of, rational, string
+from .fields import field, floats, list_of, only, rational, string
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -182,9 +182,7 @@ class RegularityModulus:
         kind = field(obj, "kind", string)
         allowed = {"kind", "provenance", "center", "radius"}
         allowed |= {"scale"} if kind == "linear" else {"entries"}
-        extra = set(obj) - allowed
-        if extra:
-            raise ConfigError(f"unknown regularity modulus fields {sorted(extra)}")
+        only(obj, allowed, "regularity modulus fields")
         center = field(obj, "center", floats)
         radius = field(obj, "radius", rational)
         provenance = field(obj, "provenance", string)

@@ -39,7 +39,16 @@ from .moduli import (
     sqrt_upper,
     total_boundedness_P,
 )
-from .operators import evaluate, minimal_selection, resolvent_rows, yosida
+from .operators import (
+    AffinePSD,
+    evaluate,
+    minimal_selection,
+    operator_to_json,
+    resolvent_rows,
+    row_norms,
+    yosida,
+    yosida_rows,
+)
 
 _SLACK = 1e-9
 _CAUCHY_GUARD = 1e-12
@@ -95,8 +104,6 @@ class Certificate:
 
 
 def _instance_params(inst: ProblemInstance) -> dict:
-    from .operators import operator_to_json
-
     return {
         "T": operator_to_json(inst.T),
         "S": operator_to_json(inst.S),
@@ -237,16 +244,16 @@ def check_approx_error(
     of a stored x_{n+1}; differencing recorded points instead injects an
     error of order ulp(x)/mu_n, well above the slack once mu_n is small.
     """
-    steps = trace.steps
+    top = max(min(max_n, trace.steps - 1) + 1, 0)
+    xs, mus = trace.points[:top], trace.mus[:top]
+    ts = yosida_rows(inst.T, trace.lambdas[:top], xs)
+    rates = row_norms(yosida_rows(inst.S, mus, xs + mus[:, None] * ts) - ts)
     mus_all = inst.schedule.mus(0, max_i + 1)
     violations = []
     checked = 0
     max_overshoot: Optional[float] = None
-    for n in range(min(max_n, steps - 1) + 1):
-        x_n = trace.points[n]
-        t_n = yosida(inst.T, trace.lambdas[n], x_n)
-        mu_n = trace.mus[n]
-        rate = float(np.linalg.norm(yosida(inst.S, mu_n, x_n + mu_n * t_n) - t_n))
+    for n in range(top):
+        x_n, t_n, mu_n, rate = xs[n], ts[n], mus[n], rates[n]
         shifted = x_n[None, :] + mus_all[:, None] * t_n[None, :]
         moved = resolvent_rows(inst.S, mus_all, shifted)
         lhs = np.linalg.norm(moved - x_n[None, :], axis=1)
@@ -455,8 +462,6 @@ def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> boo
     endpoints, and both endpoints (lambda -> 0 and lambda = B) lie in the
     closed interval S(x_bar).
     """
-    from .operators import AffinePSD
-
     s_val = evaluate(inst.S, x_bar)
     zero = np.zeros(inst.dim)
     if evaluate(inst.T, x_bar).contains(zero) and s_val.contains(zero):

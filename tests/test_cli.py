@@ -234,6 +234,15 @@ MALFORMED_VALUES = {
     ),
     "quant B": ("run", {"quant": {**preset("dc-abs-1d").quant.to_json(), "B": "x"}}, "quant: B"),
     "g kind": ("certify-metastability", {"params": {"k": 0, "g": {"kind": "bogus"}}}, "g: unknown"),
+    # well-typed values that the ModulusFn constructor rejects
+    "g negative a": (
+        "certify-metastability", {"params": {"k": 0, "g": {"kind": "affine", "a": -1, "b": 0}}}, "g:"
+    ),
+    "g power_sum_rate p 1": (
+        "certify-metastability",
+        {"params": {"k": 0, "g": {"kind": "power_sum_rate", "c": 1, "p": 1}}},
+        "g:",
+    ),
     "moduli-eval without k": ("moduli-eval", {"params": {"modulus": "delta"}}, "'k'"),
     # well-typed text or numbers that Fraction or float cannot take
     "quant A 1/0": ("run", {"quant": {**preset("dc-abs-1d").quant.to_json(), "A": "1/0"}}, "quant: A"),

@@ -101,7 +101,7 @@ def test_rule_json_round_trip():
         again = rule_from_json(rule.to_json())
         assert again.to_json() == rule.to_json()
         assert again.value(1) == rule.value(1)
-    with pytest.raises(ScheduleError):
+    with pytest.raises(ConfigError, match=r"unknown rule fields \['q'\]"):
         rule_from_json({"rule": "power", "c": 1, "p": 1, "q": 2})
     with pytest.raises(ScheduleError):
         rule_from_json({"rule": "mystery"})

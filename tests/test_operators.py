@@ -5,6 +5,7 @@ properties (firm nonexpansiveness, graph membership, minimal-norm
 optimality) use a fixed-seed generator so failures are reproducible.
 """
 
+import json
 import math
 
 import numpy as np
@@ -373,6 +374,27 @@ def test_operator_json_round_trip():
         assert type(again) is type(op)
         x = sample_domain_point(op, rng)
         assert np.allclose(resolvent(again, 0.7, x), resolvent(op, 0.7, x), atol=0)
+
+
+def test_operator_json_golden_forms():
+    # the JSON forms the per-kind serializer wrote, signed zeros included
+    cases = [
+        (
+            AffinePSD(np.array([[2.0, -0.0], [-0.0, 1.5]]), np.array([-0.0, 0.25])),
+            {"kind": "affine_psd", "matrix": [[2.0, -0.0], [-0.0, 1.5]], "offset": [-0.0, 0.25]},
+        ),
+        (SubdiffAbsSum(3), {"kind": "subdiff_abs", "dim": 3}),
+        (
+            NormalConeBox(np.array([-0.0, -1.0]), np.array([0.0, 2.5])),
+            {"kind": "normal_cone_box", "lo": [-0.0, -1.0], "hi": [0.0, 2.5]},
+        ),
+        (ZeroOperator(2), {"kind": "zero", "dim": 2}),
+    ]
+    for op, want in cases:
+        got = operator_to_json(op)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert list(got) == list(want)
+        assert operator_to_json(operator_from_json(want)) == want
 
 
 def test_operator_json_rejects_unknown():

@@ -1,9 +1,11 @@
 """Row forms against per-point references.
 
 ``reference_gap`` is the per-point gap functional as it was written before
-the row forms: per-point value sets from a type ladder, a Python distance
-loop and ``np.linalg.norm``. ``eval_gaps`` must reproduce it byte for byte
-on every admissible operator pair, and the grid oracle and grid
+the row forms: per-point value sets from a type ladder, the resolvent
+ladder ``test_stepper.reference_resolvent``, a Python distance loop and
+``np.linalg.norm``. ``eval_gaps`` must reproduce it byte for byte on every
+admissible operator pair, as ``resolvent_rows`` and ``yosida_rows`` must
+reproduce the resolvent and Yosida ladders, and the grid oracle and grid
 verification built on it must give the tables and verdicts of the
 per-point loops, errors included.
 """
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stepper import PAIRS, coord, problems
+from test_stepper import PAIRS, coord, problems, reference_resolvent, reference_yosida
 
 import fejerquant as fq
 from fejerquant.errors import DimensionMismatch, DomainError, NonPositiveParameter
@@ -29,6 +31,8 @@ from fejerquant.operators import (
     evaluate,
     resolvent,
     resolvent_rows,
+    yosida,
+    yosida_rows,
 )
 from fejerquant.regularity import (
     GapFunctional,
@@ -84,7 +88,7 @@ def reference_gap(gap, x):
     if gap.variant == "F1":
         mu0 = inst.schedule.mu(0)
         t_min = reference_min_selection(inst.T, x)
-        moved = resolvent(inst.S, mu0, x + mu0 * t_min)
+        moved = reference_resolvent(inst.S, mu0, x + mu0 * t_min)
         return float(np.linalg.norm(x - moved))
     if gap.variant == "F2":
         s_lo, s_hi = reference_bounds(inst.S, x)
@@ -170,9 +174,14 @@ def test_row_forms_match_per_point_calls(t_kind, s_kind):
         lams = np.array(data.draw(st.lists(st.floats(1e-3, 4.0), min_size=n, max_size=n)))
         for op in (inst.T, inst.S):
             rows = resolvent_rows(op, lams, xs)
+            yos = yosida_rows(op, lams, xs)
             lo_rows, hi_rows = op.value_rows(xs)
             for i, x in enumerate(xs):
-                assert rows[i].tobytes() == resolvent(op, float(lams[i]), x).tobytes()
+                lam = float(lams[i])
+                want_j = reference_resolvent(op, lam, x).tobytes()
+                want_t = reference_yosida(op, lam, x).tobytes()
+                assert rows[i].tobytes() == want_j == resolvent(op, lam, x).tobytes()
+                assert yos[i].tobytes() == want_t == yosida(op, lam, x).tobytes()
                 lo, hi = reference_bounds(op, x)
                 vs = evaluate(op, x)
                 assert vs.lo.tobytes() == lo.tobytes() and vs.hi.tobytes() == hi.tobytes()

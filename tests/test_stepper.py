@@ -1,9 +1,11 @@
 """The stepper against a reference loop, and the schedule arrays it steps on.
 
-``reference_run`` is the per-step loop through the public ``resolvent`` and
-``yosida`` with per-index schedule lookups. ``run`` must reproduce it byte
-for byte for every admissible operator pair: in one dimension it steps on
-floats through the operators' scalar forms, in two through the array loop.
+``reference_run`` is the per-step loop through ``reference_resolvent`` and
+``reference_yosida``, the per-point closed forms as they were written before
+the row forms, with per-index schedule lookups. ``run`` must reproduce it
+byte for byte for every admissible operator pair: in one dimension it steps
+on floats through the operators' scalar forms, in two through the one-row
+cases of the row forms.
 """
 
 import dataclasses
@@ -15,7 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fejerquant as fq
-from fejerquant.errors import DomainError, HorizonExceeded, NonPositiveParameter
+from fejerquant.errors import (
+    DomainError,
+    HorizonExceeded,
+    NonPositiveParameter,
+    SingularSystem,
+)
 from fejerquant.iteration import (
     ParameterSchedule,
     PowerRule,
@@ -31,9 +38,38 @@ from fejerquant.operators import (
     NormalConeBox,
     SubdiffAbsSum,
     ZeroOperator,
-    resolvent,
-    yosida,
+    as_point,
 )
+
+
+def reference_resolvent(op, lam, x):
+    if not lam > 0:
+        raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
+    x = as_point(x, op.dim)
+    if isinstance(op, AffinePSD):
+        sys = np.eye(op.dim) + lam * op.matrix
+        try:
+            return np.linalg.solve(sys, x - lam * op.offset)
+        except np.linalg.LinAlgError as exc:  # PSD keeps this invertible
+            raise SingularSystem(str(exc)) from exc
+    if isinstance(op, SubdiffAbsSum):
+        return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    if isinstance(op, NormalConeBox):
+        return np.minimum(np.maximum(x, op.lo), op.hi)
+    if isinstance(op, ZeroOperator):
+        return x.copy()
+    raise TypeError(f"unknown operator {op!r}")
+
+
+def reference_yosida(op, lam, x):
+    x = as_point(x, op.dim)
+    if isinstance(op, SubdiffAbsSum):
+        if not lam > 0:
+            raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
+        # saturated coordinates give exactly +-1; the generic difference
+        # quotient would round x - soft(x, lam) and magnify that by 1/lam
+        return np.sign(x) * np.minimum(np.abs(x) / lam, 1.0)
+    return (x - reference_resolvent(op, lam, x)) / lam
 
 
 def reference_run(inst, n_steps):
@@ -47,7 +83,7 @@ def reference_run(inst, n_steps):
     for n in range(n_steps):
         lam = inst.schedule.lam(n)
         mu = inst.schedule.mu(n)
-        nxt = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
+        nxt = reference_resolvent(inst.S, mu, x + mu * reference_yosida(inst.T, lam, x))
         lams[n] = lam
         mus[n] = mu
         res[n] = float(np.linalg.norm(x - nxt)) / mu

@@ -7,10 +7,13 @@ the checks prove nothing.
 """
 
 import dataclasses
+import json
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
+from test_stepper import instance, reference_yosida
 
 import fejerquant as fq
 from fejerquant.errors import (
@@ -21,7 +24,9 @@ from fejerquant.errors import (
 from fejerquant.iteration import Trace, run
 from fejerquant.moduli import ModulusFn, NaturalBound
 from fejerquant.verification import (
+    _SLACK,
     Certificate,
+    _instance_params,
     EmpiricalPhi,
     build_empirical_phi,
     certify_metastability,
@@ -125,6 +130,90 @@ def test_approx_error_with_constant_steps():
     )
     cert = check_approx_error(run(inst, 60), inst, 40, 40)
     assert cert.sound
+
+
+def dense_abs_2d():
+    return instance(
+        fq.AffinePSD(np.array([[2.0, 0.7], [0.7, 1.0]]), np.array([0.3, -1.1])),
+        fq.SubdiffAbsSum(2),
+        [1.3, -0.7],
+        fq.ParameterSchedule(fq.PowerRule(Fraction(3, 2), 1), fq.PowerRule(Fraction(1), 2), 200),
+    )
+
+
+def reference_approx_error(trace, inst, max_n, max_i):
+    # the per-n loop before the row forms, through the per-point Yosida ladder;
+    # stage images come from the same resolvent_rows as the code under test
+    steps = trace.steps
+    mus_all = inst.schedule.mus(0, max_i + 1)
+    violations = []
+    checked = 0
+    max_overshoot: Optional[float] = None
+    for n in range(min(max_n, steps - 1) + 1):
+        x_n = trace.points[n]
+        t_n = reference_yosida(inst.T, trace.lambdas[n], x_n)
+        mu_n = trace.mus[n]
+        rate = float(np.linalg.norm(reference_yosida(inst.S, mu_n, x_n + mu_n * t_n) - t_n))
+        shifted = x_n[None, :] + mus_all[:, None] * t_n[None, :]
+        moved = fq.verification.resolvent_rows(inst.S, mus_all, shifted)
+        lhs = np.linalg.norm(moved - x_n[None, :], axis=1)
+        rhs = mu_n * rate + np.abs(mu_n - mus_all) * rate
+        checked += mus_all.shape[0]
+        gaps = lhs - rhs
+        worst = float(np.max(gaps))
+        if max_overshoot is None or worst > max_overshoot:
+            max_overshoot = worst
+        for i in np.nonzero(gaps > _SLACK)[0]:
+            violations.append(
+                {"n": n, "i": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i] + _SLACK)}
+            )
+    return Certificate(
+        kind="lemma-inequality",
+        params={"lemma": "approx-error", "max_n": max_n, "max_i": max_i, **_instance_params(inst)},
+        witness={"checked": checked, "max_overshoot": max_overshoot},
+        bound=None,
+        sound=not violations,
+        violations=tuple(violations[:50]),
+        provenance={"slack": _SLACK},
+    )
+
+
+@pytest.mark.parametrize(
+    "name,x0,steps,max_n,max_i",
+    [
+        ("dc-abs-1d", [2.0], 150, 100, 150),
+        ("dc-abs-1d", [-0.5], 60, 80, 30),  # max_n beyond the trace, signed zeros
+        ("dc-abs-1d", [2.0], 0, 5, 5),  # a zero-step trace checks nothing
+        ("dc-abs-1d", [2.0], 20, -3, 10),
+        ("box-affine-nd", None, 200, 150, 200),
+        ("affine-affine-nd", None, 120, 120, 60),
+        ("dense-abs-2d", None, 200, 200, 100),  # a curved path: rates need row_norms
+    ],
+)
+def test_approx_error_rows_match_the_per_point_loop(name, x0, steps, max_n, max_i):
+    inst = dense_abs_2d() if name == "dense-abs-2d" else fq.preset(name)
+    if x0 is not None:
+        inst = dataclasses.replace(inst, x0=np.array(x0))
+    tr = run(inst, steps, validate_l=False)
+    got = check_approx_error(tr, inst, max_n, max_i).to_json()
+    want = reference_approx_error(tr, inst, max_n, max_i).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_approx_error_rows_match_the_per_point_loop_in_violations(monkeypatch):
+    # shifted stage images break every (n, 0), so the rates of the first 50
+    # stages show in the recorded right-hand sides; on this curved path
+    # np.linalg.norm(..., axis=1) would round stages 18 and 36 differently
+    inst = dense_abs_2d()
+    tr = run(inst, 200, validate_l=False)
+    real = fq.verification.resolvent_rows
+    monkeypatch.setattr(
+        fq.verification, "resolvent_rows", lambda op, lams, pts: real(op, lams, pts) + 1.0
+    )
+    got = check_approx_error(tr, inst, 200, 0).to_json()
+    want = reference_approx_error(tr, inst, 200, 0).to_json()
+    assert len(got["violations"]) == 50
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_approx_error_catches_a_broken_resolvent(monkeypatch):
