@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, FejerQuantError, UnknownPreset
-from .fields import field, floats, integer, list_of, only, rational
+from .fields import field, floats, list_of, natural, only, rational
 from .iteration import (
     ParameterSchedule,
     PowerRule,
@@ -217,12 +217,12 @@ def _steps(params: dict, horizon: int | None, default: int) -> int:
     """The step count: --horizon if given, else the steps param."""
     if horizon is not None:
         return horizon
-    return field(params, "steps", integer, default)
+    return field(params, "steps", natural, default)
 
 
 def _phi_range(params: dict) -> tuple:
     """The (k_max, n_max) rectangle of the empirical residual modulus."""
-    return field(params, "k_max", integer, 25), field(params, "n_max", integer, 200)
+    return field(params, "k_max", natural, 25), field(params, "n_max", natural, 200)
 
 
 def _params(cfg: dict, allowed: set) -> dict:
@@ -278,9 +278,9 @@ def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | Non
 
 def _task_check_lemmas(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
     params = _params(cfg, {"max_n", "max_l", "max_i", "steps"})
-    max_n = field(params, "max_n", integer, 100)
-    max_l = field(params, "max_l", integer, 100)
-    max_i = field(params, "max_i", integer, 200)
+    max_n = field(params, "max_n", natural, 100)
+    max_l = field(params, "max_l", natural, 100)
+    max_i = field(params, "max_i", natural, 200)
     steps = _steps(params, horizon, max_n + max_l)
     trace = run(inst, steps)
     certs = [
@@ -300,7 +300,7 @@ def _task_certify_metastability(
     )
     use_psi_prime = _flag(params, "use_psi_prime", False)
     check_gamma = _flag(params, "check_gamma", False)
-    k = field(params, "k", integer, 0)
+    k = field(params, "k", natural, 0)
     g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
     steps = _steps(params, horizon, 1000)
     k_max, n_max = _phi_range(params)
@@ -354,7 +354,7 @@ def _task_moduli_eval(cfg: dict) -> list:
         {"modulus", "k", "r", "n", "m", "M", "B", "Bprime", "A", "L", "d", "varpi", "xi"},
     )
     name = params.get("modulus")
-    nat = lambda key: field(params, key, integer)  # noqa: E731
+    nat = lambda key: field(params, key, natural)  # noqa: E731
     mod = lambda key: field(params, key, ModulusFn.from_json)  # noqa: E731
     frac = lambda key: field(params, key, rational)  # noqa: E731
     if name == "delta":
@@ -400,6 +400,14 @@ def _parse_cap(text: str) -> int:
     return int(value)
 
 
+def _parse_horizon(text: str) -> int:
+    """A step count >= 0."""
+    try:
+        return natural(int(text))
+    except (ValueError, ConfigError):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fejerquant", description=__doc__)
     parser.add_argument(
@@ -416,7 +424,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, help="output directory (default $FEJERQUANT_OUT or .)"
     )
-    parser.add_argument("--horizon", type=int, default=None, help="override step count")
+    parser.add_argument(
+        "--horizon", type=_parse_horizon, default=None, help="override step count"
+    )
     parser.add_argument("--cap", type=_parse_cap, default=None, help="overflow cap")
     parser.add_argument(
         "--dump-config", action="store_true", help="print the resolved config and exit"

@@ -51,6 +51,13 @@ def integer(value) -> int:
     return value
 
 
+def natural(value) -> int:
+    """A JSON integer >= 0, such as a step or index count."""
+    if integer(value) < 0:
+        raise ConfigError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
 def number(value) -> float:
     """A JSON number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -9,7 +9,6 @@ certificates are built from.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
+    FejerQuantError,
     HorizonExceeded,
     InvariantViolation,
     MissingSolutions,
@@ -32,6 +32,7 @@ from .fields import field, integer, list_of, number, only, rational, string
 from .moduli import ModulusFn
 from .operators import (
     NormalConeBox,
+    SignedZeroSolve,
     ValueSet,
     as_point,
     domain_contains,
@@ -40,13 +41,21 @@ from .operators import (
     minimal_selection,
     resolvent,
     resolvent_rows,
+    row_norms,
     yosida,
 )
 
 _MU_FLOOR = 1e-300
 _RESIDUAL_RECOMPUTE_TOL = 1e-12
 _CLAUSE_TOL = 1e-12
-_EXACT_DIAMETER_MAX_STEPS = 20000
+# rows per block of the trace writer: few enough that the block's Python
+# floats stay small next to the trace arrays
+_JSONL_BLOCK_ROWS = 4096
+# windows of up to 16 rows are scanned pairwise: that costs less than the
+# pruned scan's set-up, about 0.2 ms
+_PAIRWISE_MAX_ROWS = 16
+# the pruned scan bounds distances by the boxes of chunks of consecutive rows
+_CHUNK_ROWS = 64
 
 
 # --------------------------------------------------------------------------
@@ -454,46 +463,103 @@ class Trace:
             raise InvariantViolation("stored residuals do not match recomputation")
 
     def window_diameter(self, a: int, b: int) -> float:
-        """Exact max pairwise distance over points a..b inclusive."""
+        """The largest distance between points a..b inclusive: the maximum of
+        np.linalg.norm(w[i + 1 :] - w[i], axis=1) over the window's rows i,
+        bit for bit. A window of more than 16 points in d > 1 skips the rows
+        that provably end no farthest pair (see ``_diameter_scan_order``)."""
         if a < 0 or b > self.steps or a > b:
             raise ValueError(f"bad window [{a}, {b}]")
         w = self.points[a : b + 1]
         if self.dim == 1:
             return float(np.max(w) - np.min(w))
+        if w.shape[0] > _PAIRWISE_MAX_ROWS:
+            w, limits = _diameter_scan_order(w)
+        else:
+            limits = [math.inf] * w.shape[0]
         best = 0.0
         for i in range(w.shape[0] - 1):
-            d = np.linalg.norm(w[i + 1 :] - w[i], axis=1)
-            best = max(best, float(np.max(d)))
+            if limits[i] <= best:
+                break
+            best = max(best, float(np.max(np.linalg.norm(w[i + 1 :] - w[i], axis=1))))
         return best
 
     def to_jsonl(self) -> str:
-        lines = []
-        for n in range(self.steps):
-            lines.append(
-                json.dumps(
-                    {
-                        "n": n,
-                        "x": [float(v) for v in self.points[n]],
-                        "lambda": float(self.lambdas[n]),
-                        "mu": float(self.mus[n]),
-                        "residual": float(self.residuals[n]),
-                    },
-                    sort_keys=True,
-                )
+        """One JSON line per point, as json.dumps(..., sort_keys=True) writes
+        it: x_n with lambda_n, mu_n and residual_n, then the last point with
+        nulls. Rows are formatted by a fixed template in blocks, one tolist()
+        per array per block; repr() is JSON's float text except for inf and
+        nan, which are respelled as JSON's Infinity and NaN."""
+        x = "[" + ", ".join(["%r"] * self.dim) + "]}\n"
+        step = '{"lambda": %r, "mu": %r, "n": %d, "residual": %r, "x": ' + x
+        blocks = []
+        for s in range(0, self.steps, _JSONL_BLOCK_ROWS):
+            e = min(s + _JSONL_BLOCK_ROWS, self.steps)
+            rows = zip(
+                self.lambdas[s:e].tolist(),
+                self.mus[s:e].tolist(),
+                range(s, e),
+                self.residuals[s:e].tolist(),
+                self.points[s:e].tolist(),
             )
-        lines.append(
-            json.dumps(
-                {
-                    "n": self.steps,
-                    "x": [float(v) for v in self.points[self.steps]],
-                    "lambda": None,
-                    "mu": None,
-                    "residual": None,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines) + "\n"
+            blocks.append("".join([step % (lam, mu, n, r, *p) for lam, mu, n, r, p in rows]))
+        last = '{"lambda": null, "mu": null, "n": %d, "residual": null, "x": ' + x
+        blocks.append(last % (self.steps, *self.points[self.steps].tolist()))
+        text = "".join(blocks)
+        arrays = (self.points, self.lambdas, self.mus, self.residuals)
+        if not all(np.isfinite(v).all() for v in arrays):
+            # no key and no finite float's repr contains "inf" or "nan"
+            text = text.replace("inf", "Infinity").replace("nan", "NaN")
+        return text
+
+
+def _diameter_scan_order(w: np.ndarray) -> tuple:
+    """The distinct rows of w in descending order of a limit on their
+    distances to the other rows, and those limits.
+
+    Once the largest distance found is >= a row's limit, every pair of the
+    rows left is within it, so the scan can stop there. Three bounds on the
+    exact distances from a row p; the least one counts:
+    - the norm of p's far ends in the window's bounding box,
+      max(hi_k - p_k, p_k - lo_k) per coordinate;
+    - the same over the boxes of chunks of 64 consecutive rows, small where
+      the trajectory moves slowly;
+    - |p - c| + max_q |q - c|, with c the midpoint of a far pair: on a
+      curved path few rows lie near the sphere about c.
+
+    The limit, bound * (1 + (d + 8) 2^-52) + 2^-500, covers rounding. With
+    u = 2^-53: a computed distance rounds each difference and square within
+    u, a square in the subnormal range within 2^-1075 more, the sum of the
+    d squares within (1 +- u)^(d-1) of the exact sum in any order (a float
+    sum in the subnormal range is exact) and the square root within u (it
+    is never subnormal). So it is within ((1 + u) / (1 - u))^((d + 4) / 2)
+    of the exact distance, plus sqrt(d) 2^-537. The box bounds need less,
+    since rounding is monotone and each exact difference is at most its
+    exact far end. The third bound adds two computed distances, whence the
+    2^-500. For d < 2^32 the relative term, with the rounding of the limit
+    itself, stays below (d + 8) 2^-52. A computed distance overflows only
+    where the exact one is near 2^512 or more, and then every bound is at
+    least 2^511: such bounds get an infinite limit.
+    """
+    d = w.shape[1]
+    # drop repeated rows, keeping the rest in trace order
+    order = np.lexsort(w.T)
+    fresh = np.ones(order.shape[0], dtype=bool)
+    np.any(w[order[1:]] != w[order[:-1]], axis=1, out=fresh[1:])
+    w = w[np.sort(order[fresh])]
+    m = w.shape[0]
+    box = np.linalg.norm(np.maximum(w - np.min(w, axis=0), np.max(w, axis=0) - w), axis=1)
+    pad = np.concatenate([w, np.repeat(w[-1:], -m % _CHUNK_ROWS, axis=0)])
+    pad = pad.reshape(-1, _CHUNK_ROWS, d)
+    lo, hi = np.min(pad, axis=1), np.max(pad, axis=1)
+    chunk = [np.max(np.linalg.norm(np.maximum(hi - l, h - lo), axis=1)) for l, h in zip(lo, hi)]
+    bounds = np.minimum(box, np.repeat(chunk, _CHUNK_ROWS)[:m])
+    p = w[np.argmax(bounds)]
+    c = p / 2.0 + w[np.argmax(np.linalg.norm(w - p, axis=1))] / 2.0
+    to_c = np.linalg.norm(w - c, axis=1)
+    bounds = np.minimum(bounds, to_c + np.max(to_c))
+    limits = np.where(bounds < 2.0**511, bounds * (1.0 + (d + 8) * 2.0**-52) + 2.0**-500, np.inf)
+    order = np.argsort(-limits)
+    return w[order], limits[order].tolist()
 
 
 # --------------------------------------------------------------------------
@@ -504,9 +570,14 @@ class Trace:
 def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
     """Run the iteration for n_steps stages and record the trace.
 
-    In one dimension the stages step on plain floats through the operators'
-    scalar forms, which round exactly like the array formulas of
-    ``resolvent`` and ``yosida``; higher dimensions step on arrays.
+    A separable instance, where T and S act on each coordinate on its own
+    (see ``coordinate`` in operators), steps one coordinate at a time on
+    floats through the scalar forms, which round exactly like the row forms.
+    Every other instance steps on one-row arrays through ``resolvent`` and
+    ``yosida``. So does a d > 1 run whose coordinate loops stop on an error,
+    since the first error of one coordinate need not be the run's first, or
+    on a signed-zero solve (``SignedZeroSolve``). The residuals are computed
+    after the loop, by the kernel of the per-step ``np.linalg.norm``.
     """
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
@@ -520,8 +591,7 @@ def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
     # underflowed) and raises there, after any error of the earlier stages
     positive = (lams > 0) & (mus > 0)
     stop = n_steps if positive.all() else int(np.argmin(positive))
-    stepper = _run_1d if inst.dim == 1 else _run_nd
-    pts, res = stepper(inst, memoryview(lams[:stop]), memoryview(mus[:stop]))
+    pts = _run_points(inst, lams[:stop], mus[:stop])
     if not np.all(np.isfinite(pts[-1])):
         raise DomainError(f"iterate at stage {stop} is not finite")
     if stop < n_steps:
@@ -529,68 +599,65 @@ def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
             f"stage {stop} has lambda={float(lams[stop])!r}, mu={float(mus[stop])!r}; "
             "both must be > 0"
         )
-    trace = Trace(pts, lams, mus, res)
+    res = row_norms(pts[:-1] - pts[1:])
+    trace = Trace(pts, lams, mus, np.divide(res, mus, out=res))
     if validate_l and n_steps > 0:
         _check_diameter(inst, trace)
     return trace
 
 
-def _run_1d(inst: ProblemInstance, lams, mus):
-    yosida_t = inst.T.yosida1
-    resolvent_s = inst.S.resolvent1
-    isfinite, sqrt = math.isfinite, math.sqrt
-    x = float(inst.x0[0])
+def _run_points(inst: ProblemInstance, lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The iterates x_0..x_N, by coordinate where the instance is separable."""
+    coords = [(inst.T.coordinate(j), inst.S.coordinate(j)) for j in range(inst.dim)]
+    if all(t is not None and s is not None for t, s in coords):
+        steps = memoryview(lams), memoryview(mus)
+        try:
+            cols = [_run_1d(t, s, float(x), *steps) for (t, s), x in zip(coords, inst.x0)]
+            return np.stack(cols, axis=1)
+        except (FejerQuantError, SignedZeroSolve):
+            if inst.dim == 1:
+                raise
+    return _run_rows(inst, lams, mus)
+
+
+def _run_1d(T, S, x: float, lams, mus) -> np.ndarray:
+    """The iterates x_0..x_N of one coordinate, stepped on floats through
+    the 1-D operators T and S."""
+    yosida_t = T.yosida1
+    resolvent_s = S.resolvent1
+    isfinite = math.isfinite
     pts = array("d", [x])
-    res = array("d")
     for lam, mu in zip(lams, mus):
         shifted = x + mu * yosida_t(lam, x)
         if not isfinite(shifted):
             raise DomainError("points must have finite coordinates")
-        nxt = resolvent_s(mu, shifted)
-        dx = x - nxt
-        # sqrt(dx*dx) is np.linalg.norm's arithmetic, under- and overflow included
-        res.append(sqrt(dx * dx) / mu)
-        pts.append(nxt)
-        x = nxt
-    return np.frombuffer(pts).reshape(-1, 1), np.frombuffer(res)
+        x = resolvent_s(mu, shifted)
+        pts.append(x)
+    return np.frombuffer(pts)
 
 
-def _run_nd(inst: ProblemInstance, lams, mus):
+def _run_rows(inst: ProblemInstance, lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """The iterates x_0..x_N, stepped on one-row arrays."""
     pts = np.empty((len(lams) + 1, inst.dim))
-    res = np.empty(len(lams))
-    x = inst.x0.copy()
-    pts[0] = x
-    for n, (lam, mu) in enumerate(zip(lams, mus)):
-        nxt = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
-        res[n] = float(np.linalg.norm(x - nxt)) / mu
-        pts[n + 1] = nxt
-        x = nxt
-    return pts, res
+    x = pts[0] = inst.x0
+    for n, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
+        x = pts[n + 1] = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
+    return pts
 
 
 def _check_diameter(inst: ProblemInstance, trace: Trace) -> None:
-    """Compare the trajectory diameter with the certified L.
-
-    The bounding-box diagonal bounds the diameter from above and is exact in
-    one dimension. In higher dimensions the exact diameter replaces it when
-    the trace is short enough for the pairwise scan.
-    """
+    """Compare the realized trajectory diameter, exact in every dimension,
+    with the certified L. The bounding-box diagonal bounds the diameter from
+    above, so a trajectory whose box is within L needs no scan."""
     limit = float(inst.quant.L) + 1e-12
     pts = trace.points
-    diag = float(np.linalg.norm(np.max(pts, axis=0) - np.min(pts, axis=0)))
-    if diag <= limit:
+    if float(np.linalg.norm(np.max(pts, axis=0) - np.min(pts, axis=0))) <= limit:
         return
-    if trace.dim == 1 or trace.steps <= _EXACT_DIAMETER_MAX_STEPS:
-        what = "realized trajectory diameter"
-        value = diag if trace.dim == 1 else trace.window_diameter(0, trace.steps)
-    else:
-        what = (
-            "bounding-box diagonal, an upper bound on the trajectory diameter "
-            f"(not computed exactly beyond {_EXACT_DIAMETER_MAX_STEPS} steps),"
+    diameter = trace.window_diameter(0, trace.steps)
+    if diameter > limit:
+        raise InvariantViolation(
+            f"realized trajectory diameter {diameter:.6g} exceeds certified L={inst.quant.L}"
         )
-        value = diag
-    if value > limit:
-        raise InvariantViolation(f"{what} {value:.6g} exceeds certified L={inst.quant.L}")
 
 
 # --------------------------------------------------------------------------

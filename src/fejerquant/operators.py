@@ -8,8 +8,9 @@ selections) reduce to per-coordinate interval arithmetic.
 Each catalog class owns its forms over an (N, d) array of points: its value
 sets as bound rows (``value_rows``), its domain as a row mask
 (``domain_rows``), its resolvent and Yosida approximant with one parameter
-per row (``resolvent_rows``, ``yosida_rows``), the scalar d = 1 forms of
-the stepper (``resolvent1``, ``yosida1``) and its JSON form (``kind`` and
+per row (``resolvent_rows``, ``yosida_rows``), the scalar forms the stepper
+runs on each coordinate (``resolvent1``, ``yosida1``), its restriction to
+one coordinate (``coordinate``) and its JSON form (``kind`` and
 ``json_fields``). The per-point ``evaluate``, ``domain_contains``,
 ``resolvent`` and ``yosida`` are one-row cases of the row forms, so each of
 these is decided in one place.
@@ -17,6 +18,7 @@ these is decided in one place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +93,8 @@ def row_norms(r: np.ndarray) -> np.ndarray:
     A stacked (1, d) @ (d, 1) product takes the same dot kernel as the
     single-vector norm; np.linalg.norm(r, axis=1) rounds differently.
     """
-    return np.sqrt((r[:, None, :] @ r[:, :, None])[:, 0, 0])
+    squares = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return np.sqrt(squares, out=squares)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +178,10 @@ class _Operator:
 
     A subclass names its JSON ``kind`` and maps each dataclass field to the
     ``fields`` converter that reads it (``json_fields``), and defines
-    ``resolvent_rows``, ``value_rows`` and the scalar ``resolvent1``.
+    ``resolvent_rows``, ``value_rows``, the scalar ``resolvent1`` and
+    ``coordinate(j)``: the 1-D operator whose scalar forms step coordinate j
+    exactly as the row forms do, or None when the operator couples
+    coordinates.
     """
 
     def yosida1(self, lam: float, x: float) -> float:
@@ -251,6 +257,34 @@ class AffinePSD(_Operator):
     def is_diagonal(self) -> bool:
         return bool(np.all(self.matrix == np.diag(np.diagonal(self.matrix))))
 
+    def coordinate(self, j: int):
+        if self.dim == 1:
+            return self
+        if not self.is_diagonal:
+            return None
+        return _SolveCoordinate(self.matrix[j : j + 1, j : j + 1], self.offset[j : j + 1])
+
+
+class SignedZeroSolve(Exception):
+    """A coordinate of a d > 1 diagonal solve met a -0.0 numerator."""
+
+
+class _SolveCoordinate(AffinePSD):
+    """Coordinate j of a diagonal d > 1 ``AffinePSD``, as a 1-D operator.
+
+    LAPACK solves the diagonal system I + lam*A by elimination, which adds
+    +-0*y_i terms to each numerator. Such a term leaves a nonzero or +0.0
+    numerator as it is, so the quotient is the scalar (x - lam*b) / (1 +
+    lam*a); a -0.0 numerator may turn into +0.0, so the scalar form raises
+    SignedZeroSolve there and the stepper takes the row forms instead.
+    """
+
+    def resolvent1(self, lam: float, x: float) -> float:
+        num = x - lam * self._ab[1]
+        if num == 0.0 and math.copysign(1.0, num) < 0.0:
+            raise SignedZeroSolve("a -0.0 numerator in a d > 1 solve")
+        return AffinePSD.resolvent1(self, lam, x)
+
 
 @dataclass(frozen=True)
 class SubdiffAbsSum(_Operator):
@@ -290,6 +324,9 @@ class SubdiffAbsSum(_Operator):
         # saturated coordinates give exactly +-1; the generic difference
         # quotient would round x - soft(x, lam) and magnify that by 1/lam
         return np.sign(xs) * np.minimum(np.abs(xs) / lams[:, None], 1.0)
+
+    def coordinate(self, j: int):
+        return SubdiffAbsSum(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +375,9 @@ class NormalConeBox(_Operator):
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(xs, self.lo), self.hi)
 
+    def coordinate(self, j: int):
+        return NormalConeBox(self.lo[j : j + 1], self.hi[j : j + 1])
+
 
 @dataclass(frozen=True)
 class ZeroOperator(_Operator):
@@ -357,6 +397,9 @@ class ZeroOperator(_Operator):
 
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return xs.copy()
+
+    def coordinate(self, j: int):
+        return ZeroOperator(1)
 
 
 def domain_contains(op, x, tol: float = 0.0) -> bool:

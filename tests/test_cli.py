@@ -260,6 +260,10 @@ MALFORMED_VALUES = {
         "schedule: lambda: values: number out of float range",
     ),
     "x0 beyond float range": ("run", _inline_dc(x0=[10**400]), "x0: number out of float range"),
+    # negative counts: a ValueError, a ZeroDivisionError and a numpy ValueError
+    "steps -1": ("run", {"params": {"steps": -1}}, "steps: expected an integer >= 0"),
+    "k -1": ("certify-metastability", {"params": {"k": -1}}, "k: expected an integer >= 0"),
+    "max_i -1": ("check-lemmas", {"params": {"max_i": -1}}, "max_i: expected an integer >= 0"),
 }
 
 
@@ -319,6 +323,15 @@ def test_malformed_caps_exit_2_with_a_usage_message(tmp_path, capsys, text):
     assert "usage:" in err and "--cap" in err
 
 
+def test_negative_horizon_exits_2_with_a_usage_message(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"steps": 5}})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(tmp_path), "--horizon", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--horizon" in err and "Traceback" not in err
+
+
 SMALL_SCHEDULE = {
     "lambda": {"rule": "power", "c": 1, "p": 1},
     "mu": {"rule": "power", "c": 1, "p": 3},
@@ -364,7 +377,8 @@ FUZZ_CONFIGS = [
     ("moduli-eval", "params", {"params": {"modulus": "P", "k": 0, "A": "2", "d": 1, "L": "4"}}),
 ]
 
-WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0")
+# -1 is well typed, but no count, index or constant may be negative
+WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0", -1)
 
 
 def _field_paths(obj, prefix=()):

@@ -330,20 +330,29 @@ def test_run_guards():
     run(tight, 10, validate_l=False)  # opt-out for diagnostics
 
 
-def test_run_names_the_diameter_bound_beyond_the_exact_scan():
-    # above 20,000 steps in d > 1 only the bounding-box diagonal is compared
-    # with L; it bounds the diameter from above, and the error says so
-    inst = ProblemInstance(
-        T=ZeroOperator(2),
-        S=SubdiffAbsSum(2),
-        x0=np.array([2.0, 2.0]),
-        schedule=standard_schedule(20_001),
-        quant=quant(d=2, L=Fraction(1, 100)),
+def arch_instance(L, steps=20_001):
+    # coordinate 0 tracks 1/(2 - 1/(1 + 100 lam)): 1/2 while lam is large,
+    # about 1 while it is small; coordinate 1 creeps from 0 toward 1. The
+    # path (1/2, 0) -> (1, 3/4) -> (1/2, 0.86) has diameter 0.904, against a
+    # bounding-box diagonal of 0.998.
+    lam = (1000.0,) * 7000 + (1e-5,) * 7000 + (1000.0,) * (steps + 1 - 14000)
+    return ProblemInstance(
+        T=AffinePSD(np.diag([100.0, 0.0]), np.zeros(2)),
+        S=AffinePSD(np.diag([200.0, 1.0]), np.array([-100.0, -1.0])),
+        x0=np.array([0.5, 0.0]),
+        schedule=ParameterSchedule(TableRule(lam), PowerRule(Fraction(1, 10_000), 0), steps),
+        quant=quant(d=2, L=L),
     )
-    with pytest.raises(InvariantViolation, match="upper bound on the trajectory diameter"):
-        run(inst, 20_001)
-    with pytest.raises(InvariantViolation, match="realized trajectory diameter"):
-        run(inst, 50)
+
+
+def test_run_checks_the_exact_diameter_at_any_length():
+    # beyond 20,000 steps in d > 1 only the bounding-box diagonal used to be
+    # compared with L, which rejected this run
+    tr = run(arch_instance(Fraction(19, 20)), 20_001)
+    box = np.max(tr.points, axis=0) - np.min(tr.points, axis=0)
+    assert tr.window_diameter(0, 20_001) <= 0.95 < float(np.linalg.norm(box))
+    with pytest.raises(InvariantViolation, match="realized trajectory diameter 0.90"):
+        run(arch_instance(Fraction(4, 5)), 20_001)
 
 
 # --------------------------------------------------------------------------
