@@ -13,6 +13,7 @@ a single modulus. Exit code 0 when every requested certificate is sound
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, FejerQuantError, UnknownPreset
-from .fields import field, floats, list_of, natural, only, rational
+from .fields import field, floats, list_of, natural, only, positive, rational
 from .iteration import (
     ParameterSchedule,
     PowerRule,
@@ -318,7 +319,10 @@ def _task_certify_metastability(
         cap=cap,
         phi_provenance=phi.provenance,
     )
-    _write(out_dir, f"metastability_k{k}.json", _cert_json(cert))
+    label = str(k)
+    if len(label) > 64:  # keep the file name within the usual 255-byte limit
+        label = f"{len(label)}digits-{hashlib.sha256(label.encode()).hexdigest()[:12]}"
+    _write(out_dir, f"metastability_k{label}.json", _cert_json(cert))
     return [cert]
 
 
@@ -355,26 +359,27 @@ def _task_moduli_eval(cfg: dict) -> list:
     )
     name = params.get("modulus")
     nat = lambda key: field(params, key, natural)  # noqa: E731
+    pos = lambda key: field(params, key, positive)  # noqa: E731
     mod = lambda key: field(params, key, ModulusFn.from_json)  # noqa: E731
     frac = lambda key: field(params, key, rational)  # noqa: E731
     if name == "delta":
         value = delta(nat("k"))
     elif name == "omega":
-        value = omega(nat("k"), nat("M"), mod("varpi"))
+        value = omega(nat("k"), pos("M"), mod("varpi"))
     elif name == "varpi_prime":
-        value = varpi_prime(nat("k"), nat("B"), mod("varpi"))
+        value = varpi_prime(nat("k"), pos("B"), mod("varpi"))
     elif name == "chi":
         value = chi(nat("r"), nat("n"), nat("m"), exp_upper(frac("A"))).to_json()
     elif name == "xi_tilde":
-        value = xi_tilde(nat("n"), nat("M"), exp_upper(frac("A")), mod("xi"))
+        value = xi_tilde(nat("n"), pos("M"), exp_upper(frac("A")), mod("xi"))
     elif name == "P":
         value = total_boundedness_P(
-            nat("k"), exp_upper(frac("A")), sqrt_upper(nat("d")), frac("L"), nat("d")
+            nat("k"), exp_upper(frac("A")), sqrt_upper(pos("d")), frac("L"), pos("d")
         ).to_json()
     elif name == "kappa":
-        value = kappa(nat("k"), nat("M"), nat("B"))
+        value = kappa(nat("k"), pos("M"), pos("B"))
     elif name == "kappa_hat":
-        value = kappa_hat(nat("k"), nat("M"), nat("B"), nat("Bprime"), mod("varpi"))
+        value = kappa_hat(nat("k"), pos("M"), pos("B"), nat("Bprime"), mod("varpi"))
     else:
         raise ConfigError(f"unknown modulus {name!r}")
     if isinstance(value, dict):

@@ -58,6 +58,13 @@ def natural(value) -> int:
     return value
 
 
+def positive(value) -> int:
+    """A JSON integer >= 1, such as a dimension or a norm bound."""
+    if integer(value) < 1:
+        raise ConfigError(f"expected an integer >= 1, got {value!r}")
+    return value
+
+
 def number(value) -> float:
     """A JSON number, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):

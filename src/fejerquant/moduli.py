@@ -1,9 +1,10 @@
 """Exact arithmetic for quantitative moduli.
 
-Everything in this module is integer/rational arithmetic: arbitrary-precision
-``int`` for indices and bounds, ``fractions.Fraction`` for the few certified
-real upper bounds (e^A, sqrt(d)) that enter ceiling expressions. No floats,
-so every computed bound is reproducible and sound by construction.
+Everything in this module is exact integer arithmetic. Rationals (the
+certified upper bounds e^A and sqrt(d), and C, L and the c of a power rate)
+are read as (numerator, denominator) pairs once per call, so every ceiling is
+a floor division of ``int``s. No floats: every bound is reproducible and
+sound by construction.
 
 The combinators at the bottom (``chi`` through ``psi_prime``, ``kappa``,
 ``kappa_hat``) assemble the uniform quantitative data of the resolvent
@@ -54,7 +55,8 @@ def ceil_fraction(q: Fraction) -> int:
 
 
 def ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
+    """Exact ceiling of a / b for b >= 1; no division of a big a by 1."""
+    return a if b == 1 else -((-a) // b)
 
 
 def _iroot(x: int, p: int) -> int:
@@ -80,10 +82,17 @@ def ceil_nth_root(q: Fraction, p: int) -> int:
     """Smallest natural t with t**p >= q (exact)."""
     if p < 1:
         raise ValueError("root order must be >= 1")
-    if q <= 0:
+    return _ceil_root(q.numerator, q.denominator, p)
+
+
+def _ceil_root(num: int, den: int, p: int) -> int:
+    """Smallest natural t with t**p * den >= num, for den >= 1 and p >= 1."""
+    if num <= 0:
         return 0
-    t = _iroot(ceil_fraction(q), p)
-    num, den = q.numerator, q.denominator
+    t = ceil_div(num, den)
+    if p == 1:
+        return t
+    t = _iroot(t, p)
     while t ** p * den < num:
         t += 1
     while t >= 1 and (t - 1) ** p * den >= num:
@@ -107,9 +116,6 @@ class RationalUpper:
     quantity: str
     error_bound: Fraction
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def exp_upper(a: Fraction) -> RationalUpper:
     """Rational u with e^a <= u < e^a + 1e-6, by Taylor series with an
@@ -119,8 +125,7 @@ def exp_upper(a: Fraction) -> RationalUpper:
         raise NegativeExponent(f"exp_upper needs a >= 0, got {a}")
     if a == 0:
         return RationalUpper(Fraction(1), "e^0", Fraction(0))
-    term = Fraction(1)
-    total = Fraction(1)
+    term = total = Fraction(1)
     i = 0
     while True:
         i += 1
@@ -202,7 +207,9 @@ class NaturalBound:
 # modulus functions
 # --------------------------------------------------------------------------
 
-_CLOSED_FORM_KINDS = ("identity", "affine", "polynomial", "power_rate", "power_sum_rate")
+# the JSON fields of each kind of modulus
+_KINDS = {"identity": (), "affine": ("a", "b"), "polynomial": ("coeffs",), "table": ("values",),
+          "power_rate": ("c", "p"), "power_sum_rate": ("c", "p")}
 
 
 @dataclass(frozen=True)
@@ -232,7 +239,7 @@ class ModulusFn:
     p: int = 1
 
     def __post_init__(self):
-        if self.kind not in _CLOSED_FORM_KINDS + ("table",):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown modulus kind {self.kind!r}")
         if self.kind == "affine" and (self.a < 0 or self.b < 0):
             raise ValueError("affine modulus needs natural coefficients")
@@ -284,9 +291,10 @@ class ModulusFn:
         if self.kind == "polynomial":
             return sum(co * n ** i for i, co in enumerate(self.coeffs))
         if self.kind == "power_rate":
-            return max(ceil_nth_root(self.c * (n + 1), self.p) - 1, 0)
+            return max(_ceil_root(self.c.numerator * (n + 1), self.c.denominator, self.p) - 1, 0)
         if self.kind == "power_sum_rate":
-            return ceil_nth_root(self.c * (n + 1) / (self.p - 1), self.p - 1)
+            p = self.p - 1
+            return _ceil_root(self.c.numerator * (n + 1), self.c.denominator * p, p)
         if n >= len(self.values):
             raise TableRangeError(
                 f"table modulus evaluated at {n}, valid range is 0..{len(self.values) - 1}"
@@ -296,15 +304,9 @@ class ModulusFn:
     # -- structure ------------------------------------------------------------
 
     @property
-    def is_closed_form(self) -> bool:
-        return self.kind in _CLOSED_FORM_KINDS
-
-    @property
     def is_monotone(self) -> bool:
         """Closed forms are monotone by construction; tables are inspected."""
-        if self.is_closed_form:
-            return True
-        return all(x <= y for x, y in zip(self.values, self.values[1:]))
+        return self.kind != "table" or all(x <= y for x, y in zip(self.values, self.values[1:]))
 
     def to_json(self) -> dict:
         if self.kind == "identity":
@@ -320,17 +322,9 @@ class ModulusFn:
     @classmethod
     def from_json(cls, obj: dict) -> "ModulusFn":
         kind = field(obj, "kind", string)
-        known = {
-            "identity": (),
-            "affine": ("a", "b"),
-            "polynomial": ("coeffs",),
-            "table": ("values",),
-            "power_rate": ("c", "p"),
-            "power_sum_rate": ("c", "p"),
-        }
-        if kind not in known:
+        if kind not in _KINDS:
             raise ConfigError(f"unknown modulus kind {kind!r}")
-        only(obj, {"kind", *known[kind]}, "modulus fields")
+        only(obj, {"kind", *_KINDS[kind]}, "modulus fields")
         try:  # the constructor checks ranges: naturals, c > 0, p >= 1 (2 for sums)
             if kind == "identity":
                 return cls.identity()
@@ -387,15 +381,21 @@ def chi(r: int, n: int, m: int, e_a: RationalUpper, cap: int = DEFAULT_CAP) -> N
 
 
 def _chi_int(r: int, n: int, m: int, e_a: RationalUpper) -> int:
+    return _chi(r, n, m, *e_a.value.as_integer_ratio())
+
+
+def _chi(r: int, n: int, m: int, e_num: int, e_den: int) -> int:
+    """chi with the e^A upper bound given as the pair e_num / e_den."""
     if r < 0 or n < 0 or m < 0:
         raise ValueError("chi arguments are naturals")
-    return max(bounded_sub(n + m, 1), ceil_fraction(Fraction(r + 1) * m * e_a.value))
+    return max(bounded_sub(n + m, 1), ceil_div((r + 1) * m * e_num, e_den))
 
 
 def xi_tilde(n: int, m_bound: int, e_a: RationalUpper, xi: ModulusFn) -> int:
     """Cauchy rate for the accumulated step sizes, rescaled by the uniform
     trajectory bound (2M+1)e^A."""
-    return xi(ceil_fraction(Fraction(2 * m_bound + 1) * e_a.value * (n + 1)) - 1)
+    e_num, e_den = e_a.value.as_integer_ratio()
+    return xi(ceil_div((2 * m_bound + 1) * e_num * (n + 1), e_den) - 1)
 
 
 def total_boundedness_P(
@@ -410,8 +410,11 @@ def total_boundedness_P(
     of recursion stages the metastability bound must absorb."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    inner = ceil_fraction(8 * e_a.value * (k + 1))
-    base = ceil_fraction(2 * inner * sqrt_d.value * Fraction(l_bound))
+    e_num, e_den = e_a.value.as_integer_ratio()
+    s_num, s_den = sqrt_d.value.as_integer_ratio()
+    l_num, l_den = Fraction(l_bound).as_integer_ratio()
+    inner = ceil_div(8 * e_num * (k + 1), e_den)
+    base = ceil_div(2 * inner * s_num * l_num, s_den * l_den)
     if base < 0:
         base = 0
     if base >= 2 and (base.bit_length() - 1) * d > cap.bit_length():
@@ -426,17 +429,14 @@ def phi_liminf(k: int, n: int, q, phi_search: PhiSearch) -> int:
     ``q`` carries the certified constants (C, M) and moduli (theta, varpi);
     ``phi_search`` is the residual-search modulus of the trajectory.
     """
-    first = ceil_fraction(2 * Fraction(q.C) * (k + 1)) - 1
+    return _phi_liminf(k, n, q, phi_search, *Fraction(q.C).as_integer_ratio())
+
+
+def _phi_liminf(k: int, n: int, q, phi_search: PhiSearch, c_num: int, c_den: int) -> int:
+    """phi_liminf with C given as the pair c_num / c_den."""
+    first = ceil_div(2 * c_num * (k + 1), c_den) - 1
     inner = q.theta(q.M * q.varpi(k) + q.M - 1)
     return phi_search(first, max(inner, n))
-
-
-def _chi_g_max(n: int, g: Counterfunction, m: int, e_a: RationalUpper) -> int:
-    """max over i <= n of chi(i, g(i), m); endpoint evaluation when g is
-    monotone (chi is monotone in both index slots)."""
-    if n == 0 or g.is_monotone:
-        return _chi_int(n, g(n), m, e_a)
-    return max(_chi_int(i, g(i), m, e_a) for i in range(n + 1))
 
 
 def psi(
@@ -459,23 +459,26 @@ def psi(
     ``p_override`` forcibly replaces the net size P (test hook; P = 0 gives 0).
     """
     e_a = exp_upper(q.A)
-    sq = sqrt_upper(q.d)
-    p_nb = total_boundedness_P(k, e_a, sq, q.L, q.d, cap)
+    p_nb = total_boundedness_P(k, e_a, sqrt_upper(q.d), q.L, q.d, cap)
     if p_nb.is_overflow:
         return NaturalBound.overflow()
     p_count = int(p_nb) if p_override is None else p_override
     m = 8 * k + 7
     xt = xi_tilde(m, q.M, e_a, q.xi)
+    e_num, e_den = e_a.value.as_integer_ratio()
+    c_num, c_den = Fraction(q.C).as_integer_ratio()
+    monotone = g.is_monotone
     val = 0
     for _ in range(p_count):
-        ci = _chi_g_max(val, g, m, e_a)
+        # chi_g^M(val) = max over i <= val of chi(i, g(i), m); chi is monotone
+        # in both index slots, so a monotone g needs only the endpoint
+        top = (val,) if val == 0 or monotone else range(val + 1)
+        ci = max(_chi(i, g(i), m, e_num, e_den) for i in top)
         if chi_floor is not None and ci < chi_floor:
             ci = chi_floor
-        nxt = phi_liminf(ci, xt, q, phi_search)
+        nxt = _phi_liminf(ci, xt, q, phi_search, c_num, c_den)
         if nxt < val:
-            raise InvariantViolation(
-                f"metastability recursion decreased: {val} -> {nxt}"
-            )
+            raise InvariantViolation(f"metastability recursion decreased: {val} -> {nxt}")
         val = nxt
         if val > cap:
             return NaturalBound.overflow()
@@ -494,11 +497,7 @@ def psi_prime(
     solutions: psi at the raised precision k0 = max(k, ceil((omega-1)/2)) with
     the three-term omega, and with the stage threshold delta(k) floored into
     every chi evaluation."""
-    om = max(
-        q.varpi(2 * k + 1),
-        4 * k + 3,
-        q.varpi(4 * q.M * (k + 1) ** 2 - 1),
-    )
+    om = max(q.varpi(2 * k + 1), 4 * k + 3, q.varpi(4 * q.M * (k + 1) ** 2 - 1))
     k0 = max(k, ceil_div(om - 1, 2))
     return psi(k0, g, q, phi_search, cap=cap, chi_floor=delta(k))
 

@@ -292,7 +292,7 @@ def find_metastable(trace: Trace, k: int, g: Counterfunction) -> Optional[int]:
     """Smallest N whose window [N, N + g(N)] has diameter <= 1/(k+1)
     (nonstrict, matching the certified conclusion); None when no candidate
     window fits in the trace."""
-    bound = 1.0 / (k + 1)
+    bound = 1 / (k + 1)  # exact int division: no OverflowError for a huge k
     for n in range(trace.steps + 1):
         width = g(n)
         if n + width > trace.steps:
@@ -358,7 +358,7 @@ def certify_metastability(
         # second conclusion: some window within the strengthened rate consists
         # entirely of level-k approximate solutions
         n_gamma = None
-        bnd = 1.0 / (k + 1)
+        bnd = 1 / (k + 1)
         for n in range(trace.steps + 1):
             width = g(n)
             if n + width > trace.steps:

@@ -264,6 +264,22 @@ MALFORMED_VALUES = {
     "steps -1": ("run", {"params": {"steps": -1}}, "steps: expected an integer >= 0"),
     "k -1": ("certify-metastability", {"params": {"k": -1}}, "k: expected an integer >= 0"),
     "max_i -1": ("check-lemmas", {"params": {"max_i": -1}}, "max_i: expected an integer >= 0"),
+    # naturals that a modulus rejects: M, B and d are at least 1
+    "omega M 0": (
+        "moduli-eval",
+        {"params": {"modulus": "omega", "k": 0, "M": 0, "varpi": {"kind": "identity"}}},
+        "M: expected an integer >= 1",
+    ),
+    "P d 0": (
+        "moduli-eval",
+        {"params": {"modulus": "P", "k": 0, "A": "2", "d": 0, "L": "4"}},
+        "d: expected an integer >= 1",
+    ),
+    "varpi_prime B 0": (
+        "moduli-eval",
+        {"params": {"modulus": "varpi_prime", "k": 0, "B": 0, "varpi": {"kind": "identity"}}},
+        "B: expected an integer >= 1",
+    ),
 }
 
 
@@ -493,6 +509,21 @@ def test_metastability_task(tmp_path, capsys):
     cert = json.loads((tmp_path / "metastability_k0.json").read_text())
     assert cert["witness_N"] == 0 and cert["witness"]["P"] == "481"
     assert cert["provenance"]["phi_search"] == "empirical+stationary"
+
+
+def test_metastability_task_with_a_huge_k(tmp_path, capsys):
+    # 1.0 / (k + 1) raised OverflowError, and the k in the certificate's file
+    # name made it longer than a file name may be
+    k = 10 ** 400
+    cfg = write_config(
+        tmp_path, {"problem": "dc-abs-1d", "params": {"k": k, "steps": 50, "use_psi_prime": True}}
+    )
+    assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    (written,) = tmp_path.glob("metastability_k*.json")
+    assert written.name.startswith("metastability_k401digits-")
+    cert = json.loads(written.read_text())
+    assert cert["params"]["k"] == k and cert["bound"] == {"overflow": True}
 
 
 def test_metastability_task_cap_flag(tmp_path, capsys):

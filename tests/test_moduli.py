@@ -3,9 +3,12 @@
 Golden values are frozen from independent hand evaluation of each closed
 formula; the certified rational upper bounds (e^A, sqrt d) are checked
 against mpmath at 50 digits. Everything here is integer/Fraction math, so
-equality assertions are exact unless stated otherwise.
+equality assertions are exact unless stated otherwise. The rate recursion
+runs on integer pairs; its earlier Fraction form is kept below as the
+reference it must equal.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -18,11 +21,13 @@ from fejerquant.errors import (
     NegativeExponent,
     TableRangeError,
 )
+from fejerquant.iteration import QuantitativeData
 from fejerquant.moduli import (
     DEFAULT_CAP,
     ModulusFn,
     NaturalBound,
     RationalUpper,
+    _iroot,
     bounded_sub,
     ceil_div,
     ceil_fraction,
@@ -426,3 +431,295 @@ def test_natural_bound_respects_cap():
     assert NaturalBound.of(11, cap=10).is_overflow
     assert not NaturalBound.of(10, cap=10).is_overflow
     assert DEFAULT_CAP == 10 ** 10000
+
+
+# --------------------------------------------------------------------------
+# the Fraction reference of the rate kernel
+# --------------------------------------------------------------------------
+#
+# The rate recursion as it was written on Fraction, kept verbatim: only the
+# names carry a ref_ prefix, and ModulusFn's evaluation and monotonicity flag
+# read the modulus through RefModulus.f.
+
+_CLOSED_FORM_KINDS = ("identity", "affine", "polynomial", "power_rate", "power_sum_rate")
+
+
+def ref_ceil_nth_root(q: Fraction, p: int) -> int:
+    """Smallest natural t with t**p >= q (exact)."""
+    if p < 1:
+        raise ValueError("root order must be >= 1")
+    if q <= 0:
+        return 0
+    t = _iroot(ceil_fraction(q), p)
+    num, den = q.numerator, q.denominator
+    while t ** p * den < num:
+        t += 1
+    while t >= 1 and (t - 1) ** p * den >= num:
+        t -= 1
+    return t
+
+
+class RefModulus:
+    """A ModulusFn evaluated by the Fraction reference."""
+
+    def __init__(self, f: ModulusFn):
+        self.f = f
+
+    def __call__(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("modulus arguments are naturals")
+        if self.f.kind == "identity":
+            return n
+        if self.f.kind == "affine":
+            return self.f.a * n + self.f.b
+        if self.f.kind == "polynomial":
+            return sum(co * n ** i for i, co in enumerate(self.f.coeffs))
+        if self.f.kind == "power_rate":
+            return max(ref_ceil_nth_root(self.f.c * (n + 1), self.f.p) - 1, 0)
+        if self.f.kind == "power_sum_rate":
+            return ref_ceil_nth_root(self.f.c * (n + 1) / (self.f.p - 1), self.f.p - 1)
+        if n >= len(self.f.values):
+            raise TableRangeError(
+                f"table modulus evaluated at {n}, valid range is 0..{len(self.f.values) - 1}"
+            )
+        return self.f.values[n]
+
+    @property
+    def is_closed_form(self) -> bool:
+        return self.f.kind in _CLOSED_FORM_KINDS
+
+    @property
+    def is_monotone(self) -> bool:
+        """Closed forms are monotone by construction; tables are inspected."""
+        if self.is_closed_form:
+            return True
+        return all(x <= y for x, y in zip(self.f.values, self.f.values[1:]))
+
+
+def ref_chi_int(r, n, m, e_a):
+    if r < 0 or n < 0 or m < 0:
+        raise ValueError("chi arguments are naturals")
+    return max(bounded_sub(n + m, 1), ceil_fraction(Fraction(r + 1) * m * e_a.value))
+
+
+def ref_xi_tilde(n, m_bound, e_a, xi):
+    return xi(ceil_fraction(Fraction(2 * m_bound + 1) * e_a.value * (n + 1)) - 1)
+
+
+def ref_total_boundedness_P(k, e_a, sqrt_d, l_bound, d, cap=DEFAULT_CAP):
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    inner = ceil_fraction(8 * e_a.value * (k + 1))
+    base = ceil_fraction(2 * inner * sqrt_d.value * Fraction(l_bound))
+    if base < 0:
+        base = 0
+    if base >= 2 and (base.bit_length() - 1) * d > cap.bit_length():
+        return NaturalBound.overflow()
+    return NaturalBound.of(base ** d + 1, cap)
+
+
+def ref_phi_liminf(k, n, q, phi_search):
+    first = ceil_fraction(2 * Fraction(q.C) * (k + 1)) - 1
+    inner = q.theta(q.M * q.varpi(k) + q.M - 1)
+    return phi_search(first, max(inner, n))
+
+
+def ref_chi_g_max(n, g, m, e_a):
+    if n == 0 or g.is_monotone:
+        return ref_chi_int(n, g(n), m, e_a)
+    return max(ref_chi_int(i, g(i), m, e_a) for i in range(n + 1))
+
+
+def ref_psi(k, g, q, phi_search, *, cap=DEFAULT_CAP, chi_floor=None, p_override=None):
+    e_a = exp_upper(q.A)
+    sq = sqrt_upper(q.d)
+    p_nb = ref_total_boundedness_P(k, e_a, sq, q.L, q.d, cap)
+    if p_nb.is_overflow:
+        return NaturalBound.overflow()
+    p_count = int(p_nb) if p_override is None else p_override
+    m = 8 * k + 7
+    xt = ref_xi_tilde(m, q.M, e_a, q.xi)
+    val = 0
+    for _ in range(p_count):
+        ci = ref_chi_g_max(val, g, m, e_a)
+        if chi_floor is not None and ci < chi_floor:
+            ci = chi_floor
+        nxt = ref_phi_liminf(ci, xt, q, phi_search)
+        if nxt < val:
+            raise InvariantViolation(
+                f"metastability recursion decreased: {val} -> {nxt}"
+            )
+        val = nxt
+        if val > cap:
+            return NaturalBound.overflow()
+    return NaturalBound.of(val, cap)
+
+
+def ref_psi_prime(k, g, q, phi_search, *, cap=DEFAULT_CAP):
+    om = max(
+        q.varpi(2 * k + 1),
+        4 * k + 3,
+        q.varpi(4 * q.M * (k + 1) ** 2 - 1),
+    )
+    k0 = max(k, ceil_div(om - 1, 2))
+    return ref_psi(k0, g, q, phi_search, cap=cap, chi_floor=delta(k))
+
+
+# --------------------------------------------------------------------------
+# the integer kernel against the reference
+# --------------------------------------------------------------------------
+
+PHI_SEARCHES = {
+    "stationary": lambda k, n: max(n, 1),
+    "sum": lambda k, n: n + k,
+    # not monotone: once the values pass 10007 the recursion decreases and raises
+    "wrapping": lambda k, n: (n + k) % 10007,
+}
+
+fractions = st.builds(Fraction, st.integers(1, 60), st.integers(1, 7))
+# a rate whose c is not an integer
+rates = st.builds(
+    lambda num, den, p: ModulusFn.power_rate(Fraction(num * den + 1, den), p),
+    st.integers(0, 20), st.integers(2, 7), st.integers(1, 4),
+)
+sum_rates = st.builds(ModulusFn.power_sum_rate, fractions, st.integers(2, 4))
+
+
+def _raised_k(k: int, q) -> int:
+    """The precision k0 at which psi_prime runs psi."""
+    om = max(q.varpi(2 * k + 1), 4 * k + 3, q.varpi(4 * q.M * (k + 1) ** 2 - 1))
+    return max(k, ceil_div(om - 1, 2))
+
+
+@st.composite
+def rate_inputs(draw, prime=False):
+    """Inputs of psi (of psi_prime when ``prime``) whose net has at most 301
+    points: L is (b + f) / (2 * inner * sqrt(d)) for a drawn net base b and a
+    fraction f of 0, 1/2 or 10^-30, so P's ceiling lands on b or just above
+    it, where a slightly wrong denominator would move it."""
+    g = draw(st.one_of(
+        st.builds(ModulusFn.affine, st.integers(0, 3), st.integers(0, 3)),
+        st.builds(ModulusFn.polynomial, st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+        # tables, monotone or not; the recursion may run past their end
+        st.builds(ModulusFn.table, st.lists(st.integers(0, 80), min_size=1, max_size=150)),
+    ))
+    k = draw(st.integers(0, 3))
+    q = StubQ(
+        # 0, integers and non-dyadic fractions
+        A=draw(st.one_of(
+            st.integers(0, 2).map(Fraction),
+            st.builds(Fraction, st.integers(1, 20), st.sampled_from([3, 5, 7, 10])),
+        )),
+        d=draw(st.integers(1, 4)),
+        M=draw(st.integers(1, 3)),
+        C=draw(st.builds(lambda den, extra: Fraction(den + extra, den),
+                         st.integers(1, 9), st.integers(0, 30))),
+        theta=draw(rates),
+        xi=draw(st.one_of(rates, sum_rates)),
+        varpi=draw(st.one_of(st.just(IDENT), st.builds(ModulusFn.affine, st.integers(1, 2),
+                                                       st.integers(0, 1)))),
+    )
+    inner = ceil_fraction(8 * exp_upper(q.A).value * ((_raised_k(k, q) if prime else k) + 1))
+    base = draw(st.integers(0, (299, 16, 5, 3)[q.d - 1]))
+    base += draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 10 ** 30)]))
+    q.L = base / (2 * inner) / sqrt_upper(q.d).value
+    return {
+        "k": k,
+        "g": g,
+        "q": q,
+        "phi": draw(st.sampled_from(sorted(PHI_SEARCHES))),
+        # small enough to overflow at varied stages
+        "cap": 10 ** draw(st.integers(1, 300)),
+        "chi_floor": draw(st.one_of(st.none(), st.integers(0, 200))),
+    }
+
+
+def _ref_q(q: StubQ) -> StubQ:
+    return StubQ(A=q.A, d=q.d, L=q.L, M=q.M, C=q.C, theta=RefModulus(q.theta),
+                 xi=RefModulus(q.xi), varpi=RefModulus(q.varpi))
+
+
+def _outcome(call):
+    """The value of call(), or the type and message of the error it raised."""
+    try:
+        return call()
+    except (ValueError, InvariantViolation, TableRangeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rate_inputs())
+def test_psi_matches_the_fraction_reference(x):
+    k, g, q, cap, floor = x["k"], x["g"], x["q"], x["cap"], x["chi_floor"]
+    phi = PHI_SEARCHES[x["phi"]]
+    got = _outcome(lambda: psi(k, g, q, phi, cap=cap, chi_floor=floor))
+    want = _outcome(lambda: ref_psi(k, RefModulus(g), _ref_q(q), phi, cap=cap, chi_floor=floor))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate_inputs(prime=True))
+def test_psi_prime_matches_the_fraction_reference(x):
+    k, g, q, cap = x["k"], x["g"], x["q"], x["cap"]
+    phi = PHI_SEARCHES[x["phi"]]
+    got = _outcome(lambda: psi_prime(k, g, q, phi, cap=cap))
+    want = _outcome(lambda: ref_psi_prime(k, RefModulus(g), _ref_q(q), phi, cap=cap))
+    assert got == want
+
+
+@given(
+    st.one_of(rates, sum_rates, st.builds(ModulusFn.power_rate, fractions, st.integers(1, 6))),
+    st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 40)),
+)
+def test_modulus_call_matches_the_fraction_reference(f, n):
+    assert f(n) == RefModulus(f)(n)
+
+
+@given(
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 40), st.integers(1, 10 ** 12)),
+    st.integers(-1, 7),
+)
+def test_ceil_nth_root_matches_the_fraction_reference(q, p):
+    assert _outcome(lambda: ceil_nth_root(q, p)) == _outcome(lambda: ref_ceil_nth_root(q, p))
+
+
+def test_rate_helpers_match_the_fraction_reference():
+    for a in (Fraction(0), Fraction(2), Fraction(7, 10), Fraction(5, 3)):
+        e_a = exp_upper(a)
+        for r, n, m in ((0, 0, 0), (3, 2, 5), (10 ** 30, 7, 23)):
+            assert chi(r, n, m, e_a, cap=10 ** 20) == NaturalBound.of(
+                ref_chi_int(r, n, m, e_a), 10 ** 20
+            )
+        for xi in (IDENT, ModulusFn.power_sum_rate(Fraction(3, 2), 3)):
+            assert xi_tilde(9, 2, e_a, xi) == ref_xi_tilde(9, 2, e_a, RefModulus(xi))
+        for d, l_bound in ((1, Fraction(4)), (3, Fraction(5, 7)), (2, Fraction(0))):
+            assert total_boundedness_P(2, e_a, sqrt_upper(d), l_bound, d) == (
+                ref_total_boundedness_P(2, e_a, sqrt_upper(d), l_bound, d)
+            )
+    q = StubQ(M=2, C=Fraction(7, 3), theta=ModulusFn.power_rate(Fraction(5, 2), 2), varpi=IDENT)
+    phi = PHI_SEARCHES["sum"]
+    for k, n in ((0, 0), (5, 3), (10 ** 25, 10 ** 20)):
+        assert phi_liminf(k, n, q, phi) == ref_phi_liminf(k, n, _ref_q(q), phi)
+
+
+# the metastability workload's rate inputs: the dc-abs-1d constants with g(n) =
+# n + 1 at k = 2; every query of that workload falls outside the empirical
+# table, whose stationary completion is max(n, 1)
+def _dc_abs_1d_rate_inputs():
+    quant = QuantitativeData(
+        A=Fraction(2), B=1, Bprime=0, C=Fraction(1), M=2, L=Fraction(4), d=1,
+        theta=ModulusFn.power_rate(1, 1), xi=ModulusFn.power_sum_rate(1, 3),
+        varpi=IDENT, varpi_hat=IDENT,
+    )
+    return ModulusFn.affine(1, 1), quant, PHI_SEARCHES["stationary"]
+
+
+def test_psi_golden_value_of_the_metastability_workload():
+    g, quant, phi = _dc_abs_1d_rate_inputs()
+    text = str(int(psi(2, g, quant, phi)))
+    assert len(text) == 3608
+    assert text[:20] == "14855100150117528544" and text[-20:] == "39803699585538406167"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0de8a916380936172dd9217afda09c12dd56c9c2379e392287ca55e58bffeb7c"
+    )
+    assert psi_prime(2, g, quant, phi).is_overflow
