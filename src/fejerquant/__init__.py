@@ -33,6 +33,7 @@ from .iteration import (
     Trace,
     gamma_k_check,
     gamma_witness,
+    preset,
     run,
 )
 from .moduli import (
@@ -95,6 +96,5 @@ from .verification import (
     find_metastable,
     monotonize_table,
 )
-from .cli import preset
 
 __version__ = "0.1.0"

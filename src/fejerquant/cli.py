@@ -1,4 +1,4 @@
-"""Command-line entry point: problem presets, config-driven batch execution.
+"""Command-line entry point: config-driven batch execution.
 
     fejerquant <task> --config cfg.json [--out DIR] [--horizon N] [--cap C]
 
@@ -19,17 +19,9 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import ConfigError, FejerQuantError, UnknownPreset
-from .fields import field, floats, list_of, natural, only, positive, rational
-from .iteration import (
-    ParameterSchedule,
-    PowerRule,
-    ProblemInstance,
-    QuantitativeData,
-    run,
-)
+from .errors import ConfigError, FejerQuantError
+from .fields import boolean, field, list_of, natural, only, positive, rational
+from .iteration import DEFAULT_PRESET, ProblemInstance, run
 from .moduli import (
     DEFAULT_CAP,
     ModulusFn,
@@ -44,13 +36,6 @@ from .moduli import (
     varpi_prime,
     xi_tilde,
 )
-from .operators import (
-    AffinePSD,
-    NormalConeBox,
-    SubdiffAbsSum,
-    operator_from_json,
-    operator_to_json,
-)
 from .regularity import RegularityModulus, theta_moudafi, validate_regularity_ball
 from .verification import (
     build_empirical_phi,
@@ -59,86 +44,6 @@ from .verification import (
     check_cauchy_modulus,
     check_quasi_fejer,
 )
-
-_PRESET_NAMES = ("dc-abs-1d", "affine-affine-nd", "box-affine-nd")
-
-
-def _standard_schedule(horizon: int) -> ParameterSchedule:
-    return ParameterSchedule(
-        PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), horizon
-    )
-
-
-def preset(name: str) -> ProblemInstance:
-    """Catalog problem instances with certified quantitative data."""
-    if name == "dc-abs-1d":
-        # zeros of Id - d|.|: the difference inclusion has solutions -1, 0, 1
-        return ProblemInstance(
-            T=AffinePSD(np.array([[1.0]]), np.array([0.0])),
-            S=SubdiffAbsSum(1),
-            x0=np.array([0.5]),
-            schedule=_standard_schedule(100_000),
-            quant=QuantitativeData(
-                A=Fraction(2),
-                B=1,
-                Bprime=0,
-                C=Fraction(1),
-                M=2,
-                L=Fraction(4),
-                d=1,
-                theta=ModulusFn.power_rate(1, 1),
-                xi=ModulusFn.power_sum_rate(1, 3),
-                varpi=ModulusFn.identity(),
-                varpi_hat=ModulusFn.identity(),
-            ),
-            known_solutions=(np.array([-1.0]), np.array([0.0]), np.array([1.0])),
-        )
-    if name == "affine-affine-nd":
-        # T = 2I, S = I: (T - S)x = x, unique zero at the origin
-        return ProblemInstance(
-            T=AffinePSD(2.0 * np.eye(2), np.zeros(2)),
-            S=AffinePSD(np.eye(2), np.zeros(2)),
-            x0=np.array([1.0, 1.0]),
-            schedule=_standard_schedule(2_000),
-            quant=QuantitativeData(
-                A=Fraction(2),
-                B=1,
-                Bprime=0,
-                C=Fraction(1),
-                M=11,
-                L=Fraction(2),
-                d=2,
-                theta=ModulusFn.power_rate(1, 1),
-                xi=ModulusFn.power_sum_rate(1, 3),
-                varpi=ModulusFn.affine(2, 1),
-                varpi_hat=ModulusFn.affine(2, 1),
-            ),
-            known_solutions=(np.zeros(2),),
-        )
-    if name == "box-affine-nd":
-        # stationarity of x + (-2, 1) over the unit box: solution (0, 1)
-        return ProblemInstance(
-            T=AffinePSD(np.eye(2), np.array([-2.0, 1.0])),
-            S=NormalConeBox(np.zeros(2), np.ones(2)),
-            x0=np.array([0.5, 0.5]),
-            schedule=_standard_schedule(2_000),
-            quant=QuantitativeData(
-                A=Fraction(2),
-                B=1,
-                Bprime=0,
-                C=Fraction(1),
-                M=3,
-                L=Fraction(2),
-                d=2,
-                theta=ModulusFn.power_rate(1, 1),
-                xi=ModulusFn.power_sum_rate(1, 3),
-                varpi=ModulusFn.identity(),
-                varpi_hat=None,
-            ),
-            known_solutions=(np.array([0.0, 1.0]),),
-        )
-    raise UnknownPreset(f"unknown preset {name!r} (have: {', '.join(_PRESET_NAMES)})")
-
 
 # --------------------------------------------------------------------------
 # config plumbing
@@ -159,59 +64,15 @@ def load_config(path: str) -> dict:
     return obj
 
 
-def build_instance(cfg: dict) -> ProblemInstance:
-    problem = cfg.get("problem", "dc-abs-1d")
-    if isinstance(problem, str):
-        inst = preset(problem)
-    elif not isinstance(problem, dict):
-        raise ConfigError(f"problem must be a preset name or an object, got {problem!r}")
-    else:
-        only(problem, {"T", "S", "x0", "known_solutions"}, "problem fields")
-        if "schedule" not in cfg or "quant" not in cfg:
-            raise ConfigError("inline problems need explicit schedule and quant")
-        inst = ProblemInstance(
-            T=field(problem, "T", operator_from_json),
-            S=field(problem, "S", operator_from_json),
-            x0=field(problem, "x0", floats),
-            schedule=field(cfg, "schedule", ParameterSchedule.from_json),
-            quant=field(cfg, "quant", QuantitativeData.from_json),
-            known_solutions=tuple(field(problem, "known_solutions", list_of(floats), [])),
-        )
-        return inst
-    if "schedule" in cfg or "quant" in cfg:
-        from dataclasses import replace
-
-        if "schedule" in cfg:
-            inst = replace(inst, schedule=field(cfg, "schedule", ParameterSchedule.from_json))
-        if "quant" in cfg:
-            inst = replace(inst, quant=field(cfg, "quant", QuantitativeData.from_json))
-    return inst
+build_instance = ProblemInstance.from_json
 
 
 def resolved_config(cfg: dict, inst: ProblemInstance) -> dict:
-    problem = cfg.get("problem", "dc-abs-1d")
-    if not isinstance(problem, str):
-        problem = {
-            "T": operator_to_json(inst.T),
-            "S": operator_to_json(inst.S),
-            "x0": [float(v) for v in inst.x0],
-            "known_solutions": [[float(v) for v in s] for s in inst.known_solutions],
-        }
-    return {
-        "problem": problem,
-        "schedule": inst.schedule.to_json(),
-        "quant": inst.quant.to_json(),
-        "params": cfg.get("params", {}),
-        "vacuous_ok": cfg.get("vacuous_ok", True),
-    }
-
-
-def _flag(obj: dict, key: str, default: bool) -> bool:
-    """A boolean config field: only JSON true or false, never a truthy string."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
-    return value
+    resolved = inst.to_json()
+    problem = cfg.get("problem", DEFAULT_PRESET)
+    if isinstance(problem, str):  # a preset is named, not restated
+        resolved["problem"] = problem
+    return {**resolved, "params": cfg.get("params", {}), "vacuous_ok": cfg.get("vacuous_ok", True)}
 
 
 def _steps(params: dict, horizon: int | None, default: int) -> int:
@@ -299,8 +160,8 @@ def _task_certify_metastability(
     params = _params(
         cfg, {"k", "g", "steps", "k_max", "n_max", "use_psi_prime", "check_gamma"}
     )
-    use_psi_prime = _flag(params, "use_psi_prime", False)
-    check_gamma = _flag(params, "check_gamma", False)
+    use_psi_prime = field(params, "use_psi_prime", boolean, False)
+    check_gamma = field(params, "check_gamma", boolean, False)
     k = field(params, "k", natural, 0)
     g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
     steps = _steps(params, horizon, 1000)
@@ -332,7 +193,7 @@ def _task_cauchy_modulus(
     params = _params(
         cfg, {"eps", "steps", "k_max", "n_max", "use_kappa_hat", "phi_reg", "b"}
     )
-    use_hat = _flag(params, "use_kappa_hat", False)
+    use_hat = field(params, "use_kappa_hat", boolean, False)
     eps_list = field(params, "eps", list_of(rational), [Fraction(1, 4)])
     steps = _steps(params, horizon, 1000)
     k_max, n_max = _phi_range(params)
@@ -445,7 +306,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        vacuous_ok = _flag(cfg, "vacuous_ok", True)
+        vacuous_ok = field(cfg, "vacuous_ok", boolean, True)
         if args.task == "moduli-eval":
             if args.dump_config:
                 print(json.dumps(cfg, sort_keys=True, indent=2))

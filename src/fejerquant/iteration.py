@@ -24,11 +24,12 @@ from .errors import (
     FejerQuantError,
     HorizonExceeded,
     InvariantViolation,
-    MissingSolutions,
     NonPositiveParameter,
     ScheduleError,
+    UnknownPreset,
 )
-from .fields import field, integer, list_of, number, only, rational, string
+from .fields import FLOATS, INTEGER, RATIONAL, Field, field, list_of, number, rational, read_form
+from .fields import json_of, string, tolist, write_form
 from .moduli import ModulusFn
 from .operators import (
     NormalConeBox,
@@ -39,6 +40,8 @@ from .operators import (
     evaluate,
     hstar_check,
     minimal_selection,
+    operator_from_json,
+    operator_to_json,
     resolvent,
     resolvent_rows,
     row_norms,
@@ -56,6 +59,9 @@ _JSONL_BLOCK_ROWS = 4096
 _PAIRWISE_MAX_ROWS = 16
 # the pruned scan bounds distances by the boxes of chunks of consecutive rows
 _CHUNK_ROWS = 64
+# the JSON forms of the catalog operators and moduli in a config
+_OPERATOR = Field(operator_from_json, operator_to_json)
+_MODULUS = Field(ModulusFn.from_json, json_of)
 
 
 # --------------------------------------------------------------------------
@@ -85,6 +91,10 @@ def _float_or_inf(i: int) -> float:
 @dataclass(frozen=True)
 class PowerRule:
     """n -> c / (n+1)^p with rational c > 0 and integer p >= 0."""
+
+    rule = "power"
+    json_fields = {"c": Field(rational, lambda c: int(c) if c.denominator == 1 else str(c)),
+                   "p": INTEGER}
 
     c: Fraction
     p: int
@@ -135,13 +145,15 @@ class PowerRule:
         return ModulusFn.power_sum_rate(self.c, self.p)
 
     def to_json(self) -> dict:
-        c = self.c
-        return {"rule": "power", "c": int(c) if c.denominator == 1 else str(c), "p": self.p}
+        return {"rule": self.rule, **write_form(self, self.json_fields)}
 
 
 @dataclass(frozen=True, eq=False)
 class TableRule:
     """Explicit per-stage values; indices beyond the table are errors."""
+
+    rule = "table"
+    json_fields = {"values": Field(list_of(number), list)}
 
     values: tuple
 
@@ -168,23 +180,26 @@ class TableRule:
         return Fraction(self.value(n))
 
     def to_json(self) -> dict:
-        return {"rule": "table", "values": list(self.values)}
+        return {"rule": self.rule, **write_form(self, self.json_fields)}
+
+
+_RULES = {cls.rule: cls for cls in (PowerRule, TableRule)}
 
 
 def rule_from_json(obj: dict):
     kind = field(obj, "rule", string)
-    if kind == "power":
-        only(obj, {"rule", "c", "p"}, "rule fields")
-        return PowerRule(field(obj, "c", rational), field(obj, "p", integer))
-    if kind == "table":
-        only(obj, {"rule", "values"}, "rule fields")
-        return TableRule(tuple(field(obj, "values", list_of(number))))
-    raise ScheduleError(f"unknown schedule rule {kind!r}")
+    if kind not in _RULES:
+        raise ScheduleError(f"unknown schedule rule {kind!r}")
+    cls = _RULES[kind]
+    return cls(**read_form(obj, cls.json_fields, "rule fields", "rule"))
 
 
 @dataclass(frozen=True)
 class ParameterSchedule:
     """Per-stage Yosida parameters lambda_n and step sizes mu_n up to a horizon."""
+
+    json_fields = {"lambda": Field(rule_from_json, json_of, attr="lam_rule"),
+                   "mu": Field(rule_from_json, json_of, attr="mu_rule"), "horizon": INTEGER}
 
     lam_rule: object
     mu_rule: object
@@ -241,22 +256,11 @@ class ParameterSchedule:
             self._check(n1 - 1)
 
     def to_json(self) -> dict:
-        return {
-            "lambda": self.lam_rule.to_json(),
-            "mu": self.mu_rule.to_json(),
-            "horizon": self.horizon,
-        }
+        return write_form(self, self.json_fields)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterSchedule":
-        if not isinstance(obj, dict):
-            raise ScheduleError(f"not a serialized schedule: {obj!r}")
-        only(obj, {"lambda", "mu", "horizon"}, "schedule fields")
-        return cls(
-            field(obj, "lambda", rule_from_json),
-            field(obj, "mu", rule_from_json),
-            field(obj, "horizon", integer),
-        )
+        return cls(**read_form(obj, cls.json_fields, "schedule fields"))
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +279,10 @@ class QuantitativeData:
     theta: rate of lambda_n -> 0; xi: Cauchy rate of sum mu_n;
     varpi (and optional varpi_hat): monotone continuity moduli for T (and S).
     """
+
+    json_fields = {"A": RATIONAL, "B": INTEGER, "Bprime": INTEGER, "C": RATIONAL, "M": INTEGER,
+                   "L": RATIONAL, "d": INTEGER, "theta": _MODULUS, "xi": _MODULUS,
+                   "varpi": _MODULUS, "varpi_hat": Field(ModulusFn.from_json, json_of, None)}
 
     A: Fraction
     B: int
@@ -337,42 +345,11 @@ class QuantitativeData:
             prev = w
 
     def to_json(self) -> dict:
-        out = {
-            "A": str(self.A),
-            "B": self.B,
-            "Bprime": self.Bprime,
-            "C": str(self.C),
-            "M": self.M,
-            "L": str(self.L),
-            "d": self.d,
-            "theta": self.theta.to_json(),
-            "xi": self.xi.to_json(),
-            "varpi": self.varpi.to_json(),
-        }
-        if self.varpi_hat is not None:
-            out["varpi_hat"] = self.varpi_hat.to_json()
-        return out
+        return write_form(self, self.json_fields)
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuantitativeData":
-        if not isinstance(obj, dict):
-            raise ConfigError(f"not serialized quantitative data: {obj!r}")
-        known = {"A", "B", "Bprime", "C", "M", "L", "d", "theta", "xi", "varpi", "varpi_hat"}
-        only(obj, known, "quantitative-data fields")
-        vh = obj.get("varpi_hat")
-        return cls(
-            A=field(obj, "A", rational),
-            B=field(obj, "B", integer),
-            Bprime=field(obj, "Bprime", integer),
-            C=field(obj, "C", rational),
-            M=field(obj, "M", integer),
-            L=field(obj, "L", rational),
-            d=field(obj, "d", integer),
-            theta=field(obj, "theta", ModulusFn.from_json),
-            xi=field(obj, "xi", ModulusFn.from_json),
-            varpi=field(obj, "varpi", ModulusFn.from_json),
-            varpi_hat=None if vh is None else field(obj, "varpi_hat", ModulusFn.from_json),
-        )
+        return cls(**read_form(obj, cls.json_fields, "quantitative-data fields"))
 
 
 # --------------------------------------------------------------------------
@@ -384,6 +361,10 @@ class QuantitativeData:
 class ProblemInstance:
     """Two catalog operators, a start point, a schedule, certified constants,
     and (optionally) the known solution set for oracle checks."""
+
+    # the JSON form of a config's problem object
+    json_fields = {"T": _OPERATOR, "S": _OPERATOR, "x0": FLOATS,
+                   "known_solutions": Field(list_of(FLOATS.read), tolist, ())}
 
     T: object
     S: object
@@ -415,6 +396,31 @@ class ProblemInstance:
     def dim(self) -> int:
         return self.x0.shape[0]
 
+    @classmethod
+    def from_json(cls, cfg: dict) -> "ProblemInstance":
+        """The instance of a config's problem, schedule and quant. A preset name
+        stands for the preset's document, whose schedule and quant the config's
+        own replace; an inline problem object needs both."""
+        problem = cfg.get("problem", DEFAULT_PRESET)
+        if isinstance(problem, str):
+            if problem not in PRESETS:
+                raise UnknownPreset(f"unknown preset {problem!r} (have: {', '.join(PRESETS)})")
+            cfg = {**PRESETS[problem], **cfg, "problem": PRESETS[problem]["problem"]}
+        elif not isinstance(problem, dict):
+            raise ConfigError(f"problem must be a preset name or an object, got {problem!r}")
+        elif "schedule" not in cfg or "quant" not in cfg:
+            raise ConfigError("inline problems need explicit schedule and quant")
+        return cls(
+            **field(cfg, "problem", lambda obj: read_form(obj, cls.json_fields, "problem fields")),
+            schedule=field(cfg, "schedule", ParameterSchedule.from_json),
+            quant=field(cfg, "quant", QuantitativeData.from_json),
+        )
+
+    def to_json(self) -> dict:
+        """The config form of the instance: its problem object, schedule and quant."""
+        schedule, quant = self.schedule.to_json(), self.quant.to_json()
+        return {"problem": write_form(self, self.json_fields), "schedule": schedule, "quant": quant}
+
     def in_search_region(self, x, tol: float = _CLAUSE_TOL) -> bool:
         """Membership in the ball of radius L around x0 intersected with the
         closure of the domain of S."""
@@ -422,6 +428,59 @@ class ProblemInstance:
         if float(np.linalg.norm(x - self.x0)) > float(self.quant.L) + tol:
             return False
         return domain_contains(self.S, x, tol=tol)
+
+
+# the catalog problems with certified quantitative data, as the config
+# documents that ProblemInstance.from_json reads
+PRESETS = {
+    # zeros of Id - d|.|: the difference inclusion has solutions -1, 0, 1
+    "dc-abs-1d": {
+        "problem": {"T": {"kind": "affine_psd", "matrix": [[1.0]], "offset": [0.0]},
+                    "S": {"kind": "subdiff_abs", "dim": 1},
+                    "x0": [0.5], "known_solutions": [[-1.0], [0.0], [1.0]]},
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 100000},
+        "quant": {"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 2, "L": "4", "d": 1,
+                  "theta": {"kind": "power_rate", "c": "1", "p": 1},
+                  "xi": {"kind": "power_sum_rate", "c": "1", "p": 3},
+                  "varpi": {"kind": "identity"}, "varpi_hat": {"kind": "identity"}},
+    },
+    # T = 2I, S = I: (T - S)x = x, unique zero at the origin
+    "affine-affine-nd": {
+        "problem": {"T": {"kind": "affine_psd", "matrix": [[2.0, 0.0], [0.0, 2.0]],
+                          "offset": [0.0, 0.0]},
+                    "S": {"kind": "affine_psd", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                          "offset": [0.0, 0.0]},
+                    "x0": [1.0, 1.0], "known_solutions": [[0.0, 0.0]]},
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 2000},
+        "quant": {"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 11, "L": "2", "d": 2,
+                  "theta": {"kind": "power_rate", "c": "1", "p": 1},
+                  "xi": {"kind": "power_sum_rate", "c": "1", "p": 3},
+                  "varpi": {"kind": "affine", "a": 2, "b": 1},
+                  "varpi_hat": {"kind": "affine", "a": 2, "b": 1}},
+    },
+    # stationarity of x + (-2, 1) over the unit box: solution (0, 1)
+    "box-affine-nd": {
+        "problem": {"T": {"kind": "affine_psd", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                          "offset": [-2.0, 1.0]},
+                    "S": {"kind": "normal_cone_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                    "x0": [0.5, 0.5], "known_solutions": [[0.0, 1.0]]},
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 2000},
+        "quant": {"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 3, "L": "2", "d": 2,
+                  "theta": {"kind": "power_rate", "c": "1", "p": 1},
+                  "xi": {"kind": "power_sum_rate", "c": "1", "p": 3},
+                  "varpi": {"kind": "identity"}},
+    },
+}
+#: the problem of a config that names none
+DEFAULT_PRESET = "dc-abs-1d"
+
+
+def preset(name: str) -> ProblemInstance:
+    """A catalog problem instance with certified quantitative data."""
+    return ProblemInstance.from_json({"problem": name})
 
 
 @dataclass(frozen=True, eq=False)
@@ -699,10 +758,3 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
     moved = resolvent_rows(inst.S, mus, shifted)
     dists = np.linalg.norm(moved - x[None, :], axis=1)
     return bool(np.all(dists <= bound + tol))
-
-
-def nearest_known_solution_distance(inst: ProblemInstance, x) -> float:
-    if not inst.known_solutions:
-        raise MissingSolutions("instance has no known solutions")
-    x = as_point(x, inst.dim)
-    return min(float(np.linalg.norm(x - s)) for s in inst.known_solutions)

@@ -27,7 +27,7 @@ from .errors import (
     NegativeExponent,
     TableRangeError,
 )
-from .fields import field, integer, list_of, only, rational, string
+from .fields import INTEGER, RATIONAL, Field, field, integer, list_of, read_form, string, write_form
 
 #: Default cap for symbolic bounds: values above this become Overflow markers.
 DEFAULT_CAP = 10 ** 10000
@@ -207,9 +207,12 @@ class NaturalBound:
 # modulus functions
 # --------------------------------------------------------------------------
 
-# the JSON fields of each kind of modulus
-_KINDS = {"identity": (), "affine": ("a", "b"), "polynomial": ("coeffs",), "table": ("values",),
-          "power_rate": ("c", "p"), "power_sum_rate": ("c", "p")}
+# the JSON form of each kind of modulus
+_NATURALS = Field(list_of(integer), list)
+_POWER = {"c": RATIONAL, "p": INTEGER}
+_KINDS = {"identity": {}, "affine": {"a": INTEGER, "b": INTEGER},
+          "polynomial": {"coeffs": _NATURALS}, "table": {"values": _NATURALS},
+          "power_rate": _POWER, "power_sum_rate": _POWER}
 
 
 @dataclass(frozen=True)
@@ -309,35 +312,16 @@ class ModulusFn:
         return self.kind != "table" or all(x <= y for x, y in zip(self.values, self.values[1:]))
 
     def to_json(self) -> dict:
-        if self.kind == "identity":
-            return {"kind": "identity"}
-        if self.kind == "affine":
-            return {"kind": "affine", "a": self.a, "b": self.b}
-        if self.kind == "polynomial":
-            return {"kind": "polynomial", "coeffs": list(self.coeffs)}
-        if self.kind == "table":
-            return {"kind": "table", "values": list(self.values)}
-        return {"kind": self.kind, "c": str(self.c), "p": self.p}
+        return {"kind": self.kind, **write_form(self, _KINDS[self.kind])}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModulusFn":
         kind = field(obj, "kind", string)
         if kind not in _KINDS:
             raise ConfigError(f"unknown modulus kind {kind!r}")
-        only(obj, {"kind", *_KINDS[kind]}, "modulus fields")
+        values = read_form(obj, _KINDS[kind], "modulus fields", "kind")
         try:  # the constructor checks ranges: naturals, c > 0, p >= 1 (2 for sums)
-            if kind == "identity":
-                return cls.identity()
-            if kind == "affine":
-                return cls.affine(field(obj, "a", integer), field(obj, "b", integer))
-            if kind == "polynomial":
-                return cls.polynomial(field(obj, "coeffs", list_of(integer)))
-            if kind == "table":
-                return cls.table(field(obj, "values", list_of(integer)))
-            c = field(obj, "c", rational)
-            if kind == "power_rate":
-                return cls.power_rate(c, field(obj, "p", integer))
-            return cls.power_sum_rate(c, field(obj, "p", integer))
+            return cls(kind, **values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -377,11 +361,7 @@ def varpi_prime(k: int, b_bound: int, varpi: ModulusFn) -> int:
 def chi(r: int, n: int, m: int, e_a: RationalUpper, cap: int = DEFAULT_CAP) -> NaturalBound:
     """Index bound for locating a quasi-stationary window: the larger of the
     shifted window end and the growth-compensated search start."""
-    return NaturalBound.of(_chi_int(r, n, m, e_a), cap)
-
-
-def _chi_int(r: int, n: int, m: int, e_a: RationalUpper) -> int:
-    return _chi(r, n, m, *e_a.value.as_integer_ratio())
+    return NaturalBound.of(_chi(r, n, m, *e_a.value.as_integer_ratio()), cap)
 
 
 def _chi(r: int, n: int, m: int, e_num: int, e_den: int) -> int:

@@ -31,7 +31,7 @@ from .errors import (
     NonPositiveParameter,
     SingularSystem,
 )
-from .fields import field, floats, integer, only, string
+from .fields import FLOATS, INTEGER, field, read_form, string, write_form
 
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -140,12 +140,6 @@ class ValueSet:
         p = as_point(p, self.dim)
         return np.minimum(np.maximum(p, self.lo), self.hi)
 
-    def minkowski_diff(self, other: "ValueSet") -> "ValueSet":
-        """The interval product {u - v : u in self, v in other}."""
-        if other.dim != self.dim:
-            raise DimensionMismatch("dimension mismatch in set difference")
-        return ValueSet(self.lo - other.hi, self.hi - other.lo)
-
 
 def sup_dist_sq(p_set: ValueSet, q_set: ValueSet) -> float:
     """sup over p in P of dist(p, Q)^2, exact for interval products.
@@ -176,8 +170,8 @@ def sup_dist_sq(p_set: ValueSet, q_set: ValueSet) -> float:
 class _Operator:
     """The forms most catalog classes share.
 
-    A subclass names its JSON ``kind`` and maps each dataclass field to the
-    ``fields`` converter that reads it (``json_fields``), and defines
+    A subclass names its JSON ``kind`` and declares its JSON form
+    (``json_fields``: each dataclass field to its ``fields.Field``), and defines
     ``resolvent_rows``, ``value_rows``, the scalar ``resolvent1`` and
     ``coordinate(j)``: the 1-D operator whose scalar forms step coordinate j
     exactly as the row forms do, or None when the operator couples
@@ -199,7 +193,7 @@ class AffinePSD(_Operator):
     """x -> {A x + b} with A symmetric positive semidefinite."""
 
     kind = "affine_psd"
-    json_fields = {"matrix": floats, "offset": floats}
+    json_fields = {"matrix": FLOATS, "offset": FLOATS}
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -291,7 +285,7 @@ class SubdiffAbsSum(_Operator):
     """Subdifferential of x -> sum_i |x_i| (coordinatewise sign intervals)."""
 
     kind = "subdiff_abs"
-    json_fields = {"dim": integer}
+    json_fields = {"dim": INTEGER}
 
     dim: int
 
@@ -334,7 +328,7 @@ class NormalConeBox(_Operator):
     """Normal cone of the box [lo, hi]; domain is the box itself."""
 
     kind = "normal_cone_box"
-    json_fields = {"lo": floats, "hi": floats}
+    json_fields = {"lo": FLOATS, "hi": FLOATS}
 
     lo: np.ndarray
     hi: np.ndarray
@@ -384,7 +378,7 @@ class ZeroOperator(_Operator):
     """x -> {0}."""
 
     kind = "zero"
-    json_fields = {"dim": integer}
+    json_fields = {"dim": INTEGER}
 
     dim: int
 
@@ -487,8 +481,7 @@ _CATALOG = {cls.kind: cls for cls in (AffinePSD, SubdiffAbsSum, NormalConeBox, Z
 
 
 def operator_to_json(op) -> dict:
-    fields = {name: np.asarray(getattr(op, name)).tolist() for name in op.json_fields}
-    return {"kind": op.kind, **fields}
+    return {"kind": op.kind, **write_form(op, op.json_fields)}
 
 
 def operator_from_json(obj: dict):
@@ -496,5 +489,4 @@ def operator_from_json(obj: dict):
     if kind not in _CATALOG:
         raise ConfigError(f"unknown operator kind {kind!r}")
     cls = _CATALOG[kind]
-    only(obj, {"kind", *cls.json_fields}, "operator fields")
-    return cls(**{name: field(obj, name, read) for name, read in cls.json_fields.items()})
+    return cls(**read_form(obj, cls.json_fields, "operator fields", "kind"))

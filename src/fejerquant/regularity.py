@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
-from .fields import field, floats, list_of, only, rational, string
+from .fields import FLOATS, RATIONAL, Field, field, list_of, rational, read_form, string, write_form
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -130,7 +130,7 @@ class RegularityModulus:
     entries: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("linear", "table"):
+        if self.kind not in _REGULARITY_KINDS:
             raise ConfigError(f"unknown regularity modulus kind {self.kind!r}")
         if self.provenance not in ("analytic", "grid-oracle"):
             raise ConfigError(f"unknown provenance {self.provenance!r}")
@@ -165,35 +165,25 @@ class RegularityModulus:
         )
 
     def to_json(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "provenance": self.provenance,
-            "center": [float(v) for v in self.center],
-            "radius": str(self.radius),
-        }
-        if self.kind == "linear":
-            out["scale"] = str(self.scale)
-        else:
-            out["entries"] = [{"eps": str(e), "phi": str(p)} for e, p in self.entries]
-        return out
+        return {"kind": self.kind, **write_form(self, _REGULARITY_KINDS[self.kind])}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegularityModulus":
         kind = field(obj, "kind", string)
-        allowed = {"kind", "provenance", "center", "radius"}
-        allowed |= {"scale"} if kind == "linear" else {"entries"}
-        only(obj, allowed, "regularity modulus fields")
-        center = field(obj, "center", floats)
-        radius = field(obj, "radius", rational)
-        provenance = field(obj, "provenance", string)
-        if kind == "linear":
-            return cls(kind, center, radius, provenance, scale=field(obj, "scale", rational))
-        entries = field(obj, "entries", list_of(_entry_from_json))
-        return cls(kind, center, radius, provenance, entries=tuple(entries))
+        if kind not in _REGULARITY_KINDS:
+            raise ConfigError(f"unknown regularity modulus kind {kind!r}")
+        form = _REGULARITY_KINDS[kind]
+        return cls(kind, **read_form(obj, form, "regularity modulus fields", "kind"))
 
 
-def _entry_from_json(obj: dict) -> tuple:
-    return field(obj, "eps", rational), field(obj, "phi", rational)
+# the JSON form of each kind of regularity modulus; a table entry (eps, phi)
+# is the JSON object {"eps": ..., "phi": ...}
+_ENTRY = ("eps", "phi")
+_ENTRIES = Field(list_of(lambda obj: tuple(field(obj, key, rational) for key in _ENTRY)),
+                 lambda entries: [dict(zip(_ENTRY, map(str, entry))) for entry in entries])
+_BALL = {"provenance": Field(string), "center": FLOATS, "radius": RATIONAL}
+_REGULARITY_KINDS = {"linear": {**_BALL, "scale": RATIONAL},
+                     "table": {**_BALL, "entries": _ENTRIES}}
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .operators import (
     AffinePSD,
     evaluate,
     minimal_selection,
-    operator_to_json,
     resolvent_rows,
     row_norms,
     yosida,
@@ -104,13 +103,11 @@ class Certificate:
 
 
 def _instance_params(inst: ProblemInstance) -> dict:
-    return {
-        "T": operator_to_json(inst.T),
-        "S": operator_to_json(inst.S),
-        "x0": [float(v) for v in inst.x0],
-        "schedule": inst.schedule.to_json(),
-        "quant": inst.quant.to_json(),
-    }
+    """The instance's config form, its problem inlined without the known solutions."""
+    cfg = inst.to_json()
+    problem = cfg.pop("problem")
+    del problem["known_solutions"]
+    return {**problem, **cfg}
 
 
 # --------------------------------------------------------------------------
@@ -288,27 +285,27 @@ def check_approx_error(
 # --------------------------------------------------------------------------
 
 
-def find_metastable(trace: Trace, k: int, g: Counterfunction) -> Optional[int]:
-    """Smallest N whose window [N, N + g(N)] has diameter <= 1/(k+1)
-    (nonstrict, matching the certified conclusion); None when no candidate
-    window fits in the trace."""
+def _metastable_windows(trace: Trace, k: int, g: Counterfunction):
+    """The windows [n, n + g(n)] within the trace of diameter <= 1/(k+1)
+    (nonstrict, matching the certified conclusion), in order of n."""
     bound = 1 / (k + 1)  # exact int division: no OverflowError for a huge k
     for n in range(trace.steps + 1):
-        width = g(n)
-        if n + width > trace.steps:
-            continue
-        if trace.window_diameter(n, n + width) <= bound:
-            return n
-    return None
+        end = n + g(n)
+        if end <= trace.steps and trace.window_diameter(n, end) <= bound:
+            yield n, end
 
 
-def _window_in_gamma(inst: ProblemInstance, trace: Trace, k: int, a: int, b: int) -> bool:
-    for i in range(a, b + 1):
-        lam = trace.lambdas[i] if i < trace.steps else inst.schedule.lam(i)
-        y = gamma_witness(inst, trace.points[i], lam)
-        if not gamma_k_check(inst, trace.points[i], k, y):
-            return False
-    return True
+def find_metastable(trace: Trace, k: int, g: Counterfunction) -> Optional[int]:
+    """Smallest N whose window [N, N + g(N)] has diameter <= 1/(k+1); None
+    when no candidate window fits in the trace."""
+    return next((n for n, _ in _metastable_windows(trace, k, g)), None)
+
+
+def _in_gamma(inst: ProblemInstance, trace: Trace, k: int, i: int) -> bool:
+    """Whether iterate i is a level-k approximate solution with its canonical
+    Yosida witness at its own stage parameter."""
+    lam = trace.lambdas[i] if i < trace.steps else inst.schedule.lam(i)
+    return gamma_k_check(inst, trace.points[i], k, gamma_witness(inst, trace.points[i], lam))
 
 
 def certify_metastability(
@@ -358,14 +355,8 @@ def certify_metastability(
         # second conclusion: some window within the strengthened rate consists
         # entirely of level-k approximate solutions
         n_gamma = None
-        bnd = 1 / (k + 1)
-        for n in range(trace.steps + 1):
-            width = g(n)
-            if n + width > trace.steps:
-                continue
-            if trace.window_diameter(n, n + width) <= bnd and _window_in_gamma(
-                inst, trace, k, n, n + width
-            ):
+        for n, end in _metastable_windows(trace, k, g):
+            if all(_in_gamma(inst, trace, k, i) for i in range(n, end + 1)):
                 n_gamma = n
                 break
         witness["N_gamma"] = n_gamma
@@ -441,14 +432,6 @@ class EmpiricalPhi:
             f"the tested rectangle [0,{self.k_max}]x[0,{self.n_max}] "
             "and the trace tail is not verified stationary"
         )
-
-    def describe(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "k_max": self.k_max,
-            "n_max": self.n_max,
-            "stationary_from": self.stationary_from,
-        }
 
 
 def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> bool:
@@ -582,13 +565,7 @@ def check_liminf_witness(
     bound_val = phi_liminf(k, n, inst.quant, phi_search)
     bound = NaturalBound.of(bound_val)
     top = min(bound_val, trace.steps)
-    found = None
-    for i in range(n, top + 1):
-        lam = trace.lambdas[i] if i < trace.steps else inst.schedule.lam(i)
-        y = gamma_witness(inst, trace.points[i], lam)
-        if gamma_k_check(inst, trace.points[i], k, y):
-            found = i
-            break
+    found = next((i for i in range(n, top + 1) if _in_gamma(inst, trace, k, i)), None)
     vacuous = bound_val > trace.steps and found is None
     violations = ()
     if found is None:

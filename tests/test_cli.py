@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fejerquant as fq
-from fejerquant.cli import _parse_cap, build_instance, main, preset
+from fejerquant import preset
+from fejerquant.cli import _parse_cap, build_instance, main
 from fejerquant.errors import UnknownPreset
 from fejerquant.operators import NormalConeBox, SubdiffAbsSum
 
@@ -43,6 +44,21 @@ def test_presets_satisfy_their_certified_constants():
     for name in ("dc-abs-1d", "affine-affine-nd", "box-affine-nd"):
         inst = preset(name)
         inst.quant.validate_against(inst.schedule)
+
+
+def test_importing_the_package_does_not_import_the_cli():
+    # the presets live beside ProblemInstance, so the library needs no argparse
+    src = os.path.dirname(os.path.dirname(fq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, fejerquant; fejerquant.preset('dc-abs-1d'); "
+        "print(sorted({'fejerquant.cli', 'argparse'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # --------------------------------------------------------------------------

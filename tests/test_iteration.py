@@ -19,7 +19,6 @@ from fejerquant.errors import (
     DomainError,
     HorizonExceeded,
     InvariantViolation,
-    MissingSolutions,
     ScheduleError,
 )
 from fejerquant.iteration import (
@@ -31,7 +30,6 @@ from fejerquant.iteration import (
     Trace,
     gamma_k_check,
     gamma_witness,
-    nearest_known_solution_distance,
     rule_from_json,
     run,
 )
@@ -262,16 +260,6 @@ def test_search_region_membership():
     ba = fq.preset("box-affine-nd")
     assert ba.in_search_region([0.0, 1.0])
     assert not ba.in_search_region([0.5, 1.5])  # inside the L-ball, outside dom S
-
-
-def test_nearest_known_solution():
-    inst = dc_instance()
-    assert nearest_known_solution_distance(inst, [0.4]) == pytest.approx(0.4, abs=1e-12)
-    assert nearest_known_solution_distance(inst, [0.9]) == pytest.approx(0.1, abs=1e-12)
-    with pytest.raises(MissingSolutions):
-        nearest_known_solution_distance(
-            dataclasses.replace(inst, known_solutions=()), [0.4]
-        )
 
 
 # --------------------------------------------------------------------------

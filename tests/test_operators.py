@@ -94,14 +94,6 @@ def test_value_set_rejects_bad_bounds():
         ValueSet(np.array([0.0]), np.array([0.0, 1.0]))
 
 
-def test_minkowski_difference():
-    a = ValueSet(np.array([2.0]), np.array([2.0]))
-    b = ValueSet(np.array([-1.0]), np.array([1.0]))
-    d = a.minkowski_diff(b)
-    assert d.lo[0] == 1.0 and d.hi[0] == 3.0
-    assert d.dist_point([0.0]) == pytest.approx(1.0, abs=EXACT)
-
-
 def test_sup_dist_handles_infinite_rays():
     ray = ValueSet(np.array([-np.inf]), np.array([0.0]))
     pt = ValueSet.singleton([0.0])

@@ -348,7 +348,6 @@ def test_empirical_phi_stationary_completion():
     assert phi.stationary_from == 1
     assert phi(50, 10_000) == 10_000  # completion: max(n, stationary index)
     assert phi(50, 0) == 1
-    assert phi.describe()["stationary_from"] == 1
 
 
 def test_empirical_phi_without_instance_does_not_extrapolate():
