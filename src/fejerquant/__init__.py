@@ -61,14 +61,15 @@ from .operators import (
     AffinePSD,
     NormalConeBox,
     SubdiffAbsSum,
-    ValueSet,
     ZeroOperator,
     evaluate,
-    hstar_check,
+    in_box,
+    least_norm,
     minimal_selection,
     resolvent,
     resolvent_identity_residual,
     resolvent_rows,
+    value_rows,
     yosida,
     yosida_rows,
 )

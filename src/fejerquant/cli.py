@@ -178,7 +178,6 @@ def _task_certify_metastability(
         use_psi_prime=use_psi_prime,
         check_gamma=check_gamma,
         cap=cap,
-        phi_provenance=phi.provenance,
     )
     label = str(k)
     if len(label) > 64:  # keep the file name within the usual 255-byte limit

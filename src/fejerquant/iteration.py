@@ -34,12 +34,11 @@ from .moduli import ModulusFn
 from .operators import (
     NormalConeBox,
     SignedZeroSolve,
-    ValueSet,
     as_point,
+    dist_sq_rows,
     domain_contains,
     evaluate,
-    hstar_check,
-    minimal_selection,
+    least_norm,
     operator_from_json,
     operator_to_json,
     resolvent,
@@ -139,10 +138,6 @@ class PowerRule:
         if self.p < 1:
             raise ScheduleError("a closed-form rate needs a decaying power rule")
         return ModulusFn.power_rate(self.c, self.p)
-
-    def sum_rate(self) -> ModulusFn:
-        """xi: a Cauchy rate for the partial sums of the values, exact (needs p >= 2)."""
-        return ModulusFn.power_sum_rate(self.c, self.p)
 
     def to_json(self) -> dict:
         return {"rule": self.rule, **write_form(self, self.json_fields)}
@@ -734,8 +729,8 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
 
     Three clauses, each with additive tolerance ``tol``:
     (i)  the witness norm matches the minimal selection norm of T to 1/(k+1);
-    (ii) the witness lies within 1/(k+1) of the value set T(x) (one-sided
-         Hausdorff excess of the singleton);
+    (ii) the witness lies within 1/(k+1) of the value set T(x) (squared
+         distance against squared bound, exact per coordinate);
     (iii) for every stage i <= k, x moves by at most 1/(k+1) under the stage-i
           resolvent step driven by y.
     """
@@ -747,14 +742,14 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
         raise DomainError("point outside the search region (L-ball and domain of S)")
     if k > inst.schedule.horizon:
         raise HorizonExceeded(f"stratum {k} needs stages beyond the horizon")
-    bound = 1.0 / (k + 1)
-    t_min = minimal_selection(inst.T, x)
-    if abs(float(np.linalg.norm(y)) - float(np.linalg.norm(t_min))) > bound + tol:
+    eps = 1.0 / (k + 1) + tol
+    lo, hi = evaluate(inst.T, x)
+    if abs(float(np.linalg.norm(y)) - float(np.linalg.norm(least_norm(lo, hi)))) > eps:
         return False
-    if not hstar_check(ValueSet.singleton(y), evaluate(inst.T, x), bound + tol):
+    if not dist_sq_rows(lo[None], hi[None], y[None])[0] <= eps * eps:
         return False
     mus = inst.schedule.mus(0, k + 1)
     shifted = x[None, :] + mus[:, None] * y[None, :]
     moved = resolvent_rows(inst.S, mus, shifted)
     dists = np.linalg.norm(moved - x[None, :], axis=1)
-    return bool(np.all(dists <= bound + tol))
+    return bool(np.all(dists <= eps))

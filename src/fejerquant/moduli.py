@@ -427,7 +427,6 @@ def psi(
     *,
     cap: int = DEFAULT_CAP,
     chi_floor: Optional[int] = None,
-    p_override: Optional[int] = None,
 ) -> NaturalBound:
     """Rate of metastability for the iteration's trajectory.
 
@@ -435,21 +434,18 @@ def psi(
     points: Psi_0(0) = 0, Psi_0(i+1) = Phi(chi_g^M(Psi_0(i), 8k+7), xi~(8k+7)),
     returning Psi_0(P). The sequence is monotone nondecreasing (asserted).
     Values above ``cap`` collapse to the symbolic overflow marker.
-
-    ``p_override`` forcibly replaces the net size P (test hook; P = 0 gives 0).
     """
     e_a = exp_upper(q.A)
     p_nb = total_boundedness_P(k, e_a, sqrt_upper(q.d), q.L, q.d, cap)
     if p_nb.is_overflow:
         return NaturalBound.overflow()
-    p_count = int(p_nb) if p_override is None else p_override
     m = 8 * k + 7
     xt = xi_tilde(m, q.M, e_a, q.xi)
     e_num, e_den = e_a.value.as_integer_ratio()
     c_num, c_den = Fraction(q.C).as_integer_ratio()
     monotone = g.is_monotone
     val = 0
-    for _ in range(p_count):
+    for _ in range(int(p_nb)):
         # chi_g^M(val) = max over i <= val of chi(i, g(i), m); chi is monotone
         # in both index slots, so a monotone g needs only the endpoint
         top = (val,) if val == 0 or monotone else range(val + 1)

@@ -2,8 +2,15 @@
 
 Every operator here is separable or affine, so set values are interval
 products, resolvents are exact formulas, and all the set computations a
-certificate needs (distances, one-sided Hausdorff excess, minimal-norm
-selections) reduce to per-coordinate interval arithmetic.
+certificate needs (membership, distances, least-norm elements) reduce to
+per-coordinate interval arithmetic.
+
+A value set is a pair of bound arrays ``(lo, hi)``: the product of the
+intervals [lo_i, hi_i], with -inf/+inf endpoints for rays (normal cones).
+``value_rows(op, xs)`` gives one bound row per point, checked by
+``check_bounds``; ``evaluate(op, x)`` is its one-row case. ``in_box`` decides
+membership, ``least_norm`` the least-norm element and ``dist_sq_rows`` the
+squared distance from a point, each in one place.
 
 Each catalog class owns its forms over an (N, d) array of points: its value
 sets as bound rows (``value_rows``), its domain as a row mask
@@ -67,6 +74,8 @@ def as_rows(xs, dim: int) -> np.ndarray:
 
 def check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
     """The interval-product invariants, on bound arrays of any matching shape."""
+    if lo.shape != hi.shape:
+        raise DimensionMismatch("interval product needs matching bounds")
     if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
         raise InvariantViolation("interval bounds cannot be NaN")
     if np.any(lo > hi):
@@ -75,16 +84,34 @@ def check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
         raise InvariantViolation("degenerate infinite endpoints")
 
 
-def dist_rows(lo: np.ndarray, hi: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Row i: the Euclidean distance from ps[i] to the product of [lo[i], hi[i]].
+def in_box(lo: np.ndarray, hi: np.ndarray, p, tol: float = 0.0) -> bool:
+    """Whether the point p lies in the product of [lo_i - tol, hi_i + tol]."""
+    p = as_point(p, lo.shape[0])
+    return bool(np.all(p >= lo - tol) and np.all(p <= hi + tol))
 
-    Exact per coordinate, summed in coordinate order like a per-point loop.
+
+def least_norm(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The least-norm point of each box: the origin clamped into [lo, hi]."""
+    return np.minimum(np.maximum(0.0, lo), hi)
+
+
+def dist_sq_rows(lo: np.ndarray, hi: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Row i: the squared Euclidean distance from ps[i] to the product of
+    [lo[i], hi[i]].
+
+    Exact per coordinate, summed from 0.0 in coordinate order like a
+    per-point loop; a ray endpoint gives a gap of 0 on its side.
     """
     total = np.zeros(ps.shape[0])
     for i in range(ps.shape[1]):
         gap = np.maximum(np.maximum(lo[:, i] - ps[:, i], ps[:, i] - hi[:, i]), 0.0)
         total = total + gap * gap
-    return np.sqrt(total)
+    return total
+
+
+def dist_rows(lo: np.ndarray, hi: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Row i: the Euclidean distance from ps[i] to the product of [lo[i], hi[i]]."""
+    return np.sqrt(dist_sq_rows(lo, hi, ps))
 
 
 def row_norms(r: np.ndarray) -> np.ndarray:
@@ -95,71 +122,6 @@ def row_norms(r: np.ndarray) -> np.ndarray:
     """
     squares = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
     return np.sqrt(squares, out=squares)
-
-
-@dataclass(frozen=True, eq=False)
-class ValueSet:
-    """A per-coordinate interval product [lo_1, hi_1] x ... x [lo_d, hi_d].
-
-    Endpoints may be -inf/+inf (normal cones); lo <= hi coordinatewise and a
-    lower endpoint is never +inf, an upper never -inf.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise DimensionMismatch("interval product needs matching 1-D bounds")
-        check_bounds(lo, hi)
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    @classmethod
-    def singleton(cls, v) -> "ValueSet":
-        v = as_point(v)
-        return cls(v.copy(), v.copy())
-
-    def contains(self, p, tol: float = 0.0) -> bool:
-        p = as_point(p, self.dim)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
-
-    def dist_point(self, p) -> float:
-        """Euclidean distance from point p to the set (exact per coordinate)."""
-        p = as_point(p, self.dim)
-        return float(dist_rows(self.lo[None], self.hi[None], p[None])[0])
-
-    def project(self, p) -> np.ndarray:
-        """Nearest point of the set to p (per-coordinate clamp)."""
-        p = as_point(p, self.dim)
-        return np.minimum(np.maximum(p, self.lo), self.hi)
-
-
-def sup_dist_sq(p_set: ValueSet, q_set: ValueSet) -> float:
-    """sup over p in P of dist(p, Q)^2, exact for interval products.
-
-    Per coordinate the farthest p sits at an endpoint of P's interval, so the
-    worst-case excess is max(Q.lo - P.lo, P.hi - Q.hi, 0).
-    """
-    if p_set.dim != q_set.dim:
-        raise DimensionMismatch("dimension mismatch in excess computation")
-    total = 0.0
-    for i in range(p_set.dim):
-        plo, phi = p_set.lo[i], p_set.hi[i]
-        qlo, qhi = q_set.lo[i], q_set.hi[i]
-        below = 0.0 if (plo == -np.inf and qlo == -np.inf) else qlo - plo
-        above = 0.0 if (phi == np.inf and qhi == np.inf) else phi - qhi
-        gap = max(below, above, 0.0)
-        if gap == np.inf:
-            return float("inf")
-        total += gap * gap
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -402,11 +364,17 @@ def domain_contains(op, x, tol: float = 0.0) -> bool:
     return bool(op.domain_rows(x[None], tol)[0])
 
 
-def evaluate(op, x) -> ValueSet:
-    """The set value at x as an interval product."""
-    x = as_point(x, op.dim)
-    lo, hi = op.value_rows(x[None])
-    return ValueSet(lo[0], hi[0])
+def value_rows(op, xs) -> tuple:
+    """Row i of (lo, hi) bounds the value set of op at xs[i]; shape (N, d) each."""
+    lo, hi = op.value_rows(as_rows(xs, op.dim))
+    check_bounds(lo, hi)
+    return lo, hi
+
+
+def evaluate(op, x) -> tuple:
+    """The value set at x as its bounds (lo, hi): the one-row case of value_rows."""
+    lo, hi = value_rows(op, as_point(x, op.dim)[None])
+    return lo[0], hi[0]
 
 
 def _row_args(op, lams, xs) -> tuple:
@@ -444,19 +412,8 @@ def yosida(op, lam: float, x) -> np.ndarray:
 
 
 def minimal_selection(op, x) -> np.ndarray:
-    """The least-norm element of the value set (projection of the origin)."""
-    vs = evaluate(op, x)
-    return vs.project(np.zeros(vs.dim))
-
-
-def hstar_check(p_set: ValueSet, q_set: ValueSet, eps: float) -> bool:
-    """One-sided Hausdorff excess test: every p in P within eps of Q.
-
-    Decided exactly for interval products via per-coordinate worst cases.
-    """
-    if eps < 0:
-        raise ValueError("excess threshold must be >= 0")
-    return sup_dist_sq(p_set, q_set) <= eps * eps
+    """The least-norm element of the value set at x."""
+    return least_norm(*evaluate(op, x))
 
 
 def resolvent_identity_residual(op, gamma: float, lam: float, x) -> float:

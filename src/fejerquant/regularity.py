@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
-from .fields import FLOATS, RATIONAL, Field, field, list_of, rational, read_form, string, write_form
+from .fields import FLOATS, RATIONAL, Field, field, list_of, read_form, string, write_form
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -34,8 +34,10 @@ from .operators import (
     as_rows,
     check_bounds,
     dist_rows,
+    least_norm,
     resolvent_rows,
     row_norms,
+    value_rows,
 )
 
 _GAP_VARIANTS = ("F1", "F2", "FDiff")
@@ -68,12 +70,6 @@ def _in_domain(inst: ProblemInstance, xs: np.ndarray) -> np.ndarray:
     return inst.T.domain_rows(xs) & inst.S.domain_rows(xs)
 
 
-def _value_rows(op, xs: np.ndarray):
-    lo, hi = op.value_rows(xs)
-    check_bounds(lo, hi)
-    return lo, hi
-
-
 def eval_gaps(gap: GapFunctional, xs) -> np.ndarray:
     """The gap at every row of an (N, d) array of points, shape (N,).
 
@@ -85,17 +81,15 @@ def eval_gaps(gap: GapFunctional, xs) -> np.ndarray:
     xs = as_rows(xs, inst.dim)
     if not np.all(_in_domain(inst, xs)):
         raise DomainError(_OUTSIDE)
-    t_lo, t_hi = _value_rows(inst.T, xs)
-    zero = np.zeros_like(xs)
+    t_lo, t_hi = value_rows(inst.T, xs)
     if gap.variant == "FDiff":
-        s_lo, s_hi = _value_rows(inst.S, xs)
+        s_lo, s_hi = value_rows(inst.S, xs)
         lo, hi = t_lo - s_hi, t_hi - s_lo
         check_bounds(lo, hi)
-        return dist_rows(lo, hi, zero)
-    # the minimal selection of T: the origin clamped into T's value set
-    t_min = np.minimum(np.maximum(zero, t_lo), t_hi)
+        return dist_rows(lo, hi, np.zeros_like(xs))
+    t_min = least_norm(t_lo, t_hi)  # the minimal selection of T
     if gap.variant == "F2":
-        return dist_rows(*_value_rows(inst.S, xs), t_min)
+        return dist_rows(*value_rows(inst.S, xs), t_min)
     mu0 = inst.schedule.mu(0)
     moved = resolvent_rows(inst.S, np.full(xs.shape[0], mu0), xs + mu0 * t_min)
     return row_norms(xs - moved)
@@ -178,9 +172,11 @@ class RegularityModulus:
 
 # the JSON form of each kind of regularity modulus; a table entry (eps, phi)
 # is the JSON object {"eps": ..., "phi": ...}
-_ENTRY = ("eps", "phi")
-_ENTRIES = Field(list_of(lambda obj: tuple(field(obj, key, rational) for key in _ENTRY)),
-                 lambda entries: [dict(zip(_ENTRY, map(str, entry))) for entry in entries])
+_ENTRY = {"eps": RATIONAL, "phi": RATIONAL}
+_ENTRIES = Field(
+    list_of(lambda obj: tuple(read_form(obj, _ENTRY, "regularity table entry fields").values())),
+    lambda entries: [dict(zip(_ENTRY, map(str, entry))) for entry in entries],
+)
 _BALL = {"provenance": Field(string), "center": FLOATS, "radius": RATIONAL}
 _REGULARITY_KINDS = {"linear": {**_BALL, "scale": RATIONAL},
                      "table": {**_BALL, "entries": _ENTRIES}}

@@ -42,6 +42,7 @@ from .moduli import (
 from .operators import (
     AffinePSD,
     evaluate,
+    in_box,
     minimal_selection,
     resolvent_rows,
     row_norms,
@@ -151,7 +152,7 @@ def check_quasi_fejer(
     for i, x_star in enumerate(inst.known_solutions):
         y_star = minimal_selection(inst.T, x_star)
         t_norm = float(np.linalg.norm(y_star))
-        if not evaluate(inst.S, x_star).contains(y_star, _SLACK):
+        if not in_box(*evaluate(inst.S, x_star), y_star, _SLACK):
             found.append(tuple(np.array([v]) for v in (i, 0, 0, _PREMISE, np.nan, np.nan)))
             continue
         kept.append(i)
@@ -319,7 +320,6 @@ def certify_metastability(
     use_psi_prime: bool = False,
     check_gamma: bool = False,
     cap: int = DEFAULT_CAP,
-    phi_provenance: str = "analytic",
 ) -> Certificate:
     """Certify the metastability bound on a concrete run.
 
@@ -327,6 +327,8 @@ def certify_metastability(
     exact big-integer arithmetic, and reports N <= Psi. Optionally also
     evaluates the strengthened rate Psi' and checks that the window consists
     of approximate solutions (membership via canonical Yosida witnesses).
+    The certificate's ``phi_search`` provenance is the modulus's own
+    ``provenance`` (an ``EmpiricalPhi``), else "analytic".
     """
     if trace is None:
         trace = run(inst, horizon)
@@ -385,7 +387,7 @@ def certify_metastability(
         sound=sound,
         vacuous=vacuous,
         violations=tuple(violations),
-        provenance={"phi_search": phi_provenance},
+        provenance={"phi_search": getattr(phi_search, "provenance", "analytic")},
     )
 
 
@@ -445,14 +447,14 @@ def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> boo
     endpoints, and both endpoints (lambda -> 0 and lambda = B) lie in the
     closed interval S(x_bar).
     """
-    s_val = evaluate(inst.S, x_bar)
+    s_lo, s_hi = evaluate(inst.S, x_bar)
     zero = np.zeros(inst.dim)
-    if evaluate(inst.T, x_bar).contains(zero) and s_val.contains(zero):
+    if in_box(*evaluate(inst.T, x_bar), zero) and in_box(s_lo, s_hi, zero):
         return True
     if isinstance(inst.T, AffinePSD) and inst.T.is_diagonal:
         limit = inst.T.matrix @ x_bar + inst.T.offset
         at_b = yosida(inst.T, float(inst.quant.B), x_bar)
-        return s_val.contains(limit) and s_val.contains(at_b)
+        return in_box(s_lo, s_hi, limit) and in_box(s_lo, s_hi, at_b)
     return False
 
 

@@ -269,6 +269,13 @@ MALFORMED_VALUES = {
     ),
     "cauchy b 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "b": "1/0"}}, "b: expected"),
     "cauchy eps 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "eps": ["1/0"]}}, "eps:"),
+    "phi_reg table entry key": (
+        "cauchy-modulus",
+        {"params": {"b": "1/2", "phi_reg": {
+            "kind": "table", "provenance": "analytic", "center": [0.0], "radius": "5",
+            "entries": [{"eps": "1/4", "phi": "1/8", "phii": "9"}]}}},
+        "phi_reg: entries: unknown regularity table entry fields ['phii']",
+    ),
     "table value beyond float range": (
         "run",
         {"schedule": {"lambda": {"rule": "table", "values": [10**400]},

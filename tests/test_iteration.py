@@ -118,8 +118,6 @@ def test_schedule_json_round_trip():
 def test_closed_form_rates_from_rules():
     th = PowerRule(Fraction(1), 2).rate()
     assert th.to_json() == ModulusFn.power_rate(1, 2).to_json()
-    xi = PowerRule(Fraction(1), 4).sum_rate()
-    assert xi.to_json() == ModulusFn.power_sum_rate(1, 4).to_json()
     with pytest.raises(ScheduleError):
         PowerRule(Fraction(1), 0).rate()
 

@@ -265,11 +265,6 @@ def test_psi_stub_value():
     assert int(psi(0, ModulusFn.affine(0, 1), q, phi)) == 15
 
 
-def test_psi_with_forced_empty_net():
-    q, phi = _stub_psi_inputs()
-    assert int(psi(0, ModulusFn.affine(0, 0), q, phi, p_override=0)) == 0
-
-
 def test_psi_overflow_collapses():
     q, phi = _stub_psi_inputs()
     out = psi(0, ModulusFn.affine(0, 0), q, phi, cap=10)
@@ -530,17 +525,16 @@ def ref_chi_g_max(n, g, m, e_a):
     return max(ref_chi_int(i, g(i), m, e_a) for i in range(n + 1))
 
 
-def ref_psi(k, g, q, phi_search, *, cap=DEFAULT_CAP, chi_floor=None, p_override=None):
+def ref_psi(k, g, q, phi_search, *, cap=DEFAULT_CAP, chi_floor=None):
     e_a = exp_upper(q.A)
     sq = sqrt_upper(q.d)
     p_nb = ref_total_boundedness_P(k, e_a, sq, q.L, q.d, cap)
     if p_nb.is_overflow:
         return NaturalBound.overflow()
-    p_count = int(p_nb) if p_override is None else p_override
     m = 8 * k + 7
     xt = ref_xi_tilde(m, q.M, e_a, q.xi)
     val = 0
-    for _ in range(p_count):
+    for _ in range(int(p_nb)):
         ci = ref_chi_g_max(val, g, m, e_a)
         if chi_floor is not None and ci < chi_floor:
             ci = chi_floor

@@ -1,5 +1,9 @@
 """Operator catalog: closed-form resolvents, set values, selections.
 
+Set values are bound pairs ``(lo, hi)``; ``test_value_sets.py`` checks their
+membership, least-norm and distance helpers against the older ``ValueSet``
+object, kept there as the reference.
+
 Closed-form cases are asserted exactly or to 1e-12; sampled operator
 properties (firm nonexpansiveness, graph membership, minimal-norm
 optimality) use a fixed-seed generator so failures are reproducible.
@@ -22,19 +26,22 @@ from fejerquant.operators import (
     AffinePSD,
     NormalConeBox,
     SubdiffAbsSum,
-    ValueSet,
     ZeroOperator,
     as_point,
+    check_bounds,
+    dist_rows,
+    dist_sq_rows,
     domain_contains,
     evaluate,
-    hstar_check,
+    in_box,
+    least_norm,
     minimal_selection,
     operator_from_json,
     operator_to_json,
     resolvent,
     resolvent_identity_residual,
     resolvent_rows,
-    sup_dist_sq,
+    value_rows,
     yosida,
 )
 
@@ -61,10 +68,11 @@ def sample_domain_point(op, rng):
     return x
 
 
-def sample_value(vs, rng):
+def sample_value(box, rng):
     """A random member of an interval product (infinite rays truncated)."""
-    lo = np.where(np.isinf(vs.lo), -5.0, vs.lo)
-    hi = np.where(np.isinf(vs.hi), 5.0, vs.hi)
+    lo, hi = box
+    lo = np.where(np.isinf(lo), -5.0, lo)
+    hi = np.where(np.isinf(hi), 5.0, hi)
     return rng.uniform(lo, hi)
 
 
@@ -74,43 +82,54 @@ def sample_value(vs, rng):
 
 
 def test_value_set_basics():
-    vs = ValueSet(np.array([-1.0]), np.array([1.0]))
-    assert vs.contains([0.5])
-    assert not vs.contains([1.5])
-    assert vs.contains([1.0 + 1e-10], tol=1e-9)
-    assert vs.dist_point([2.0]) == pytest.approx(1.0, abs=EXACT)
-    assert vs.project([3.0])[0] == 1.0
-    assert ValueSet.singleton([2.0, 3.0]).dist_point([2.0, 3.0]) == 0.0
+    lo, hi = np.array([-1.0]), np.array([1.0])
+    assert in_box(lo, hi, [0.5])
+    assert not in_box(lo, hi, [1.5])
+    assert in_box(lo, hi, [1.0 + 1e-10], tol=1e-9)
+    assert dist_rows(lo[None], hi[None], np.array([[2.0]]))[0] == pytest.approx(1.0, abs=EXACT)
+    assert least_norm(lo, hi)[0] == 0.0
+    assert least_norm(np.array([0.5]), np.array([2.0]))[0] == 0.5
+    pt = np.array([[2.0, 3.0]])
+    assert dist_rows(pt, pt, pt)[0] == 0.0
+    with pytest.raises(DimensionMismatch):
+        in_box(lo, hi, [0.0, 0.0])
+    with pytest.raises(DomainError):
+        in_box(lo, hi, [np.nan])
 
 
 def test_value_set_rejects_bad_bounds():
     with pytest.raises(InvariantViolation):
-        ValueSet(np.array([1.0]), np.array([0.0]))
+        check_bounds(np.array([1.0]), np.array([0.0]))
     with pytest.raises(InvariantViolation):
-        ValueSet(np.array([np.nan]), np.array([1.0]))
+        check_bounds(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(InvariantViolation):
-        ValueSet(np.array([np.inf]), np.array([np.inf]))
+        check_bounds(np.array([np.inf]), np.array([np.inf]))
     with pytest.raises(DimensionMismatch):
-        ValueSet(np.array([0.0]), np.array([0.0, 1.0]))
+        check_bounds(np.array([0.0]), np.array([0.0, 1.0]))
+    # value_rows checks its rows as resolvent_rows does
+    with pytest.raises(DomainError):
+        value_rows(SubdiffAbsSum(1), [[np.nan]])
+    with pytest.raises(DimensionMismatch):
+        value_rows(SubdiffAbsSum(2), [[0.0]])
+    with pytest.raises(DimensionMismatch):
+        value_rows(SubdiffAbsSum(1), [0.0])
 
 
-def test_sup_dist_handles_infinite_rays():
-    ray = ValueSet(np.array([-np.inf]), np.array([0.0]))
-    pt = ValueSet.singleton([0.0])
-    assert sup_dist_sq(pt, ray) == 0.0
-    assert sup_dist_sq(ray, pt) == float("inf")
-    assert sup_dist_sq(ray, ray) == 0.0
+@np.errstate(over="ignore")
+def test_dist_sq_handles_infinite_rays():
+    ray_lo, ray_hi = np.array([[-np.inf]]), np.array([[0.0]])
+    assert dist_sq_rows(ray_lo, ray_hi, np.array([[0.0]]))[0] == 0.0
+    assert dist_sq_rows(ray_lo, ray_hi, np.array([[-1e308]]))[0] == 0.0
+    assert dist_sq_rows(ray_lo, ray_hi, np.array([[3.0]]))[0] == 9.0
+    assert dist_sq_rows(ray_lo, ray_hi, np.array([[1e308]]))[0] == np.inf
 
 
-def test_hstar_examples():
-    half = ValueSet.singleton([0.5])
-    sym = ValueSet(np.array([-1.0]), np.array([1.0]))
-    origin = ValueSet.singleton([0.0])
-    assert hstar_check(half, sym, 0.0)
-    assert not hstar_check(sym, origin, 0.5)
-    assert hstar_check(sym, origin, 1.0)
-    with pytest.raises(ValueError):
-        hstar_check(half, sym, -0.1)
+def test_witness_distance_examples():
+    # clause (ii) of the strata: a witness y within eps of the box, squared
+    lo, hi = np.array([[-1.0, 0.0]]), np.array([[1.0, 0.0]])
+    assert dist_sq_rows(lo, hi, np.array([[0.5, 0.0]]))[0] == 0.0
+    assert dist_sq_rows(lo, hi, np.array([[1.5, 0.0]]))[0] == 0.25
+    assert dist_sq_rows(lo, hi, np.array([[4.0, -4.0]]))[0] == 25.0
 
 
 def test_as_point_validation():
@@ -130,28 +149,22 @@ def test_as_point_validation():
 
 def test_evaluate_subdifferential():
     op = SubdiffAbsSum(1)
-    at0 = evaluate(op, [0.0])
-    assert at0.lo[0] == -1.0 and at0.hi[0] == 1.0
-    at = evaluate(op, [0.3])
-    assert at.lo[0] == 1.0 and at.hi[0] == 1.0
-    atm = evaluate(op, [-0.3])
-    assert atm.lo[0] == -1.0 and atm.hi[0] == -1.0
+    assert evaluate(op, [0.0]) == (-1.0, 1.0)
+    assert evaluate(op, [0.3]) == (1.0, 1.0)
+    assert evaluate(op, [-0.3]) == (-1.0, -1.0)
 
 
 def test_evaluate_affine_identity():
     op = AffinePSD(np.eye(2), np.zeros(2))
-    vs = evaluate(op, [2.0, 3.0])
-    assert vs.contains([2.0, 3.0]) and vs.lo[0] == vs.hi[0]
+    lo, hi = evaluate(op, [2.0, 3.0])
+    assert in_box(lo, hi, [2.0, 3.0]) and lo[0] == hi[0]
 
 
 def test_evaluate_normal_cone():
     op = NormalConeBox(np.array([0.0]), np.array([1.0]))
-    interior = evaluate(op, [0.5])
-    assert interior.lo[0] == 0.0 and interior.hi[0] == 0.0
-    lower = evaluate(op, [0.0])
-    assert lower.lo[0] == -np.inf and lower.hi[0] == 0.0
-    upper = evaluate(op, [1.0])
-    assert upper.lo[0] == 0.0 and upper.hi[0] == np.inf
+    assert evaluate(op, [0.5]) == (0.0, 0.0)
+    assert evaluate(op, [0.0]) == (-np.inf, 0.0)
+    assert evaluate(op, [1.0]) == (0.0, np.inf)
     with pytest.raises(DomainError):
         evaluate(op, [1.5])
     assert not domain_contains(op, [1.5])
@@ -159,8 +172,8 @@ def test_evaluate_normal_cone():
 
 
 def test_evaluate_zero_operator():
-    vs = evaluate(ZeroOperator(2), [4.0, -2.0])
-    assert vs.contains([0.0, 0.0]) and vs.lo[1] == vs.hi[1] == 0.0
+    lo, hi = evaluate(ZeroOperator(2), [4.0, -2.0])
+    assert in_box(lo, hi, [0.0, 0.0]) and lo[1] == hi[1] == 0.0
 
 
 def test_monotonicity_spot_check():
@@ -205,7 +218,7 @@ def test_resolvent_graph_membership():
             x = sample_domain_point(op, rng)
             lam = float(rng.uniform(0.05, 10.0))
             j = resolvent(op, lam, x)
-            assert evaluate(op, j).contains((x - j) / lam, tol=MEMB)
+            assert in_box(*evaluate(op, j), (x - j) / lam, tol=MEMB)
 
 
 def test_firm_nonexpansiveness_sampled():
@@ -248,9 +261,7 @@ def test_yosida_lies_in_graph_at_resolvent():
         for _ in range(60):
             x = sample_domain_point(op, rng)
             lam = float(rng.uniform(0.05, 5.0))
-            assert evaluate(op, resolvent(op, lam, x)).contains(
-                yosida(op, lam, x), tol=MEMB
-            )
+            assert in_box(*evaluate(op, resolvent(op, lam, x)), yosida(op, lam, x), tol=MEMB)
 
 
 def test_resolvent_batch_matches_single():
@@ -282,10 +293,10 @@ def test_minimal_selection_is_least_norm():
     for op in catalog():
         for _ in range(60):
             x = sample_domain_point(op, rng)
-            vs = evaluate(op, x)
+            box = evaluate(op, x)
             sel = minimal_selection(op, x)
-            assert vs.contains(sel, tol=EXACT)
-            z = sample_value(vs, rng)
+            assert in_box(*box, sel, tol=EXACT)
+            z = sample_value(box, rng)
             assert np.linalg.norm(sel) <= np.linalg.norm(z) + EXACT
             # projection anchor: the selection sees every member at an
             # obtuse angle from the origin
@@ -298,9 +309,8 @@ def test_near_minimal_members_are_near_the_selection():
     for op in catalog():
         for _ in range(80):
             x = sample_domain_point(op, rng)
-            vs = evaluate(op, x)
             sel = minimal_selection(op, x)
-            z = sample_value(vs, rng)
+            z = sample_value(evaluate(op, x), rng)
             for k in (0, 1, 4):
                 bound = 1.0 / (k + 1)
                 if float(np.dot(sel - z, -z)) <= bound * bound:
@@ -400,5 +410,5 @@ def test_operator_json_rejects_unknown():
 
 def test_norm_conventions():
     # euclidean throughout: distances of 2-d sets agree with math.hypot
-    vs = ValueSet(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-    assert vs.dist_point([0.0, 0.0]) == pytest.approx(math.hypot(1.0, 2.0), abs=EXACT)
+    pt = np.array([[1.0, 2.0]])
+    assert dist_rows(pt, pt, np.zeros((1, 2)))[0] == pytest.approx(math.hypot(1.0, 2.0), abs=EXACT)

@@ -1,9 +1,10 @@
 """The quasi-Fejer check as one offset sweep: certificates byte for byte equal
 to the double loop over (n, l) that it replaced.
 
-The reference below is that loop, kept verbatim. Every case compares the
-canonical certificate JSON, so the right-hand sides, the violation order, the
-cut at 50 violations and the ``checked`` count must all agree exactly.
+The reference below is that loop, kept verbatim, on the per-point value
+sets of ``test_value_sets``. Every case compares the canonical certificate
+JSON, so the right-hand sides, the violation order, the cut at 50
+violations and the ``checked`` count must all agree exactly.
 """
 
 import dataclasses
@@ -11,12 +12,12 @@ import json
 
 import numpy as np
 import pytest
+from test_value_sets import evaluate, minimal_selection
 
 import fejerquant as fq
 from fejerquant.errors import MissingSolutions
 from fejerquant.iteration import Trace, run
 from fejerquant.moduli import exp_upper
-from fejerquant.operators import evaluate, minimal_selection
 from fejerquant.verification import (
     _SLACK,
     Certificate,

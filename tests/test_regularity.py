@@ -193,6 +193,17 @@ def test_modulus_json_round_trip():
         RegularityModulus.from_json({"provenance": "analytic"})
 
 
+def test_table_entries_reject_unknown_keys():
+    form = {"kind": "table", "provenance": "analytic", "center": [0.0], "radius": "4"}
+    entry = {"eps": "1/4", "phi": "1/8"}
+    phi = RegularityModulus.from_json({**form, "entries": [entry]})
+    assert phi.entries == ((Fraction(1, 4), Fraction(1, 8)),)
+    with pytest.raises(ConfigError, match=r"entries: unknown .*\['phii'\]"):
+        RegularityModulus.from_json({**form, "entries": [{**entry, "phii": "9"}]})
+    with pytest.raises(ConfigError, match="entries: missing field 'phi'"):
+        RegularityModulus.from_json({**form, "entries": [{"eps": "1/4"}]})
+
+
 # --------------------------------------------------------------------------
 # the generic Cauchy modulus
 # --------------------------------------------------------------------------

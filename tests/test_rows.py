@@ -183,8 +183,8 @@ def test_row_forms_match_per_point_calls(t_kind, s_kind):
                 assert rows[i].tobytes() == want_j == resolvent(op, lam, x).tobytes()
                 assert yos[i].tobytes() == want_t == yosida(op, lam, x).tobytes()
                 lo, hi = reference_bounds(op, x)
-                vs = evaluate(op, x)
-                assert vs.lo.tobytes() == lo.tobytes() and vs.hi.tobytes() == hi.tobytes()
+                one_lo, one_hi = evaluate(op, x)
+                assert one_lo.tobytes() == lo.tobytes() and one_hi.tobytes() == hi.tobytes()
                 assert lo_rows[i].tobytes() == lo.tobytes()
                 assert hi_rows[i].tobytes() == hi.tobytes()
 

@@ -288,6 +288,21 @@ def test_metastability_certificate_on_the_catalog():
     assert int(NaturalBound.from_json(cert.witness["psi_prime"])) >= int(cert.bound)
 
 
+def test_metastability_certificate_names_the_phi_provenance():
+    # the README quickstart: an EmpiricalPhi is labelled as such, with no
+    # argument to say so; any other phi_search is an analytic input
+    inst = dc()
+    trace = run(inst, 1000)
+    phi = build_empirical_phi(trace, k_max=3, n_max=200, inst=inst)
+    cert = certify_metastability(inst, 0, G_LINEAR, phi, horizon=1000, trace=trace)
+    assert cert.provenance == {"phi_search": "empirical+stationary"}
+    empirical = EmpiricalPhi(phi.table, phi.k_max, phi.n_max, phi.stationary_from, "empirical")
+    cert = certify_metastability(inst, 0, G_LINEAR, empirical, horizon=1000, trace=trace)
+    assert cert.provenance == {"phi_search": "empirical"}
+    cert = certify_metastability(inst, 0, G_LINEAR, lambda k, n: n + k, 1000, trace=trace)
+    assert cert.provenance == {"phi_search": "analytic"}
+
+
 def test_metastability_certificate_reports_short_horizons():
     inst = dc()
     tr, phi = pilot_phi(inst)
