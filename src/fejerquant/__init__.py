@@ -4,98 +4,43 @@ The package runs the inertial resolvent scheme for finding zeros of a
 difference of maximally monotone operators, computes its quantitative moduli
 (metastability rates, Cauchy moduli, membership levels) in exact arithmetic,
 and certifies every implemented inequality empirically on recorded traces.
+
+``import fejerquant`` loads no submodule: each public name is imported from
+its module on first access (PEP 562), so a process loads only the layers it
+uses.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    EmptyGrid,
-    FejerQuantError,
-    HorizonExceeded,
-    InvariantViolation,
-    MissingSolutions,
-    NegativeExponent,
-    NonPositiveParameter,
-    ResidualFloor,
-    ScheduleError,
-    SingularSystem,
-    TableRangeError,
-    UnknownPreset,
-    ZeroInfimum,
-)
-from .iteration import (
-    ParameterSchedule,
-    PowerRule,
-    ProblemInstance,
-    QuantitativeData,
-    TableRule,
-    Trace,
-    gamma_k_check,
-    gamma_witness,
-    preset,
-    run,
-)
-from .moduli import (
-    DEFAULT_CAP,
-    Counterfunction,
-    ModulusFn,
-    NaturalBound,
-    RationalUpper,
-    bounded_sub,
-    chi,
-    delta,
-    exp_upper,
-    kappa,
-    kappa_hat,
-    omega,
-    phi_liminf,
-    psi,
-    psi_prime,
-    sqrt_upper,
-    total_boundedness_P,
-    varpi_prime,
-    xi_tilde,
-)
-from .operators import (
-    AffinePSD,
-    NormalConeBox,
-    SubdiffAbsSum,
-    ZeroOperator,
-    evaluate,
-    in_box,
-    least_norm,
-    minimal_selection,
-    resolvent,
-    resolvent_identity_residual,
-    resolvent_rows,
-    value_rows,
-    yosida,
-    yosida_rows,
-)
-from .regularity import (
-    GapFunctional,
-    GHModuli,
-    RegularityModulus,
-    eval_gap,
-    eval_gaps,
-    grid_regularity_oracle,
-    theta_generic,
-    theta_moudafi,
-    validate_regularity_ball,
-)
-from .verification import (
-    Certificate,
-    EmpiricalPhi,
-    build_empirical_phi,
-    certify_metastability,
-    check_approx_error,
-    check_cauchy_modulus,
-    check_liminf_witness,
-    check_quasi_fejer,
-    check_uniform_closedness,
-    find_metastable,
-    monotonize_table,
-)
+from importlib import import_module
 
+# the public names of each submodule
+_EXPORTS = {
+    "errors": """ConfigError DimensionMismatch DomainError EmptyGrid FejerQuantError
+        HorizonExceeded InvariantViolation MissingSolutions NegativeExponent
+        NonPositiveParameter ResidualFloor ScheduleError SingularSystem
+        TableRangeError UnknownPreset ZeroInfimum""",
+    "iteration": """ParameterSchedule PowerRule ProblemInstance QuantitativeData
+        TableRule Trace gamma_k_check gamma_witness preset run""",
+    "moduli": """DEFAULT_CAP Counterfunction ModulusFn NaturalBound RationalUpper
+        bounded_sub chi delta exp_upper kappa kappa_hat omega phi_liminf psi
+        psi_prime sqrt_upper total_boundedness_P varpi_prime xi_tilde""",
+    "operators": """AffinePSD NormalConeBox SubdiffAbsSum ZeroOperator evaluate in_box
+        least_norm minimal_selection resolvent resolvent_rows value_rows yosida
+        yosida_rows""",
+    "regularity": """GapFunctional GHModuli RegularityModulus eval_gap eval_gaps
+        grid_regularity_oracle theta_generic theta_moudafi validate_regularity_ball""",
+    "verification": """Certificate EmpiricalPhi build_empirical_phi certify_metastability
+        check_approx_error check_cauchy_modulus check_liminf_witness check_quasi_fejer
+        check_uniform_closedness find_metastable monotonize_table""",
+}
+# public name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value

@@ -13,15 +13,14 @@ a single modulus. Exit code 0 when every requested certificate is sound
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FejerQuantError
 from .fields import boolean, field, list_of, natural, only, positive, rational
-from .iteration import DEFAULT_PRESET, ProblemInstance, run
 from .moduli import (
     DEFAULT_CAP,
     ModulusFn,
@@ -36,14 +35,33 @@ from .moduli import (
     varpi_prime,
     xi_tilde,
 )
-from .regularity import RegularityModulus, theta_moudafi, validate_regularity_ball
-from .verification import (
-    build_empirical_phi,
-    certify_metastability,
-    check_approx_error,
-    check_cauchy_modulus,
-    check_quasi_fejer,
-)
+
+if TYPE_CHECKING:
+    from .iteration import ProblemInstance
+
+# The layer calls of the tasks, bound from the package on first use (PEP 562)
+# so that moduli-eval loads no numpy and run no certificate layer. The tasks
+# call them as attributes of this module, so a rebinding made before main
+# (a tracer, a test's monkeypatch) wins.
+_TASK_CALLS = {
+    "run",
+    "build_empirical_phi",
+    "certify_metastability",
+    "check_quasi_fejer",
+    "check_approx_error",
+    "check_cauchy_modulus",
+    "validate_regularity_ball",
+    "theta_moudafi",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _TASK_CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 # --------------------------------------------------------------------------
 # config plumbing
@@ -64,10 +82,16 @@ def load_config(path: str) -> dict:
     return obj
 
 
-build_instance = ProblemInstance.from_json
+def build_instance(cfg: dict) -> ProblemInstance:
+    """The problem instance of a config: ``ProblemInstance.from_json``."""
+    from .iteration import ProblemInstance
+
+    return ProblemInstance.from_json(cfg)
 
 
 def resolved_config(cfg: dict, inst: ProblemInstance) -> dict:
+    from .iteration import DEFAULT_PRESET
+
     resolved = inst.to_json()
     problem = cfg.get("problem", DEFAULT_PRESET)
     if isinstance(problem, str):  # a preset is named, not restated
@@ -128,7 +152,7 @@ def _summarize(cert) -> str:
 def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
     params = _params(cfg, {"steps"})
     steps = _steps(params, horizon, 100)
-    trace = run(inst, steps)
+    trace = _cli.run(inst, steps)
     path = _write(out_dir, "trace.jsonl", trace.to_jsonl())
     print(f"trace: {steps} steps -> {path}")
     print(
@@ -144,10 +168,10 @@ def _task_check_lemmas(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: 
     max_l = field(params, "max_l", natural, 100)
     max_i = field(params, "max_i", natural, 200)
     steps = _steps(params, horizon, max_n + max_l)
-    trace = run(inst, steps)
+    trace = _cli.run(inst, steps)
     certs = [
-        check_quasi_fejer(trace, inst, max_n, max_l),
-        check_approx_error(trace, inst, min(max_n, steps - 1), max_i),
+        _cli.check_quasi_fejer(trace, inst, max_n, max_l),
+        _cli.check_approx_error(trace, inst, min(max_n, steps - 1), max_i),
     ]
     blob = json.dumps([c.to_json() for c in certs], sort_keys=True, indent=2)
     _write(out_dir, "lemma_certificates.json", blob + "\n")
@@ -166,9 +190,9 @@ def _task_certify_metastability(
     g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
     steps = _steps(params, horizon, 1000)
     k_max, n_max = _phi_range(params)
-    trace = run(inst, steps)
-    phi = build_empirical_phi(trace, k_max, n_max, inst)
-    cert = certify_metastability(
+    trace = _cli.run(inst, steps)
+    phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
+    cert = _cli.certify_metastability(
         inst,
         k,
         g,
@@ -181,6 +205,8 @@ def _task_certify_metastability(
     )
     label = str(k)
     if len(label) > 64:  # keep the file name within the usual 255-byte limit
+        import hashlib
+
         label = f"{len(label)}digits-{hashlib.sha256(label.encode()).hexdigest()[:12]}"
     _write(out_dir, f"metastability_k{label}.json", _cert_json(cert))
     return [cert]
@@ -198,16 +224,18 @@ def _task_cauchy_modulus(
     k_max, n_max = _phi_range(params)
     if "phi_reg" not in params:
         raise ConfigError("cauchy-modulus needs a phi_reg regularity modulus")
+    from .regularity import RegularityModulus
+
     phi_reg = field(params, "phi_reg", RegularityModulus.from_json)
     b = field(params, "b", rational, Fraction(1))
-    validate_regularity_ball(inst, phi_reg, b)
-    trace = run(inst, steps)
-    phi = build_empirical_phi(trace, k_max, n_max, inst)
+    _cli.validate_regularity_ball(inst, phi_reg, b)
+    trace = _cli.run(inst, steps)
+    phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
 
     def theta_eval(eps: Fraction):
-        return theta_moudafi(eps, inst.quant, phi, phi_reg, use_hat, cap)
+        return _cli.theta_moudafi(eps, inst.quant, phi, phi_reg, use_hat, cap)
 
-    cert = check_cauchy_modulus(trace, theta_eval, eps_list)
+    cert = _cli.check_cauchy_modulus(trace, theta_eval, eps_list)
     _write(out_dir, "cauchy_modulus.json", _cert_json(cert))
     return [cert]
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REQUIRED = object()
 # the largest decimal exponent read exactly; the default overflow cap is 10**10000
@@ -150,6 +151,8 @@ def floats(value) -> np.ndarray:
     """A float array from a JSON number or nested lists of JSON numbers."""
     if not _numbers(value):
         raise ConfigError(f"expected numbers, got {value!r}")
+    import numpy as np  # here, not at the top: moduli-eval loads no numpy
+
     try:
         return np.array(value, dtype=float)
     except ValueError:
@@ -177,6 +180,8 @@ def _numbers(value) -> bool:
 
 def tolist(value) -> list:
     """An array written as nested JSON lists, signed zeros kept."""
+    import numpy as np
+
     return np.asarray(value).tolist()
 
 

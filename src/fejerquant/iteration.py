@@ -48,7 +48,6 @@ from .operators import (
 )
 
 _MU_FLOOR = 1e-300
-_RESIDUAL_RECOMPUTE_TOL = 1e-12
 _CLAUSE_TOL = 1e-12
 # rows per block of the trace writer: few enough that the block's Python
 # floats stay small next to the trace arrays
@@ -507,14 +506,6 @@ class Trace:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def validate_residuals(self) -> None:
-        if self.steps == 0:
-            return
-        diffs = np.linalg.norm(self.points[:-1] - self.points[1:], axis=1)
-        recomputed = diffs / self.mus
-        if float(np.max(np.abs(recomputed - self.residuals), initial=0.0)) > _RESIDUAL_RECOMPUTE_TOL:
-            raise InvariantViolation("stored residuals do not match recomputation")
 
     def window_diameter(self, a: int, b: int) -> float:
         """The largest distance between points a..b inclusive: the maximum of

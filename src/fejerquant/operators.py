@@ -73,7 +73,12 @@ def as_rows(xs, dim: int) -> np.ndarray:
 
 
 def check_bounds(lo: np.ndarray, hi: np.ndarray) -> None:
-    """The interval-product invariants, on bound arrays of any matching shape."""
+    """The interval-product invariants, on bound arrays of any matching shape.
+
+    One reduction decides the good case (a NaN fails ``lo <= hi``); only a
+    failure runs the checks below, which name the first broken invariant."""
+    if lo.shape == hi.shape and ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
+        return
     if lo.shape != hi.shape:
         raise DimensionMismatch("interval product needs matching bounds")
     if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
@@ -414,19 +419,6 @@ def yosida(op, lam: float, x) -> np.ndarray:
 def minimal_selection(op, x) -> np.ndarray:
     """The least-norm element of the value set at x."""
     return least_norm(*evaluate(op, x))
-
-
-def resolvent_identity_residual(op, gamma: float, lam: float, x) -> float:
-    """Residual of the two-parameter resolvent identity
-    J_gamma x = J_{lam*gamma}(lam*x + (1-lam)*J_gamma x)."""
-    if not gamma > 0:
-        raise NonPositiveParameter(f"gamma must be > 0, got {gamma}")
-    if not lam > 0:
-        raise NonPositiveParameter(f"lambda must be > 0, got {lam}")
-    x = as_point(x, op.dim)
-    j = resolvent(op, gamma, x)
-    rhs = resolvent(op, lam * gamma, lam * x + (1.0 - lam) * j)
-    return float(np.linalg.norm(j - rhs))
 
 
 # --------------------------------------------------------------------------

@@ -499,9 +499,9 @@ def build_empirical_phi(
     tail = trace.points[-1]
     same = np.all(trace.points == tail[None, :], axis=1)
     if bool(same[-1]):
-        first = steps
-        while first > 0 and same[first - 1]:
-            first -= 1
+        # the constant tail starts after the last row that differs from it
+        differ = np.flatnonzero(~same)
+        first = int(differ[-1]) + 1 if differ.size else 0
         if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):
             stationary_from = first
     provenance = "empirical+stationary" if stationary_from is not None else "empirical"

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_operators import resolvent_identity_residual
 
 import fejerquant as fq
 from fejerquant.iteration import (
@@ -42,7 +43,6 @@ from fejerquant.operators import (
     SubdiffAbsSum,
     ZeroOperator,
     minimal_selection,
-    resolvent_identity_residual,
 )
 from fejerquant.regularity import (
     GHModuli,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,17 +49,167 @@ def test_presets_satisfy_their_certified_constants():
 
 def test_importing_the_package_does_not_import_the_cli():
     # the presets live beside ProblemInstance, so the library needs no argparse
-    src = os.path.dirname(os.path.dirname(fq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, fejerquant; fejerquant.preset('dc-abs-1d'); "
         "print(sorted({'fejerquant.cli', 'argparse'} & set(sys.modules)))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    assert fresh_output(code) == "[]"
+
+
+# --------------------------------------------------------------------------
+# start-up: each process loads only the layers its task runs
+# --------------------------------------------------------------------------
+
+
+def fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``python -c code *argv`` in a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(fq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60, env=env
     )
+
+
+def fresh_output(code: str, *argv: str) -> str:
+    """The last line ``code`` prints in a new interpreter, which must exit 0."""
+    proc = fresh(code, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+PUBLIC_NAMES = [
+    "AffinePSD", "Certificate", "ConfigError", "Counterfunction", "DEFAULT_CAP",
+    "DimensionMismatch", "DomainError", "EmpiricalPhi", "EmptyGrid", "FejerQuantError",
+    "GHModuli", "GapFunctional", "HorizonExceeded", "InvariantViolation", "MissingSolutions",
+    "ModulusFn", "NaturalBound", "NegativeExponent", "NonPositiveParameter", "NormalConeBox",
+    "ParameterSchedule", "PowerRule", "ProblemInstance", "QuantitativeData", "RationalUpper",
+    "RegularityModulus", "ResidualFloor", "ScheduleError", "SingularSystem", "SubdiffAbsSum",
+    "TableRangeError", "TableRule", "Trace", "UnknownPreset", "ZeroInfimum", "ZeroOperator",
+    "bounded_sub", "build_empirical_phi", "certify_metastability", "check_approx_error",
+    "check_cauchy_modulus", "check_liminf_witness", "check_quasi_fejer",
+    "check_uniform_closedness", "chi", "delta", "eval_gap", "eval_gaps", "evaluate",
+    "exp_upper", "find_metastable", "gamma_k_check", "gamma_witness", "grid_regularity_oracle",
+    "in_box", "kappa", "kappa_hat", "least_norm", "minimal_selection", "monotonize_table",
+    "omega", "phi_liminf", "preset", "psi", "psi_prime", "resolvent", "resolvent_rows", "run",
+    "sqrt_upper", "theta_generic", "theta_moudafi", "total_boundedness_P",
+    "validate_regularity_ball", "value_rows", "varpi_prime", "xi_tilde", "yosida", "yosida_rows",
+]
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, fejerquant; print(sorted(m for m in sys.modules if m.startswith('fejerquant.')))"
+    assert fresh_output(code) == "[]"
+
+
+def test_public_names_are_the_objects_of_their_defining_modules():
+    # a name whose object records its module must come from that module;
+    # the rest (DEFAULT_CAP) from the module the package's table names
+    code = """
+import importlib, json, fejerquant as fq
+star = {}
+exec("from fejerquant import *", star)
+wrong = []
+for name in fq.__all__:
+    obj = getattr(fq, name)
+    home = getattr(obj, "__module__", None) or "fejerquant." + fq._MODULE_OF[name]
+    if not home.startswith("fejerquant.") or getattr(importlib.import_module(home), name) is not obj:
+        wrong.append(name)
+    if star.get(name) is not obj:
+        wrong.append("*" + name)
+print(json.dumps([sorted(fq.__all__), wrong]))
+"""
+    names, wrong = json.loads(fresh_output(code))
+    assert names == PUBLIC_NAMES
+    assert wrong == []
+
+
+def test_moduli_eval_loads_no_numpy(tmp_path):
+    cfg = write_config(tmp_path, {"params": {"modulus": "kappa", "k": 0, "M": 1, "B": 1}})
+    code = "import sys; from fejerquant.cli import main; main(sys.argv[1:]); print('numpy' in sys.modules)"
+    assert fresh_output(code, "moduli-eval", "--config", cfg) == "False"
+
+
+@pytest.mark.parametrize(
+    "argv,params,exit_code",
+    [
+        (["run"], {"steps": 10}, 0),
+        (["certify-metastability", "--dump-config"], {"k": 0}, 0),
+        (["check-lemmas"], {"max_n": 1.5}, 2),
+    ],
+)
+def test_tasks_that_certify_nothing_load_no_certificate_layer(tmp_path, argv, params, exit_code):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    # numpy 1.x loads hashlib itself (numpy.random imports secrets)
+    code = (
+        "import sys, numpy; numpy_hashlib = 'hashlib' in sys.modules\n"
+        "from fejerquant.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "layers = {'fejerquant.verification', 'fejerquant.regularity'} & set(sys.modules)\n"
+        "print(code, sorted(layers), 'hashlib' in sys.modules and not numpy_hashlib)"
+    )
+    out = fresh_output(code, *argv, "--config", cfg, "--out", str(tmp_path))
+    assert out == f"{exit_code} [] False"
+
+
+# the cli names perfbench/replay.py's patch_layers rebinds to trace a task
+TRACED_CLI_NAMES = [
+    "load_config", "build_instance", "_write", "run", "build_empirical_phi",
+    "certify_metastability", "check_quasi_fejer", "check_approx_error",
+    "check_cauchy_modulus", "validate_regularity_ball", "theta_moudafi",
+]
+SET_UP = {"load_config": 1, "build_instance": 1, "run": 1, "_write": 1}
+
+
+@pytest.mark.parametrize(
+    "task,params,calls",
+    [
+        ("run", {"steps": 10}, {}),
+        (
+            "check-lemmas",
+            {"max_n": 10, "max_l": 10, "max_i": 20},
+            {"check_quasi_fejer": 1, "check_approx_error": 1},
+        ),
+        (
+            "certify-metastability",
+            {"k": 0, "steps": 50},
+            {"build_empirical_phi": 1, "certify_metastability": 1},
+        ),
+        (
+            "cauchy-modulus",
+            {"steps": 50, "phi_reg": {"kind": "linear", "provenance": "analytic",
+                                      "center": [0.0], "radius": "5", "scale": "1"}, "b": "1/2"},
+            {"validate_regularity_ball": 1, "build_empirical_phi": 1, "theta_moudafi": 1,
+             "check_cauchy_modulus": 1},
+        ),
+    ],
+)
+def test_a_rebinding_made_before_main_is_called_by_the_task(tmp_path, task, params, calls):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    code = f"""
+import json, sys
+from collections import Counter
+from fejerquant import cli
+counts = Counter()
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in {TRACED_CLI_NAMES!r}:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+print(cli.main(sys.argv[1:]), json.dumps(counts, sort_keys=True))
+"""
+    out = fresh_output(code, task, "--config", cfg, "--out", str(tmp_path))
+    assert out == f"0 {json.dumps({**SET_UP, **calls}, sort_keys=True)}"
+
+
+def test_the_traced_names_are_those_the_benchmark_rebinds():
+    replay = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "replay.py")
+    with open(replay, encoding="utf-8") as fh:
+        rebound = re.findall(r'tr\.patch\(cli, "(\w+)"', fh.read())
+    assert sorted(rebound) == sorted(TRACED_CLI_NAMES)
 
 
 # --------------------------------------------------------------------------
@@ -218,12 +369,9 @@ def test_unknown_operator_kind_exits_2_without_a_traceback(tmp_path):
             "quant": inst.quant.to_json(),
         },
     )
-    src = os.path.dirname(os.path.dirname(fq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from fejerquant.cli import main; sys.exit(main())",
-         "run", "--config", cfg, "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env,
+    proc = fresh(
+        "import sys; from fejerquant.cli import main; sys.exit(main())",
+        "run", "--config", cfg, "--out", str(tmp_path),
     )
     assert proc.returncode == 2
     assert "unknown operator kind" in proc.stderr and "Traceback" not in proc.stderr

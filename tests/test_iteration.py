@@ -44,6 +44,19 @@ from fejerquant.operators import (
 )
 
 
+_RESIDUAL_RECOMPUTE_TOL = 1e-12
+
+
+def validate_residuals(trace: Trace) -> None:
+    """Raise unless each stored residual is ||x_n - x_{n+1}|| / mu_n again."""
+    if trace.steps == 0:
+        return
+    diffs = np.linalg.norm(trace.points[:-1] - trace.points[1:], axis=1)
+    recomputed = diffs / trace.mus
+    if float(np.max(np.abs(recomputed - trace.residuals), initial=0.0)) > _RESIDUAL_RECOMPUTE_TOL:
+        raise InvariantViolation("stored residuals do not match recomputation")
+
+
 def dc_instance(**overrides):
     inst = fq.preset("dc-abs-1d")
     return dataclasses.replace(inst, **overrides) if overrides else inst
@@ -278,7 +291,7 @@ def test_zero_step_run_is_the_start_point():
     tr = run(dc_instance(), 0)
     assert tr.steps == 0
     assert tr.points.shape == (1, 1) and tr.points[0, 0] == 0.5
-    tr.validate_residuals()
+    validate_residuals(tr)
 
 
 def test_stationary_start_point():
@@ -348,12 +361,12 @@ def test_run_checks_the_exact_diameter_at_any_length():
 
 def test_trace_residual_validation():
     tr = run(dc_instance(x0=np.array([2.0])), 50)
-    tr.validate_residuals()
+    validate_residuals(tr)
     bad = np.array(tr.residuals)
     bad[10] += 1e-6
     corrupt = Trace(tr.points, tr.lambdas, tr.mus, bad)
     with pytest.raises(InvariantViolation):
-        corrupt.validate_residuals()
+        validate_residuals(corrupt)
     with pytest.raises(DimensionMismatch):
         Trace(tr.points, tr.lambdas[:-1], tr.mus, tr.residuals)
 

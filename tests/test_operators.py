@@ -9,8 +9,10 @@ properties (firm nonexpansiveness, graph membership, minimal-norm
 optimality) use a fixed-seed generator so failures are reproducible.
 """
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +41,6 @@ from fejerquant.operators import (
     operator_from_json,
     operator_to_json,
     resolvent,
-    resolvent_identity_residual,
     resolvent_rows,
     value_rows,
     yosida,
@@ -95,6 +96,46 @@ def test_value_set_basics():
         in_box(lo, hi, [0.0, 0.0])
     with pytest.raises(DomainError):
         in_box(lo, hi, [np.nan])
+
+
+# each invariant check_bounds enforces, in the order it reports them: the
+# coordinate a fault breaks (None for the shape) and its bounds there
+BOUND_FAULTS = [
+    ("shape", None, None, DimensionMismatch, "interval product needs matching bounds"),
+    ("nan lo", 0, (np.nan, 1.0), InvariantViolation, "interval bounds cannot be NaN"),
+    ("nan hi", 1, (0.0, np.nan), InvariantViolation, "interval bounds cannot be NaN"),
+    ("lo > hi", 2, (2.0, 1.0), InvariantViolation, "interval product needs lo <= hi"),
+    ("lo = inf", 3, (np.inf, np.inf), InvariantViolation, "degenerate infinite endpoints"),
+    ("hi = -inf", 4, (-np.inf, -np.inf), InvariantViolation, "degenerate infinite endpoints"),
+]
+
+
+@pytest.mark.parametrize("rows", [False, True])
+@pytest.mark.parametrize(
+    "faults",
+    [()] + [(i,) for i in range(len(BOUND_FAULTS))]
+    + list(itertools.combinations(range(len(BOUND_FAULTS)), 2)),
+    ids=lambda faults: "+".join(BOUND_FAULTS[i][0] for i in faults) or "none",
+)
+def test_check_bounds_raises_the_first_broken_invariant(faults, rows):
+    # the last coordinate is a whole line, which every fault leaves alone
+    lo = np.array([-1.0, -1.0, -1.0, -1.0, -1.0, -np.inf])
+    hi = np.array([1.0, 1.0, 1.0, 1.0, 1.0, np.inf])
+    for i in faults:
+        _, coord, bounds, _, _ = BOUND_FAULTS[i]
+        if coord is None:
+            hi = np.append(hi, 1.0)
+        else:
+            lo[coord], hi[coord] = bounds
+    if rows:
+        lo, hi = lo[None], hi[None]
+    if not faults:
+        check_bounds(lo, hi)
+        return
+    _, _, _, error, message = BOUND_FAULTS[min(faults)]
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        check_bounds(lo, hi)
+    assert type(raised.value) is error
 
 
 def test_value_set_rejects_bad_bounds():
@@ -320,6 +361,19 @@ def test_near_minimal_members_are_near_the_selection():
 # --------------------------------------------------------------------------
 # the two-parameter resolvent identity
 # --------------------------------------------------------------------------
+
+
+def resolvent_identity_residual(op, gamma: float, lam: float, x) -> float:
+    """Residual of the two-parameter resolvent identity
+    J_gamma x = J_{lam*gamma}(lam*x + (1-lam)*J_gamma x)."""
+    if not gamma > 0:
+        raise NonPositiveParameter(f"gamma must be > 0, got {gamma}")
+    if not lam > 0:
+        raise NonPositiveParameter(f"lambda must be > 0, got {lam}")
+    x = as_point(x, op.dim)
+    j = resolvent(op, gamma, x)
+    rhs = resolvent(op, lam * gamma, lam * x + (1.0 - lam) * j)
+    return float(np.linalg.norm(j - rhs))
 
 
 def test_resolvent_identity_lambda_one_is_exact():

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from test_iteration import validate_residuals
 from test_stepper import instance, reference_yosida
 
 import fejerquant as fq
@@ -87,7 +88,7 @@ def test_quasi_fejer_catches_an_injected_fault():
     pts[51] += 1e-3  # one interior iterate nudged by a milli
     diffs = np.linalg.norm(pts[:-1] - pts[1:], axis=1)
     corrupt = Trace(pts, tr.lambdas, tr.mus, diffs / tr.mus)
-    corrupt.validate_residuals()  # the fault is in the points, not the bookkeeping
+    validate_residuals(corrupt)  # the fault is in the points, not the bookkeeping
     cert = check_quasi_fejer(corrupt, inst, 100, 100)
     assert not cert.sound
     assert any(v["form"] in ("product", "exp") for v in cert.violations)
@@ -363,6 +364,36 @@ def test_empirical_phi_stationary_completion():
     assert phi.stationary_from == 1
     assert phi(50, 10_000) == 10_000  # completion: max(n, stationary index)
     assert phi(50, 0) == 1
+
+
+def reference_stationary_from(points: np.ndarray) -> int:
+    """The first index of the run of rows equal to the last one, row by row."""
+    same = np.all(points == points[-1][None, :], axis=1)
+    first = len(points) - 1
+    while first > 0 and same[first - 1]:
+        first -= 1
+    return first
+
+
+@pytest.mark.parametrize(
+    "moving,want",
+    [
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], None),  # the tail is the last row alone
+        ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 11),  # one constant step
+        ([], 0),  # every row
+        ([5], 6),  # broken by one differing row
+    ],
+)
+def test_stationary_from_matches_the_row_loop(moving, want):
+    # 0 is fixed by every stage map of dc-abs-1d; the moving rows sit off it
+    steps = 12
+    pts = np.zeros((steps + 1, 1))
+    pts[moving, 0] = 0.25 / (1 + np.arange(len(moving)))
+    diffs = np.abs(pts[:-1, 0] - pts[1:, 0])
+    tr = Trace(pts, np.ones(steps), np.ones(steps), diffs)
+    phi = build_empirical_phi(tr, 0, inst=dc())
+    first = reference_stationary_from(pts)
+    assert phi.stationary_from == (first if first < steps else None) == want
 
 
 def test_empirical_phi_without_instance_does_not_extrapolate():
