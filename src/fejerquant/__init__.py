@@ -30,7 +30,7 @@ _EXPORTS = {
         grid_regularity_oracle theta_generic theta_moudafi validate_regularity_ball""",
     "verification": """Certificate EmpiricalPhi build_empirical_phi certify_metastability
         check_approx_error check_cauchy_modulus check_liminf_witness check_quasi_fejer
-        check_uniform_closedness find_metastable monotonize_table""",
+        find_metastable monotonize_table""",
 }
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -106,9 +106,23 @@ def _steps(params: dict, horizon: int | None, default: int) -> int:
     return field(params, "steps", natural, default)
 
 
-def _phi_range(params: dict) -> tuple:
+# The residual table of the empirical modulus has (k_max + 1) x (n + 1) int64
+# entries, n = min(n_max, steps - 1), and is held twice while it is made
+# monotone: at most 2**24 entries (128 MiB a copy). A larger k_max is refused
+# before anything is allocated; n_max is clamped to the trace.
+_PHI_CELLS = 2**24
+
+
+def _phi_range(params: dict, steps: int) -> tuple:
     """The (k_max, n_max) rectangle of the empirical residual modulus."""
-    return field(params, "k_max", natural, 25), field(params, "n_max", natural, 200)
+    k_max = field(params, "k_max", natural, 25)
+    n_max = field(params, "n_max", natural, 200)
+    if (k_max + 1) * (min(n_max, steps - 1) + 1) > _PHI_CELLS:
+        raise ConfigError(
+            f"k_max: {k_max} makes a residual table of more than {_PHI_CELLS} "
+            f"entries for n_max {n_max} on {steps} steps"
+        )
+    return k_max, n_max
 
 
 def _params(cfg: dict, allowed: set) -> dict:
@@ -189,7 +203,7 @@ def _task_certify_metastability(
     k = field(params, "k", natural, 0)
     g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
     steps = _steps(params, horizon, 1000)
-    k_max, n_max = _phi_range(params)
+    k_max, n_max = _phi_range(params, steps)
     trace = _cli.run(inst, steps)
     phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
     cert = _cli.certify_metastability(
@@ -221,7 +235,7 @@ def _task_cauchy_modulus(
     use_hat = field(params, "use_kappa_hat", boolean, False)
     eps_list = field(params, "eps", list_of(rational), [Fraction(1, 4)])
     steps = _steps(params, horizon, 1000)
-    k_max, n_max = _phi_range(params)
+    k_max, n_max = _phi_range(params, steps)
     if "phi_reg" not in params:
         raise ConfigError("cauchy-modulus needs a phi_reg regularity modulus")
     from .regularity import RegularityModulus

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MissingSolutions, ResidualFloor, TableRangeError
 from .iteration import (
@@ -30,9 +31,7 @@ from .moduli import (
     Counterfunction,
     NaturalBound,
     PhiSearch,
-    delta as delta_modulus,
     exp_upper,
-    omega as omega_modulus,
     phi_liminf,
     psi,
     psi_prime,
@@ -51,6 +50,10 @@ from .operators import (
 )
 
 _SLACK = 1e-9
+# float64 elements in one temporary of the lemma kernels (64 KB), whatever the
+# trace length; larger tiles run the quasi-Fejer check faster but raise the
+# process's peak memory (README, "The quasi-Fejér and approx-error tiles")
+_TILE = 2**13
 _CAUCHY_GUARD = 1e-12
 
 
@@ -135,16 +138,20 @@ def check_quasi_fejer(
       e^A form:      ||x_{n+l} - x*|| <= e^A ||x_n - x*||
                        + (2M+1) e^A sum mu + 1e-9
 
-    for n <= max_n and l <= max_l within the trace. The check sweeps the
-    offset l once and advances every (solution, n) row at each offset, with
-    the scalar recurrence's operations element by element, so the right-hand
+    for n <= max_n and l <= max_l within the trace. The running product and
+    the two mu sums do not depend on x*: each is one row over n, advanced
+    offset by offset, with the scalar recurrence's operations element by
+    element, into a buffer of as many offsets as fit a tile of _TILE
+    elements for all solutions. A full buffer is compared with the distances
+    for every solution in one step; the distances are padded with -inf past
+    the trace, so a pair with n + l > steps never counts. The right-hand
     sides are the ones of a loop over (n, l) bit for bit. Violations are
     listed in (solution, n, l, form) order, the first 50 of them.
     """
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
     e_a = float(exp_upper(inst.quant.A).value)
-    m_coeff = 2 * inst.quant.M + 1
+    coef = (2 * inst.quant.M + 1) * e_a
     steps = trace.steps
     # violation records: arrays of solution index, n, l, form, lhs, rhs
     found = []
@@ -158,37 +165,57 @@ def check_quasi_fejer(
         kept.append(i)
         dists.append(np.linalg.norm(trace.points - x_star[None, :], axis=1))
         t2.append(2.0 * t_norm)
+    # clamped as Python ints: max_n and max_l may be any natural
     n_top = min(max_n, steps)
-    # the last offset checked from row n is min(max_l, steps - n)
-    tops = np.minimum(max_l, steps - np.arange(n_top + 1))
+    l_top = min(max_l, steps)
     checked = 0
-    if kept and tops.size and tops[0] >= 0:
-        checked = len(kept) * int(np.sum(tops + 1))
+    if kept and n_top >= 0 and l_top >= 0:
+        cols = n_top + 1
+        # the last offset checked from row n is min(max_l, steps - n)
+        checked = len(kept) * sum(min(l_top, steps - n) + 1 for n in range(cols))
         sol = np.array(kept)
-        dist = np.stack(dists)
-        base = dist[:, : n_top + 1]
-        prod = np.ones(base.shape)
-        acc = np.zeros(base.shape)
-        musum = np.zeros(base.shape)
-        t2 = np.array(t2)[:, None]
-        coef = m_coeff * e_a
-        mus = trace.mus
-        rho = 1.0 + mus / trace.lambdas
-        for l in range(int(tops[0]) + 1):
-            rows = min(n_top, steps - l) + 1  # rows n still checked at offset l
-            lhs = dist[:, l : l + rows]
-            rhs_prod = prod[:, :rows] * base[:, :rows] + t2 * acc[:, :rows] + _SLACK
-            rhs_exp = e_a * base[:, :rows] + coef * musum[:, :rows] + _SLACK
+        reach = n_top + l_top  # the last step to offset l_top reads rho[reach - 1]
+        live = min(reach, steps)
+        dist = np.full((len(kept), reach + 1), -np.inf)
+        dist[:, : live + 1] = np.stack(dists)[:, : live + 1]
+        lhs_of = sliding_window_view(dist, cols, axis=1)  # [s, l, n] = dist[s, n + l]
+        base = dist[:, None, :cols]
+        e_base = e_a * base
+        t2 = np.array(t2)[:, None, None]
+        # past the trace a row keeps its last values: finite, never compared
+        rho = np.ones(reach)
+        rho[:live] = 1.0 + trace.mus[:live] / trace.lambdas[:live]
+        mus = np.zeros(reach)
+        mus[:live] = trace.mus[:live]
+        height = max(1, _TILE // (len(kept) * cols))
+        prod = np.empty((height, cols))
+        acc = np.empty((height, cols))
+        musum = np.empty((height, cols))
+        prod[0], acc[0], musum[0] = 1.0, 0.0, 0.0
+        for l in range(l_top + 1):
+            j = l % height  # the buffer row of offset l
+            if l:
+                p = j - 1 if j else height - 1
+                step_rho, step_mu = rho[l - 1 : l - 1 + cols], mus[l - 1 : l - 1 + cols]
+                np.multiply(prod[p], step_rho, out=prod[j])
+                np.multiply(acc[p], step_rho, out=acc[j])
+                acc[j] += step_mu
+                np.add(musum[p], step_mu, out=musum[j])
+            if j < height - 1 and l < l_top:
+                continue
+            first = l - j  # the buffer holds offsets first..l
+            lhs = lhs_of[:, first : l + 1]
+            rhs_prod = prod[: j + 1] * base
+            rhs_prod += t2 * acc[: j + 1]
+            rhs_prod += _SLACK
+            rhs_exp = e_base + coef * musum[: j + 1]
+            rhs_exp += _SLACK
             for form, rhs in enumerate((rhs_prod, rhs_exp)):
-                s, n = np.nonzero(lhs > rhs)
-                if s.size:
-                    at_l, of_form = np.full(s.size, l), np.full(s.size, form)
-                    found.append((sol[s], n, at_l, of_form, lhs[s, n], rhs[s, n]))
-            if l < max_l:
-                live = min(rows, steps - l)  # rows n that go on to offset l + 1
-                prod[:, :live] *= rho[l : l + live]
-                acc[:, :live] = acc[:, :live] * rho[l : l + live] + mus[l : l + live]
-                musum[:, :live] += mus[l : l + live]
+                above = lhs > rhs
+                if above.any():
+                    s, at, n = np.nonzero(above)
+                    of_form = np.full(s.size, form)
+                    found.append((sol[s], n, first + at, of_form, lhs[s, at, n], rhs[s, at, n]))
     violations = []
     if found:
         sols, ns, ls, forms, lhss, rhss = (np.concatenate(c) for c in zip(*found))
@@ -241,29 +268,42 @@ def check_approx_error(
     via the Yosida map of S, which is the same quantity without the rounding
     of a stored x_{n+1}; differencing recorded points instead injects an
     error of order ulp(x)/mu_n, well above the slack once mu_n is small.
+
+    The (n, i) pairs are evaluated in tiles of as many rows n as fit _TILE
+    elements with every stage i, one resolvent_rows call per tile. Each
+    row's largest gap is folded into ``max_overshoot`` in row order, so a
+    NaN in the first row is kept and a later one is passed over, as a loop
+    over n does.
     """
     top = max(min(max_n, trace.steps - 1) + 1, 0)
-    xs, mus = trace.points[:top], trace.mus[:top]
+    xs, mus = trace.points[:top], trace.mus[:top, None]
     ts = yosida_rows(inst.T, trace.lambdas[:top], xs)
-    rates = row_norms(yosida_rows(inst.S, mus, xs + mus[:, None] * ts) - ts)
+    rates = row_norms(yosida_rows(inst.S, mus[:, 0], xs + mus * ts) - ts)[:, None]
     mus_all = inst.schedule.mus(0, max_i + 1)
+    stages = mus_all.shape[0]
+    height = max(1, _TILE // max(stages * xs.shape[1], 1))
+    lams = np.tile(mus_all, height)
     violations = []
-    checked = 0
-    max_overshoot: Optional[float] = None
-    for n in range(top):
-        x_n, t_n, mu_n, rate = xs[n], ts[n], mus[n], rates[n]
-        shifted = x_n[None, :] + mus_all[:, None] * t_n[None, :]
-        moved = resolvent_rows(inst.S, mus_all, shifted)
-        lhs = np.linalg.norm(moved - x_n[None, :], axis=1)
-        rhs = mu_n * rate + np.abs(mu_n - mus_all) * rate
-        checked += mus_all.shape[0]
+    max_overshoot = None
+    for n0 in range(0, top, height):
+        x, t = xs[n0 : n0 + height, None, :], ts[n0 : n0 + height, None, :]
+        mu, rate = mus[n0 : n0 + height], rates[n0 : n0 + height]
+        shifted = x + mus_all[:, None] * t  # [n, i] = x_n + mu_i t_n
+        rows = shifted.shape[0] * stages
+        moved = resolvent_rows(inst.S, lams[:rows], shifted.reshape(rows, -1))
+        lhs = np.linalg.norm(moved.reshape(shifted.shape) - x, axis=2)
+        rhs = mu * rate + np.abs(mu - mus_all) * rate
         gaps = lhs - rhs
-        worst = float(np.max(gaps))
-        if max_overshoot is None or worst > max_overshoot:
-            max_overshoot = worst
-        for i in np.nonzero(gaps > _SLACK)[0]:
+        worst = np.max(gaps, axis=1)
+        if max_overshoot is None:
+            max_overshoot = worst[0]
+        above = worst[worst > max_overshoot]
+        if above.size:
+            max_overshoot = np.max(above)
+        for n, i in np.argwhere(gaps > _SLACK)[: 50 - len(violations)]:
             violations.append(
-                {"n": n, "i": int(i), "lhs": float(lhs[i]), "rhs": float(rhs[i] + _SLACK)}
+                {"n": n0 + int(n), "i": int(i), "lhs": float(lhs[n, i]),
+                 "rhs": float(rhs[n, i] + _SLACK)}
             )
     return Certificate(
         kind="lemma-inequality",
@@ -273,10 +313,13 @@ def check_approx_error(
             "max_i": max_i,
             **_instance_params(inst),
         },
-        witness={"checked": checked, "max_overshoot": max_overshoot},
+        witness={
+            "checked": top * stages,
+            "max_overshoot": None if max_overshoot is None else float(max_overshoot),
+        },
         bound=None,
         sound=not violations,
-        violations=tuple(violations[:50]),
+        violations=tuple(violations),
         provenance={"slack": _SLACK},
     )
 
@@ -588,38 +631,3 @@ def check_liminf_witness(
         provenance={"witness": "yosida at the iterate's own stage parameter"},
     )
 
-
-def check_uniform_closedness(
-    inst: ProblemInstance, samples: Sequence, k: int
-) -> Certificate:
-    """Sample the uniform closedness of the approximate-solution strata:
-    whenever q is a level-delta(k) member (witness T°q) and p is within
-    1/(omega(k)+1) of q, then p is a level-k member with the same witness."""
-    dlt = delta_modulus(k)
-    om = omega_modulus(k, inst.quant.M, inst.quant.varpi)
-    tol = 1.0 / (om + 1)
-    asserted = 0
-    skipped = 0
-    violations = []
-    for p, q in samples:
-        p = np.asarray(p, dtype=float).reshape(-1)
-        q = np.asarray(q, dtype=float).reshape(-1)
-        y_q = minimal_selection(inst.T, q)
-        if float(np.linalg.norm(p - q)) > tol or not gamma_k_check(inst, q, dlt, y_q):
-            skipped += 1
-            continue
-        asserted += 1
-        if not gamma_k_check(inst, p, k, y_q):
-            violations.append(
-                {"p": [float(v) for v in p], "q": [float(v) for v in q]}
-            )
-    return Certificate(
-        kind="lemma-inequality",
-        params={"lemma": "uniform-closedness", "k": k, **_instance_params(inst)},
-        witness={"asserted": asserted, "skipped": skipped},
-        bound=None,
-        sound=not violations,
-        vacuous=asserted == 0,
-        violations=tuple(violations),
-        provenance={"delta": dlt, "omega": om},
-    )

@@ -87,7 +87,7 @@ PUBLIC_NAMES = [
     "TableRangeError", "TableRule", "Trace", "UnknownPreset", "ZeroInfimum", "ZeroOperator",
     "bounded_sub", "build_empirical_phi", "certify_metastability", "check_approx_error",
     "check_cauchy_modulus", "check_liminf_witness", "check_quasi_fejer",
-    "check_uniform_closedness", "chi", "delta", "eval_gap", "eval_gaps", "evaluate",
+    "chi", "delta", "eval_gap", "eval_gaps", "evaluate",
     "exp_upper", "find_metastable", "gamma_k_check", "gamma_witness", "grid_regularity_oracle",
     "in_box", "kappa", "kappa_hat", "least_norm", "minimal_selection", "monotonize_table",
     "omega", "phi_liminf", "preset", "psi", "psi_prime", "resolvent", "resolvent_rows", "run",
@@ -695,6 +695,63 @@ def test_metastability_task_with_a_huge_k(tmp_path, capsys):
     assert written.name.startswith("metastability_k401digits-")
     cert = json.loads(written.read_text())
     assert cert["params"]["k"] == k and cert["bound"] == {"overflow": True}
+
+
+@pytest.mark.parametrize("k_max", [10**12, 10**400], ids=["1e12", "1e400"])
+@pytest.mark.parametrize("task", ["certify-metastability", "cauchy-modulus"])
+def test_an_oversized_k_max_exits_2_before_allocating(tmp_path, capsys, monkeypatch, task, k_max):
+    # 10**400 raised numpy's "Maximum allowed dimension exceeded" and 10**12
+    # an _ArrayMemoryError for a 1.43 PiB table, each a traceback and exit 1
+    def refused(*args, **kwargs):
+        raise AssertionError("a config with an oversized k_max went on to run")
+
+    monkeypatch.setattr("fejerquant.cli.run", refused)
+    monkeypatch.setattr("fejerquant.cli.build_empirical_phi", refused)
+    params = {"k_max": k_max, "steps": 50}
+    if task == "cauchy-modulus":
+        params.update(phi_reg=PHI_REG, b="1/2")
+    path = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    assert main([task, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config/problem error: k_max:" in err and "Traceback" not in err
+
+
+def test_a_k_max_at_the_table_bound_is_accepted(tmp_path, monkeypatch):
+    # (k_max + 1) x (n + 1) = 2**24 entries exactly reaches the table build
+    class Built(Exception):
+        pass
+
+    def stop(trace, k_max, n_max, inst):
+        raise Built(k_max, n_max)
+
+    monkeypatch.setattr("fejerquant.cli.build_empirical_phi", stop)
+    params = {"k_max": 2**21 - 1, "n_max": 7, "steps": 50}
+    path = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    with pytest.raises(Built) as built:
+        main(["certify-metastability", "--config", path, "--out", str(tmp_path)])
+    assert built.value.args == (2**21 - 1, 7)
+    params["k_max"] += 1
+    path = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    assert main(["certify-metastability", "--config", path, "--out", str(tmp_path)]) == 2
+
+
+def test_check_lemmas_with_a_max_l_beyond_the_trace(tmp_path, capsys):
+    # np.minimum(10**400, ...) raised OverflowError: a traceback and exit 1;
+    # every max_l >= steps checks what max_l = steps does
+    certs = {}
+    for j, max_l in enumerate((25, 26, 10**400)):
+        out = tmp_path / f"out{j}"
+        params = {"max_n": 10, "max_l": max_l, "max_i": 15, "steps": 25}
+        cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+        assert main(["check-lemmas", "--config", cfg, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        certs[max_l] = json.loads((out / "lemma_certificates.json").read_text())
+    for cert in certs.values():  # rows n <= 10 reach l = 25 - n, for 3 known solutions
+        assert cert[0]["witness"]["checked"] == 3 * sum(26 - n for n in range(11))
+    for max_l, (quasi, approx) in certs.items():
+        assert quasi["params"].pop("max_l") == max_l
+        quasi.pop("digest")
+    assert certs[25] == certs[26] == certs[10**400]
 
 
 def test_metastability_task_cap_flag(tmp_path, capsys):

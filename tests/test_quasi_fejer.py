@@ -20,6 +20,7 @@ from fejerquant.iteration import Trace, run
 from fejerquant.moduli import exp_upper
 from fejerquant.verification import (
     _SLACK,
+    _TILE,
     Certificate,
     _instance_params,
     check_quasi_fejer,
@@ -149,6 +150,25 @@ def _cases():
     for max_n, max_l in ((0, 10), (10, 0), (0, 0), (45, 10), (10, 45), (45, 45),
                          (-1, 10), (10, -1), (-3, -3)):
         cases.append((f"max_n={max_n} max_l={max_l}", inst, short, max_n, max_l))
+    cases.append(("max_n=10 max_l=10**400", inst, short, 10, 10**400))
+    cases.append(("max_n=10**400 max_l=10**400", inst, short, 10**400, 10**400))
+    # tiles: _TILE elements hold 9 offsets of 3 solutions x 301 rows, so 101
+    # offsets end in a part tile; 3 x 3,001 rows hold one offset per tile
+    long = run(inst, 450)
+    cases.append(("101 offsets in tiles of 9", inst, long, 300, 100))
+    cases.append(("one-offset tiles", inst, run(inst, 3005), 3000, 5))
+    cases.append(("tiles, max_l beyond the trace", inst, tr, 100, 500))
+    cases.append(("tiles, max_l 10**400", inst, tr, 100, 10**400))
+    # violations at n + l = 60, 61 and 130 run over many tiles in l
+    spread = nudged(nudged(nudged(long, 60, 0.01), 61, -0.02), 130, 0.01)
+    cases.append(("tiles, fault at 60, 61 and 130", inst, spread, 300, 100))
+    cases.append(("tiles, fake solution, fault at 60", fake, nudged(long, 60, 0.05), 300, 100))
+    # the last iterate breaks both forms; pairs past the trace must not count
+    cases.append(("tiles, fault at the last iterate", inst, nudged(long, 450, 1.0), 300, 200))
+    affine = fq.preset("affine-affine-nd")
+    tr2 = run(affine, 500)
+    cases.append(("affine S, tiles of 27", affine, tr2, 300, 200))
+    cases.append(("affine S, tiles, fault at 250", affine, nudged(tr2, 250, 1e-3), 300, 200))
     zero = run(inst, 0)
     for max_n, max_l in ((0, 0), (5, 5), (-1, 0)):
         cases.append((f"zero steps, max_n={max_n} max_l={max_l}", inst, zero, max_n, max_l))
@@ -179,6 +199,29 @@ def test_the_case_list_reaches_the_violation_cut_and_the_premise_order():
     ]
     # the premise entry of the middle solution falls between inequality violations
     assert any("premise" in f and 0 < f.index("premise") < len(f) - 1 for f in forms)
+
+
+def test_the_tile_cases_cross_tile_edges():
+    shapes = {}
+    for label, inst, tr, max_n, max_l in CASES:
+        if "tiles" not in label:
+            continue
+        cert = reference_quasi_fejer(tr, inst, max_n, max_l)
+        forms = [v["form"] for v in cert.violations]
+        kept = len(inst.known_solutions) - forms.count("premise")
+        height = max(1, _TILE // (kept * (min(max_n, tr.steps) + 1)))
+        offsets = min(max_l, tr.steps) + 1
+        tiles = {v["l"] // height for v in cert.violations if "l" in v}
+        shapes[label] = (height, offsets % height, len(cert.violations), len(tiles))
+        if "fake" in label:  # the premise entry of the middle solution is kept
+            assert 0 < forms.index("premise") < len(forms) - 1
+    assert shapes["101 offsets in tiles of 9"] == (9, 2, 0, 0)
+    assert shapes["one-offset tiles"][0] == 1
+    assert shapes["tiles, max_l beyond the trace"][1] > 0
+    # the violations kept at the cut of 50 lie in several tiles
+    for label in ("tiles, fault at 60, 61 and 130", "tiles, fake solution, fault at 60",
+                  "affine S, tiles, fault at 250"):
+        assert shapes[label][1] > 0 and shapes[label][2] == 50 and shapes[label][3] >= 3
 
 
 def test_negative_ranges_check_nothing():

@@ -8,6 +8,8 @@ the checks prove nothing.
 
 import dataclasses
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 from typing import Optional
 
@@ -22,8 +24,9 @@ from fejerquant.errors import (
     ResidualFloor,
     TableRangeError,
 )
-from fejerquant.iteration import Trace, run
-from fejerquant.moduli import ModulusFn, NaturalBound
+from fejerquant.iteration import Trace, gamma_k_check, run
+from fejerquant.moduli import ModulusFn, NaturalBound, delta, omega
+from fejerquant.operators import minimal_selection
 from fejerquant.verification import (
     _SLACK,
     Certificate,
@@ -35,7 +38,6 @@ from fejerquant.verification import (
     check_cauchy_modulus,
     check_liminf_witness,
     check_quasi_fejer,
-    check_uniform_closedness,
     find_metastable,
     monotonize_table,
 )
@@ -189,6 +191,8 @@ def reference_approx_error(trace, inst, max_n, max_i):
         ("box-affine-nd", None, 200, 150, 200),
         ("affine-affine-nd", None, 120, 120, 60),
         ("dense-abs-2d", None, 200, 200, 100),  # a curved path: rates need row_norms
+        ("dc-abs-1d", [2.0], 200, 150, 150),  # tiles of 54 rows: 54 + 54 + 43
+        ("dc-abs-1d", [2.0], 30, 20, 9000),  # 9,001 stages: one-row tiles
     ],
 )
 def test_approx_error_rows_match_the_per_point_loop(name, x0, steps, max_n, max_i):
@@ -215,6 +219,67 @@ def test_approx_error_rows_match_the_per_point_loop_in_violations(monkeypatch):
     want = reference_approx_error(tr, inst, 200, 0).to_json()
     assert len(got["violations"]) == 50
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_approx_error_cut_at_50_crosses_a_tile_edge(monkeypatch):
+    # one broken stage: each row n has one violation, and the 50 kept come
+    # from rows 0..49, over tiles of 40 rows x 101 stages x d = 2
+    inst = dense_abs_2d()
+    tr = run(inst, 200, validate_l=False)
+    broken = inst.schedule.mus(0, 101)[7]
+    real = fq.verification.resolvent_rows
+    monkeypatch.setattr(
+        fq.verification,
+        "resolvent_rows",
+        lambda op, lams, pts: real(op, lams, pts) + (lams == broken)[:, None],
+    )
+    got = check_approx_error(tr, inst, 200, 100).to_json()
+    want = reference_approx_error(tr, inst, 200, 100).to_json()
+    assert [(v["n"], v["i"]) for v in got["violations"]] == [(n, 7) for n in range(50)]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+@pytest.mark.parametrize("rows", [(0,), (5,), (130,), (0, 130)])
+def test_approx_error_folds_nan_rows_in_row_order(monkeypatch, rows):
+    # a NaN gap in row 0 is the max_overshoot, a later one is passed over
+    # (`worst > max_overshoot` is false), as in the loop; row 5 lies in the
+    # first tile of 54 rows, row 130 in the third
+    inst = from_two()
+    tr = run(inst, 200)
+    mus_all = inst.schedule.mus(0, 151)
+    ts = fq.yosida_rows(inst.T, tr.lambdas[:151], tr.points[:151])
+    poisoned = [tr.points[n][None, :] + mus_all[:, None] * ts[n][None, :] for n in rows]
+    poisoned = np.concatenate(poisoned)[:, 0]
+    real = fq.verification.resolvent_rows
+
+    def nan_rows(op, lams, pts):
+        out = real(op, lams, pts)
+        out[np.isin(pts[:, 0], poisoned)] = np.nan
+        return out
+
+    monkeypatch.setattr(fq.verification, "resolvent_rows", nan_rows)
+    with np.errstate(invalid="ignore"):  # NaN comparisons may raise the flag
+        got = check_approx_error(tr, inst, 150, 150).to_json()
+        want = reference_approx_error(tr, inst, 150, 150).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    overshoot = got["witness"]["max_overshoot"]
+    assert math.isnan(overshoot) == (0 in rows)
+
+
+@pytest.mark.parametrize("kernel", [check_quasi_fejer, check_approx_error])
+def test_lemma_kernels_keep_a_flat_memory_peak(kernel):
+    # lemmas-1d size: 1.9M quasi-Fejer and 0.64M approx-error inequalities;
+    # one 801 x 801 float64 block alone would be 5.1 MB
+    inst = dc(x0=np.array([0.5]))
+    tr = run(inst, 1600)
+    kernel(tr, inst, 800, 800)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        kernel(tr, inst, 800, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # bytes; the kernels peak near 0.5 and 0.66 MB
 
 
 def test_approx_error_catches_a_broken_resolvent(monkeypatch):
@@ -515,6 +580,43 @@ def test_liminf_witness_fails_honestly_at_finer_levels():
     assert not cert.sound and not cert.vacuous
     assert int(cert.bound) == 3
     assert cert.violations[0]["range"] == [0, 3]
+
+
+def check_uniform_closedness(inst, samples, k):
+    """Sample the uniform closedness of the approximate-solution strata:
+    whenever q is a level-delta(k) member (witness T°q) and p is within
+    1/(omega(k)+1) of q, then p is a level-k member with the same witness.
+
+    A test-side check: it needs caller-supplied sample pairs, which no config
+    can express, so no task runs it."""
+    dlt = delta(k)
+    om = omega(k, inst.quant.M, inst.quant.varpi)
+    tol = 1.0 / (om + 1)
+    asserted = 0
+    skipped = 0
+    violations = []
+    for p, q in samples:
+        p = np.asarray(p, dtype=float).reshape(-1)
+        q = np.asarray(q, dtype=float).reshape(-1)
+        y_q = minimal_selection(inst.T, q)
+        if float(np.linalg.norm(p - q)) > tol or not gamma_k_check(inst, q, dlt, y_q):
+            skipped += 1
+            continue
+        asserted += 1
+        if not gamma_k_check(inst, p, k, y_q):
+            violations.append(
+                {"p": [float(v) for v in p], "q": [float(v) for v in q]}
+            )
+    return Certificate(
+        kind="lemma-inequality",
+        params={"lemma": "uniform-closedness", "k": k, **_instance_params(inst)},
+        witness={"asserted": asserted, "skipped": skipped},
+        bound=None,
+        sound=not violations,
+        vacuous=asserted == 0,
+        violations=tuple(violations),
+        provenance={"delta": dlt, "omega": om},
+    )
 
 
 def test_uniform_closedness_sampled():
