@@ -13,6 +13,8 @@ a single modulus. Exit code 0 when every requested certificate is sound
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -25,6 +27,7 @@ from .moduli import (
     DEFAULT_CAP,
     ModulusFn,
     chi,
+    constant,
     delta,
     exp_upper,
     kappa,
@@ -241,7 +244,7 @@ def _task_cauchy_modulus(
     from .regularity import RegularityModulus
 
     phi_reg = field(params, "phi_reg", RegularityModulus.from_json)
-    b = field(params, "b", rational, Fraction(1))
+    b = constant("b", field(params, "b", rational, Fraction(1)))
     _cli.validate_regularity_ball(inst, phi_reg, b)
     trace = _cli.run(inst, steps)
     phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
@@ -260,10 +263,10 @@ def _task_moduli_eval(cfg: dict) -> list:
         {"modulus", "k", "r", "n", "m", "M", "B", "Bprime", "A", "L", "d", "varpi", "xi"},
     )
     name = params.get("modulus")
-    nat = lambda key: field(params, key, natural)  # noqa: E731
-    pos = lambda key: field(params, key, positive)  # noqa: E731
+    nat = lambda key: constant(key, field(params, key, natural))  # noqa: E731
+    pos = lambda key: constant(key, field(params, key, positive))  # noqa: E731
     mod = lambda key: field(params, key, ModulusFn.from_json)  # noqa: E731
-    frac = lambda key: field(params, key, rational)  # noqa: E731
+    frac = lambda key: constant(key, field(params, key, rational))  # noqa: E731
     if name == "delta":
         value = delta(nat("k"))
     elif name == "omega":
@@ -316,6 +319,13 @@ def _parse_horizon(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    # At exit the interpreter makes full collections over every tracked object
+    # (about 22,500, most of them numpy's), GC enabled or not; frozen objects
+    # sit in the permanent generation, which those collections skip. atexit
+    # callbacks run before them. Registered here, once per process, not at
+    # import: library importers and in-process callers keep normal GC.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(prog="fejerquant", description=__doc__)
     parser.add_argument(
         "task",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import FLOATS, INTEGER, RATIONAL, Field, field, list_of, number, rational, read_form
 from .fields import json_of, string, tolist, write_form
-from .moduli import ModulusFn
+from .moduli import ModulusFn, constant
 from .operators import (
     NormalConeBox,
     SignedZeroSolve,
@@ -103,6 +103,14 @@ class PowerRule:
             raise ScheduleError("power rule needs c > 0")
         if self.p < 0:
             raise ScheduleError("power rule needs p >= 0")
+        # c and (n+1)^p at n = 1 are finite float64s: past p = 1023 every stage
+        # n >= 1 would have the value 0
+        if self.p > 1023:
+            raise ConfigError("p: must be at most 1023")
+        try:
+            float(self.c)
+        except OverflowError:
+            raise ConfigError("c: number out of float range") from None
 
     def value(self, n: int) -> float:
         try:
@@ -118,10 +126,7 @@ class PowerRule:
         value(): int64 while below 2^63, Python ints beyond. A float power
         would round differently.
         """
-        try:
-            c = float(self.c)
-        except OverflowError:
-            return np.zeros(n1 - n0)
+        c = float(self.c)
         # stage n has base n + 1, so stages below the largest int64 base fit
         cut = min(n1, max(n0, _int64_max_base(self.p)))
         small = np.arange(n0 + 1, cut + 1, dtype=np.int64) ** self.p
@@ -303,6 +308,8 @@ class QuantitativeData:
             raise InvariantViolation("constants A >= 0, C >= 1, L >= 0 required")
         if self.B < 1 or self.M < 1 or self.d < 1 or self.Bprime < 0:
             raise InvariantViolation("constants B, M >= 1, d >= 1, Bprime >= 0 required")
+        for name in ("A", "B", "Bprime", "C", "L", "M"):
+            constant(name, getattr(self, name))
 
     def validate_against(self, schedule: ParameterSchedule, spot_k: int = 50) -> None:
         """Spot-check the certified constants against the stored horizon.

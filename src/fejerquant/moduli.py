@@ -37,6 +37,22 @@ DEFAULT_CAP = 10 ** 10000
 if sys.get_int_max_str_digits() < 20_000:
     sys.set_int_max_str_digits(20_000)
 
+# The largest value of each quantitative constant. A magnitude (B, C, L, M and
+# the ball bound b) is compared with float64 trace data, so it must stay a
+# finite float64, 2M + 1 included. A enters as e^A, which the quasi-Fejer check
+# takes as a float64 (e^709 < 2^1024 < e^710). Every positive float64 mu_0 is
+# at least 2^-1074, so a larger Bprime would only weaken kappa_hat.
+CONSTANT_BOUNDS = {"A": 709, "Bprime": 1074, **dict.fromkeys("BCLMb", 10**300)}
+
+
+def constant(name: str, value):
+    """``value``, refused with a ConfigError naming ``name`` beyond its bound."""
+    top = CONSTANT_BOUNDS.get(name)
+    if top is not None and value > top:
+        raise ConfigError(f"{name}: must be at most {top:.4g}")
+    return value
+
+
 #: Granularity used when rounding certified rational upper bounds.
 _EXP_GRAIN = 10 ** 9
 _SQRT_GRAIN = 10 ** 7
@@ -90,8 +106,10 @@ def _ceil_root(num: int, den: int, p: int) -> int:
     if num <= 0:
         return 0
     t = ceil_div(num, den)
-    if p == 1:
+    if p == 1 or t == 1:
         return t
+    if p >= t.bit_length():  # 2**p > t, so the root is 2 (and 2**p is never built)
+        return 2
     t = _iroot(t, p)
     while t ** p * den < num:
         t += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -523,7 +524,8 @@ def build_empirical_phi(
     n_max = min(n_max, steps - 1)
     raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
     head = np.arange(n_max + 1, dtype=np.int64)
-    for k in range(k_max + 1):
+    k = 0
+    while k <= k_max:
         # the first index at or after n whose residual qualifies, `steps` if
         # none: a reversed running minimum over n <= n_max, seeded with the
         # first qualifying index beyond n_max
@@ -536,7 +538,13 @@ def build_empirical_phi(
         if missing.size:
             n = int(missing[0])
             raise ResidualFloor(k, n, float(np.min(res[n:])))
-        raw[k] = next_qual
+        # A residual qualifies at a prefix of the levels, so the row holds
+        # until the largest qualifying residual drops out: at most one row is
+        # computed per distinct residual, the levels between get copies.
+        top = float(np.max(res, where=below, initial=-np.inf))
+        end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))
+        raw[k:end] = next_qual
+        k = end
     table = monotonize_table(raw)
     stationary_from: Optional[int] = None
     tail = trace.points[-1]

@@ -1,11 +1,14 @@
 """Command-line entry point: presets, config validation, tasks, exit codes."""
 
+import dataclasses
+import gc
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ import pytest
 import fejerquant as fq
 from fejerquant import preset
 from fejerquant.cli import _parse_cap, build_instance, main
-from fejerquant.errors import UnknownPreset
+from fejerquant.errors import ConfigError, UnknownPreset
+from fejerquant.iteration import PowerRule
 from fejerquant.operators import NormalConeBox, SubdiffAbsSum
 
 
@@ -205,6 +209,60 @@ print(cli.main(sys.argv[1:]), json.dumps(counts, sort_keys=True))
     assert out == f"0 {json.dumps({**SET_UP, **calls}, sort_keys=True)}"
 
 
+# --------------------------------------------------------------------------
+# exit: main freezes the heap at exit, so shutdown's collections skip it
+# --------------------------------------------------------------------------
+
+# a probe registered before main runs after main's hook (atexit is LIFO)
+COUNT_FREEZES = """
+import atexit, gc, sys
+freezes = []
+real_freeze = gc.freeze
+gc.freeze = lambda: (freezes.append(1), real_freeze())
+atexit.register(lambda: print("freezes", len(freezes), gc.get_freeze_count() > 0, flush=True))
+"""
+
+
+def test_every_exit_path_of_main_runs_with_a_frozen_heap(tmp_path):
+    good = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"steps": 10}})
+    bad = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"steps": -1}}, "bad.json")
+    code = f"""
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit", gc.get_freeze_count() > 0, flush=True))
+from fejerquant.cli import main
+out = {str(tmp_path)!r}
+print("codes", main(["run", "--config", {good!r}, "--out", out]),
+      main(["run", "--config", {good!r}, "--dump-config"]), flush=True)
+sys.exit(main(["run", "--config", {bad!r}, "--out", out]))
+"""
+    proc = fresh(code)
+    assert proc.returncode == 2
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("trace: 10 steps") and lines[1].startswith("final point")
+    assert json.loads("\n".join(lines[2:-2]))["params"] == {"steps": 10}
+    assert lines[-2:] == ["codes 0 0", "frozen at exit True"]
+    assert proc.stderr.startswith("config/problem error: steps:")
+    assert (tmp_path / "trace.jsonl").read_text().count("\n") == 11
+
+
+def test_the_exit_hook_is_registered_once_per_process(tmp_path):
+    cfg = write_config(tmp_path, {"params": {"modulus": "delta", "k": 3}})
+    code = COUNT_FREEZES + "from fejerquant.cli import main\nmain(sys.argv[1:]); main(sys.argv[1:])"
+    proc = fresh(code, "moduli-eval", "--config", cfg)
+    assert proc.returncode == 0 and proc.stdout.splitlines() == ["7", "7", "freezes 1 True"]
+
+
+def test_importing_the_cli_registers_no_exit_hook():
+    assert fresh_output(COUNT_FREEZES + "import fejerquant.cli") == "freezes 0 False"
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"steps": 10}})
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
 def test_the_traced_names_are_those_the_benchmark_rebinds():
     replay = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "replay.py")
     with open(replay, encoding="utf-8") as fh:
@@ -388,6 +446,7 @@ def _inline_dc(**problem_overrides):
     return {"problem": problem, "schedule": inst.schedule.to_json(), "quant": inst.quant.to_json()}
 
 
+LEMMAS_TINY = {"problem": "dc-abs-1d", "params": {"max_n": 10, "max_l": 10, "max_i": 15, "steps": 25}}
 MALFORMED_VALUES = {
     "operator dim": ("run", _inline_dc(S={"kind": "subdiff_abs", "dim": "one"}), "S: dim"),
     "schedule rule c": (
@@ -450,6 +509,40 @@ MALFORMED_VALUES = {
         "moduli-eval",
         {"params": {"modulus": "varpi_prime", "k": 0, "B": 0, "varpi": {"kind": "identity"}}},
         "B: expected an integer >= 1",
+    ),
+    # constants past their bounds, on the tiny lemmas config: each was an
+    # OverflowError under exit 1, or (a rule's p) a stall in the underflow guard
+    **{f"quant {name} 10**400": (
+        "check-lemmas",
+        {**LEMMAS_TINY, "quant": {**preset("dc-abs-1d").quant.to_json(), name: 10**400}},
+        f"quant: {name}: must be at most",
+    ) for name in ("A", "B", "Bprime", "C", "L", "M")},
+    "mu p 10**400": (
+        "check-lemmas",
+        {**LEMMAS_TINY, "schedule": {**preset("dc-abs-1d").schedule.to_json(),
+                                     "mu": {"rule": "power", "c": 1, "p": 10**400}}},
+        "schedule: mu: p: must be at most 1023",
+    ),
+    "lambda c 10**400": (
+        "check-lemmas",
+        {**LEMMAS_TINY, "schedule": {**preset("dc-abs-1d").schedule.to_json(),
+                                     "lambda": {"rule": "power", "c": 10**400, "p": 1}}},
+        "schedule: lambda: c: number out of float range",
+    ),
+    # moduli-eval and the cauchy-modulus ball bound share the bounds
+    "moduli-eval A 710": (
+        "moduli-eval",
+        {"params": {"modulus": "chi", "r": 0, "n": 0, "m": 0, "A": 710}},
+        "A: must be at most 709",
+    ),
+    "moduli-eval Bprime 1075": (
+        "moduli-eval",
+        {"params": {"modulus": "kappa_hat", "k": 0, "M": 1, "B": 1, "Bprime": 1075,
+                    "varpi": {"kind": "identity"}}},
+        "Bprime: must be at most 1074",
+    ),
+    "cauchy b past 10**300": (
+        "cauchy-modulus", {"params": {"phi_reg": PHI_REG, "b": 10**300 + 1}}, "b: must be at most"
     ),
 }
 
@@ -564,8 +657,9 @@ FUZZ_CONFIGS = [
     ("moduli-eval", "params", {"params": {"modulus": "P", "k": 0, "A": "2", "d": 1, "L": "4"}}),
 ]
 
-# -1 is well typed, but no count, index or constant may be negative
-WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0", -1)
+# -1 is well typed, but no count, index or constant may be negative; 10**400
+# is well typed, but beyond float range and beyond every constant's bound
+WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0", -1, 10**400)
 
 
 def _field_paths(obj, prefix=()):
@@ -714,6 +808,21 @@ def test_an_oversized_k_max_exits_2_before_allocating(tmp_path, capsys, monkeypa
     assert main([task, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config/problem error: k_max:" in err and "Traceback" not in err
+
+
+def test_constants_at_their_bounds_are_accepted():
+    quant = preset("dc-abs-1d").quant
+    top = {"A": 709, "B": 10**300, "Bprime": 1074, "C": 10**300, "L": 10**300, "M": 10**300}
+    assert dataclasses.replace(quant, **top).to_json()["Bprime"] == 1074
+    for name, value in top.items():
+        past = value + (1 if name in ("B", "Bprime", "M") else Fraction(1, 10**9))
+        with pytest.raises(ConfigError, match=f"^{name}: must be at most"):
+            dataclasses.replace(quant, **{name: past})
+    assert PowerRule(Fraction(1), 1023).value(0) == 1.0
+    with pytest.raises(ConfigError, match="^p: must be at most 1023"):
+        PowerRule(Fraction(1), 1024)
+    with pytest.raises(ConfigError, match="^c: number out of float range"):
+        PowerRule(Fraction(2**1024), 1)
 
 
 def test_a_k_max_at_the_table_bound_is_accepted(tmp_path, monkeypatch):

@@ -132,10 +132,11 @@ def regularity_moduli(draw):
 
 @st.composite
 def quant_data(draw, d=None):
+    # A and Bprime within their bounds, 709 and 1074 (moduli.CONSTANT_BOUNDS)
     return QuantitativeData(
-        A=draw(st.one_of(st.just(Fraction(0)), positive_fractions)),
+        A=draw(st.one_of(st.just(Fraction(0)), st.fractions(0, 709))),
         B=draw(st.integers(1, 10**30)),
-        Bprime=draw(naturals),
+        Bprime=draw(st.one_of(st.integers(0, 20), st.integers(0, 1074))),
         C=1 + draw(st.one_of(st.just(Fraction(0)), positive_fractions)),
         M=draw(st.integers(1, 50)),
         L=draw(st.one_of(st.just(Fraction(0)), positive_fractions)),

@@ -671,10 +671,24 @@ def test_modulus_call_matches_the_fraction_reference(f, n):
 
 @given(
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 40), st.integers(1, 10 ** 12)),
-    st.integers(-1, 7),
+    # orders past the bit length of q (up to 133 bits) have the root 2 or less
+    st.one_of(st.integers(-1, 7), st.integers(100, 160)),
 )
 def test_ceil_nth_root_matches_the_fraction_reference(q, p):
     assert _outcome(lambda: ceil_nth_root(q, p)) == _outcome(lambda: ref_ceil_nth_root(q, p))
+
+
+def test_roots_of_a_huge_order_build_no_power():
+    # 2**(10**400) stalled: a theta or xi with p = 10**400 hung the config check
+    p = 10**400
+    assert [ceil_nth_root(Fraction(q), p) for q in (0, Fraction(1, 2), 1, 2, 10**40)] == [0, 1, 1, 2, 2]
+    assert [ModulusFn.power_rate(3, p)(n) for n in (0, 5, 10**9)] == [1, 1, 1]
+    assert [ModulusFn.power_rate(Fraction(1, 10), p)(n) for n in (0, 5, 9, 10)] == [0, 0, 0, 1]
+    assert ModulusFn.power_sum_rate(3, p)(10**9) == 1
+    # either side of the shortcut: orders at and around the bit length of q
+    for p in range(2, 70):
+        for q in (2**p - 1, 2**p, 2**p + 1, 2 ** (p + 1) - 1, 2 ** (p + 1), Fraction(2**p + 1, 3)):
+            assert ceil_nth_root(Fraction(q), p) == ref_ceil_nth_root(Fraction(q), p)
 
 
 def test_rate_helpers_match_the_fraction_reference():

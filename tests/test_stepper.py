@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import fejerquant as fq
 from fejerquant.errors import (
+    ConfigError,
     DomainError,
     FejerQuantError,
     HorizonExceeded,
@@ -327,12 +328,14 @@ def test_power_rule_arrays_cover_overflow_and_odd_constants():
         PowerRule(Fraction(1), 150),  # a subnormal quotient at base 113, overflow from 114
         PowerRule(Fraction(3, 7), 3),
         PowerRule(Fraction(5, 2), 0),
-        PowerRule(Fraction(10**400), 1),  # float(c) overflows: value() gives 0.0
     ):
         got = rule.value_array(0, 150)
         assert got.tobytes() == values_of(rule, 0, 150).tobytes()
     assert 0.0 < PowerRule(Fraction(1), 150).value(112) < np.finfo(float).tiny
     assert PowerRule(Fraction(1), 200).value_array(40, 50).tolist() == [0.0] * 10
+    # a c beyond float range gave 0.0 at every stage; it is refused now
+    with pytest.raises(ConfigError, match="c: number out of float range"):
+        PowerRule(Fraction(10**400), 1)
 
 
 def test_table_rule_arrays():

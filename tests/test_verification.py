@@ -9,6 +9,7 @@ the checks prove nothing.
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from typing import Optional
@@ -31,6 +32,7 @@ from fejerquant.verification import (
     _SLACK,
     Certificate,
     _instance_params,
+    _verified_stage_fixed_point,
     EmpiricalPhi,
     build_empirical_phi,
     certify_metastability,
@@ -518,6 +520,78 @@ def test_empirical_phi_matches_the_reference_scan():
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
         outcomes["table"] += 1
     assert min(outcomes.values()) > 50
+
+
+def reference_empirical_phi(trace, k_max, n_max, inst=None):
+    """The per-level loop build_empirical_phi replaced: one full residual pass
+    for every k, with the stationary tail found row by row."""
+    res, steps = trace.residuals, trace.steps
+    n_max = min(n_max, steps - 1)
+    raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
+    head = np.arange(n_max + 1, dtype=np.int64)
+    for k in range(k_max + 1):
+        below = res < 1.0 / (k + 1)
+        beyond = below[n_max + 1 :]
+        after = n_max + 1 + int(np.argmax(beyond)) if beyond.any() else steps
+        qualifying = np.where(below[: n_max + 1], head, after)
+        next_qual = np.minimum.accumulate(qualifying[::-1])[::-1]
+        missing = np.flatnonzero(next_qual == steps)
+        if missing.size:
+            n = int(missing[0])
+            raise ResidualFloor(k, n, float(np.min(res[n:])))
+        raw[k] = next_qual
+    first = reference_stationary_from(trace.points)
+    stationary = first < steps and inst is not None and _verified_stage_fixed_point(inst, trace.points[-1])
+    return monotonize_table(raw), first if stationary else None
+
+
+def test_empirical_phi_matches_the_per_level_loop():
+    rng = np.random.default_rng(23)
+    # zeros, ties, residuals on the thresholds 1/(k+1) and one float either
+    # side of them, NaN, and values that qualify at no level
+    pool = [0.0, 0.0, 2.0, 1.0, 0.5, 0.25, 1 / 3, 1 / 7, 1 / 40, 0.01, 1e-300, np.inf, np.nan]
+    pool += [np.nextafter(1 / 9, 0), np.nextafter(1 / 9, 1)]
+    outcomes = {"table": 0, "floor": 0, "stationary": 0}
+    for trial in range(400):
+        steps = int(rng.integers(1, 50))
+        res = rng.choice(pool, size=steps)
+        if trial % 4 == 0:  # a floor the tail never drops below
+            res[int(rng.integers(0, steps)) :] = rng.choice([0.6, 0.3, 0.05, 1 / 11])
+        pts = np.zeros((steps + 1, 1))
+        if trial % 5:  # some rows off the fixed point 0 of dc-abs-1d
+            moving = int(rng.integers(0, steps + 1))
+            pts[:moving, 0] = 0.25 / (1 + np.arange(moving))
+        tr = Trace(pts, np.ones(steps), np.ones(steps), res)
+        k_max = int(rng.integers(0, 120))
+        n_max = int(rng.integers(0, steps + 2))
+        try:
+            table, stationary_from = reference_empirical_phi(tr, k_max, n_max, dc())
+        except ResidualFloor as want:
+            with pytest.raises(ResidualFloor) as got:
+                build_empirical_phi(tr, k_max, n_max, dc())
+            assert (got.value.k, got.value.n) == (want.k, want.n)
+            assert np.array_equal(got.value.floor, want.floor, equal_nan=True)
+            outcomes["floor"] += 1
+            continue
+        phi = build_empirical_phi(tr, k_max, n_max, dc())
+        assert phi.table.dtype == table.dtype and np.array_equal(phi.table, table)
+        assert phi.stationary_from == stationary_from
+        outcomes["table"] += 1
+        outcomes["stationary"] += stationary_from is not None
+    assert min(outcomes.values()) > 40
+
+
+def test_empirical_phi_cost_does_not_grow_with_k_max():
+    # one residual pass per level took about 4 s at k_max = 2**18; now a row
+    # is computed once per distinct residual and copied across the levels
+    inst = dc()
+    tr = run(inst, 50)
+    start = time.perf_counter()
+    phi = build_empirical_phi(tr, 2**18, 7, inst)
+    assert time.perf_counter() - start < 1.0
+    table, _ = reference_empirical_phi(tr, 2**10, 7, inst)
+    assert np.array_equal(phi.table[: 2**10 + 1], table)
+    assert (phi.table[2**10 :] == phi.table[-1]).all()
 
 
 # --------------------------------------------------------------------------
