@@ -15,6 +15,7 @@ they are built from. They treat their modulus arguments as black boxes
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -137,10 +138,18 @@ class RationalUpper:
 
 def exp_upper(a: Fraction) -> RationalUpper:
     """Rational u with e^a <= u < e^a + 1e-6, by Taylor series with an
-    explicit geometric remainder bound, rounded up to denominator 1e9."""
+    explicit geometric remainder bound, rounded up to denominator 1e9.
+
+    The series grows with a, and a task asks for the same bound more than
+    once, so each value of a is summed once per process."""
     a = Fraction(a)
     if a < 0:
         raise NegativeExponent(f"exp_upper needs a >= 0, got {a}")
+    return _exp_upper(a)
+
+
+@functools.lru_cache(maxsize=64)
+def _exp_upper(a: Fraction) -> RationalUpper:
     if a == 0:
         return RationalUpper(Fraction(1), "e^0", Fraction(0))
     term = total = Fraction(1)

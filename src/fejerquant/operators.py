@@ -237,7 +237,8 @@ class _SolveCoordinate(AffinePSD):
     +-0*y_i terms to each numerator. Such a term leaves a nonzero or +0.0
     numerator as it is, so the quotient is the scalar (x - lam*b) / (1 +
     lam*a); a -0.0 numerator may turn into +0.0, so the scalar form raises
-    SignedZeroSolve there and the stepper takes the row forms instead.
+    SignedZeroSolve there and the stepper takes the d-dimensional row forms
+    instead. The 1x1 row form raises wherever the scalar form does.
     """
 
     def resolvent1(self, lam: float, x: float) -> float:
@@ -245,6 +246,12 @@ class _SolveCoordinate(AffinePSD):
         if num == 0.0 and math.copysign(1.0, num) < 0.0:
             raise SignedZeroSolve("a -0.0 numerator in a d > 1 solve")
         return AffinePSD.resolvent1(self, lam, x)
+
+    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        num = xs - lams[:, None] * self.offset
+        if np.any((num == 0.0) & np.signbit(num)):
+            raise SignedZeroSolve("a -0.0 numerator in a d > 1 solve")
+        return AffinePSD.resolvent_rows(self, lams, xs)
 
 
 @dataclass(frozen=True)

@@ -544,6 +544,14 @@ MALFORMED_VALUES = {
     "cauchy b past 10**300": (
         "cauchy-modulus", {"params": {"phi_reg": PHI_REG, "b": 10**300 + 1}}, "b: must be at most"
     ),
+    # constant rules pass the mu underflow guard at any horizon; this one asked
+    # validate_against for a 72.8 TiB array under exit 1
+    "horizon 10**13": (
+        "run",
+        {"schedule": {"lambda": {"rule": "power", "c": 1, "p": 0},
+                      "mu": {"rule": "power", "c": "1e-24", "p": 0}, "horizon": 10**13}},
+        "schedule: horizon: must be at most 16777216",
+    ),
 }
 
 

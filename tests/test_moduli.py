@@ -21,6 +21,7 @@ from fejerquant.errors import (
     NegativeExponent,
     TableRangeError,
 )
+from fejerquant import moduli
 from fejerquant.iteration import QuantitativeData
 from fejerquant.moduli import (
     DEFAULT_CAP,
@@ -139,6 +140,17 @@ def test_exp_upper_interval_examples():
     assert Fraction(2718281, 10 ** 6) <= u1 <= Fraction(2718283, 10 ** 6)
     u2 = exp_upper(Fraction(2)).value
     assert Fraction(7389056, 10 ** 6) <= u2 <= Fraction(7389058, 10 ** 6)
+
+
+def test_exp_upper_sums_each_exponent_once():
+    # the series grows with A, and a certify-metastability task asks for e^A
+    # three times; each miss of the cache is one summation
+    moduli._exp_upper.cache_clear()
+    first = exp_upper(Fraction(300))
+    assert exp_upper(300) is first and exp_upper(Fraction(600, 2)) is first
+    info = moduli._exp_upper.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert exp_upper(Fraction(7, 4)) == moduli._exp_upper.__wrapped__(Fraction(7, 4))
 
 
 def test_exp_upper_rejects_negative():

@@ -26,6 +26,7 @@ from fejerquant.errors import (
     NonPositiveParameter,
     SingularSystem,
 )
+from fejerquant import iteration
 from fejerquant.iteration import (
     ParameterSchedule,
     PowerRule,
@@ -293,6 +294,169 @@ def test_trace_matches_past_the_int64_powers():
 
 
 # --------------------------------------------------------------------------
+# fast-forward through the stages that fix a repeated iterate
+# --------------------------------------------------------------------------
+
+# the start points of the benchmark's d = 1 workloads; every path from them
+# ends at the zero 0 within three steps
+X0_1D = [0.5, 0.25, 0.75, -0.5, -0.25, -0.75, 0.375, -0.375]
+
+
+def count_checks(monkeypatch):
+    """Spy on the fixed-stage check: the stage counts it returns, in order."""
+    skips = []
+
+    def spy(*args):
+        skips.append(real(*args))
+        return skips[-1]
+
+    real = iteration._fixed_stages
+    monkeypatch.setattr(iteration, "_fixed_stages", spy)
+    return skips
+
+
+@pytest.mark.parametrize("x0", X0_1D)
+def test_captured_paths_match_the_reference_loop(x0):
+    inst = dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
+    assert_same_trace(run(inst, 100_000), reference_run(inst, 100_000))
+
+
+def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
+    # a small mu and a start just inside the distance the path can travel:
+    # captured at 0 after about 5,000 distinct points
+    preset = fq.preset("dc-abs-1d")
+    xi = ModulusFn.power_sum_rate(Fraction(1, 10), 3)
+    quant = dataclasses.replace(preset.quant, Bprime=4, xi=xi)
+    schedule = dataclasses.replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
+    inst = dataclasses.replace(
+        preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant
+    )
+    skips = count_checks(monkeypatch)
+    got = run(inst, 100_000)
+    assert_same_trace(got, reference_run(inst, 100_000))
+    assert len(np.unique(got.points)) > 4000 and sum(skips) > 90_000
+
+
+def test_a_fixed_run_that_ends_partway():
+    # T x = x + 1.001: the soft threshold holds 0 while lambda_n >= 1/1000,
+    # so 0 is fixed by stages 0..999 and stage 1000 moves it
+    inst = instance(
+        AffinePSD(np.eye(1), np.array([1.001])),
+        SubdiffAbsSum(1),
+        [0.0],
+        ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), 5000),
+    )
+    got = run(inst, 5000)
+    assert_same_trace(got, reference_run(inst, 5000))
+    assert not np.any(got.points[:1001]) and got.points[1001, 0] > 0.0
+
+
+def test_a_stage_that_returns_the_other_zero_ends_the_fixed_run():
+    # T_lam(0) = -2^-1074: the shift underflows to -0.0 for mu = 1/4 and 0.0
+    # stays, but at mu = 1 it is -2^-1074, which the soft threshold takes to
+    # -0.0, equal to 0.0 but not the same float
+    mu = TableRule((0.25,) * 1000 + (1.0,) + (0.25,) * 200)
+    inst = instance(
+        AffinePSD(np.zeros((1, 1)), np.array([-5e-324])),
+        SubdiffAbsSum(1),
+        [0.0],
+        ParameterSchedule(TableRule((1.0,) * 1201), mu, 1200),
+    )
+    got = run(inst, 1200)
+    assert_same_trace(got, reference_run(inst, 1200))
+    assert np.signbit(got.points[1001, 0]) and not np.signbit(got.points[1000, 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_inside_a_fixed_run_raises_at_its_stage():
+    # 0 sits on the end of the box that T pushes against; at stage 1000 the
+    # shifted point 0 - 2 mu is -inf, which the clamp would take back to 0
+    mu = TableRule((1.0,) * 1000 + (1e308,) + (1.0,) * 1000)
+    inst = instance(
+        AffinePSD(np.zeros((1, 1)), np.array([-2.0])),
+        NormalConeBox(np.zeros(1), np.ones(1)),
+        [0.0],
+        ParameterSchedule(TableRule((1.0,) * 2001), mu, 2000),
+    )
+    assert_same_trace(run(inst, 1000), reference_run(inst, 1000))
+    with pytest.raises(DomainError):
+        with np.errstate(over="ignore"):
+            reference_run(inst, 1001)
+    with pytest.raises(DomainError):
+        run(inst, 2000)
+
+
+def test_a_negative_zero_numerator_inside_a_fixed_run():
+    # coordinate 0 stays at -0.0 while mu = 1: S's numerator -0.0 - mu 2^-1074
+    # is not zero. At stage 1000, mu = 1/4 makes it -0.0, and LAPACK's 2x2
+    # solve gives +0.0 there, so the coordinate loop must not fill that stage
+    mu = TableRule((1.0,) * 1000 + (0.25,) + (1.0,) * 200)
+    inst = instance(
+        AffinePSD(np.eye(2), np.array([-5e-324, 0.0])),
+        AffinePSD(np.eye(2), np.array([5e-324, 0.0])),
+        [-0.0, -1.0],
+        ParameterSchedule(TableRule((1.0,) * 1201), mu, 1200),
+    )
+    with pytest.raises(SignedZeroSolve):
+        inst.S.coordinate(0).resolvent_rows(np.array([0.25]), np.array([[-0.0]]))
+    got = run(inst, 1200, validate_l=False)
+    assert_same_trace(got, reference_run(inst, 1200))
+    assert np.all(np.signbit(got.points[:1001, 0])) and not np.signbit(got.points[1001, 0])
+
+
+def test_a_dense_instance_captured_at_a_box_corner(monkeypatch):
+    # T couples the coordinates, so the run steps on one-row arrays. The
+    # iterate reaches the corner (0, 1) at step 1 and repeats at step 2; one
+    # check then fills the other 11,998 stages
+    inst = instance(
+        AffinePSD(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-5.0, 5.0])),
+        NormalConeBox(np.zeros(2), np.ones(2)),
+        [0.5, 0.5],
+        ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), 12_000),
+    )
+    skips = count_checks(monkeypatch)
+    rows = []
+
+    def clamp(self, lams, xs):
+        rows.append(len(lams))
+        return clamp_rows(self, lams, xs)
+
+    clamp_rows = NormalConeBox.resolvent_rows
+    monkeypatch.setattr(NormalConeBox, "resolvent_rows", clamp)
+    got = run(inst, 12_000)
+    assert_same_trace(got, reference_run(inst, 12_000))
+    assert got.points[1:].tolist() == [[0.0, 1.0]] * 12_000
+    assert skips == [11_998]
+    # tiles double from 64 stages to 8,192 // d^2 = 2,048
+    tiles = [n for n in rows if n > 1]
+    assert tiles[:6] == [64, 128, 256, 512, 1024, 2048] and max(tiles) == 2048
+    assert sum(tiles) == 11_998
+
+
+@pytest.mark.parametrize(
+    "T,x0,steps,checks",
+    [
+        # the d = 1 float loop; checks after 1, 2, 4, ..., 4096 of 10,000 repeats
+        (AffinePSD(np.eye(1), np.zeros(1)), [1.0], 20_000, 13),
+        # the one-row loop (T couples the coordinates); after 1, 2, ..., 256 of 1,000
+        (AffinePSD(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2)), [1.0, 1.0], 2_000, 9),
+    ],
+    ids=["float loop", "one-row loop"],
+)
+def test_repeats_that_are_not_fixed_back_off(monkeypatch, T, x0, steps, checks):
+    # every mu = 1e-300 stage repeats the iterate and every other one moves
+    # it: steps / 2 repeats, none of them fixed by the next stage
+    mu = TableRule([1e-300 if n % 2 == 0 else 1.0 / (n + 1) ** 3 for n in range(steps + 1)])
+    schedule = ParameterSchedule(PowerRule(Fraction(1), 1), mu, steps)
+    inst = instance(T, SubdiffAbsSum(len(x0)), x0, schedule)
+    skips = count_checks(monkeypatch)
+    got = run(inst, steps)
+    assert_same_trace(got, reference_run(inst, steps))
+    assert np.count_nonzero(np.all(got.points[1:] == got.points[:-1], axis=1)) == steps // 2
+    assert skips == [0] * checks
+
+
+# --------------------------------------------------------------------------
 # schedule arrays
 # --------------------------------------------------------------------------
 
@@ -344,6 +508,13 @@ def test_table_rule_arrays():
     assert rule.value_array(2, 2).shape == (0,)
     with pytest.raises(HorizonExceeded):
         rule.value_array(0, 4)
+
+
+def test_a_horizon_beyond_2_to_the_24_is_refused():
+    rules = PowerRule(Fraction(1), 0), PowerRule(Fraction(1), 0)
+    assert ParameterSchedule(*rules, 2**24).horizon == 2**24
+    with pytest.raises(ConfigError, match="horizon: must be at most 16777216"):
+        ParameterSchedule(*rules, 2**24 + 1)
 
 
 def test_schedule_arrays_and_their_range_checks():
