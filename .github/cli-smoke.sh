@@ -13,9 +13,6 @@ trap 'rm -rf "$dir"' EXIT
 quant_1d='{"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 2, "L": "4", "d": 1,
   "theta": {"kind": "power_rate", "c": "1", "p": 1},
   "xi": {"kind": "power_sum_rate", "c": "1", "p": 3}, "varpi": {"kind": "identity"}}'
-quant_2d='{"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 10, "L": "2", "d": 2,
-  "theta": {"kind": "power_rate", "c": "1", "p": 1},
-  "xi": {"kind": "power_sum_rate", "c": "1", "p": 3}, "varpi": {"kind": "identity"}}'
 schedule='{"lambda": {"rule": "power", "c": 1, "p": 1}, "mu": {"rule": "power", "c": 1, "p": 3}'
 
 echo '{"problem": "dc-abs-1d", "params": {"steps": 50}}' > "$dir/run.json"
@@ -29,16 +26,10 @@ cat > "$dir/run-fixed-partway.json" <<EOF
              "S": {"kind": "subdiff_abs", "dim": 1}, "x0": [0.0]},
  "schedule": $schedule, "horizon": 5000}, "quant": $quant_1d, "params": {"steps": 5000}}
 EOF
-# a dense T steps on one-row arrays and is captured at the box corner (0, 1)
-cat > "$dir/run-dense-corner.json" <<EOF
-{"problem": {"T": {"kind": "affine_psd", "matrix": [[2.0, 1.0], [1.0, 2.0]], "offset": [-5.0, 5.0]},
-             "S": {"kind": "normal_cone_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "x0": [0.5, 0.5]},
- "schedule": $schedule, "horizon": 12000}, "quant": $quant_2d, "params": {"steps": 12000}}
-EOF
 
 # each entry is task:config
 for entry in run:run check-lemmas:check-lemmas certify-metastability:certify-metastability \
-    cauchy-modulus:cauchy-modulus moduli-eval:moduli-eval run:run-fixed-partway run:run-dense-corner; do
+    cauchy-modulus:cauchy-modulus moduli-eval:moduli-eval run:run-fixed-partway; do
   task=${entry%%:*}
   config=${entry#*:}
   python -X dev -W error -c "import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))" \

@@ -61,9 +61,9 @@ _PAIRWISE_MAX_ROWS = 16
 # the pruned scan bounds distances by the boxes of chunks of consecutive rows
 _CHUNK_ROWS = 64
 # ``_fixed_stages``: its first tile of stages, also the skip below which the
-# next check waits for twice as many repeats, and its tile cap in d x d cells
+# next check waits for twice as many repeats, and its largest tile
 _FIXED_BACKOFF = 64
-_FIXED_TILE_CELLS = 8192
+_FIXED_TILE_CAP = 8192
 # the JSON forms of the catalog operators and moduli in a config
 _OPERATOR = Field(operator_from_json, operator_to_json)
 _MODULUS = Field(ModulusFn.from_json, json_of)
@@ -706,12 +706,8 @@ def _run_1d(T, S, x: float, lams, mus) -> np.ndarray:
         else:
             return np.frombuffer(pts)
         n = len(pts) - 1
-        skip = _fixed_stages(T, S, np.array([x]), lams[n:], mus[n:])
-        # filled in 64 KB blocks: a temporary the size of the run raised the
-        # peak RSS of a 10^5-step run by 0.2 MB
-        block = array("d", [x]) * min(skip, _FIXED_TILE_CELLS)
-        for k in range(0, skip, _FIXED_TILE_CELLS):
-            pts.extend(block[: skip - k])
+        skip = _fixed_stages(T, S, x, lams[n:], mus[n:])
+        pts.extend(array("d", [x]) * skip)
         n += skip
         repeats = 0
         if skip < _FIXED_BACKOFF:
@@ -719,64 +715,46 @@ def _run_1d(T, S, x: float, lams, mus) -> np.ndarray:
 
 
 def _run_rows(inst: ProblemInstance, lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """The iterates x_0..x_N, stepped on one-row arrays. A repeated iterate
-    is fast-forwarded through the stages that fix it (``_fixed_stages``)."""
+    """The iterates x_0..x_N, stepped on one-row arrays."""
     pts = np.empty((len(lams) + 1, inst.dim))
     x = pts[0] = inst.x0
-    lam_list, mu_list = lams.tolist(), mus.tolist()
-    n, repeats, need = 0, 0, 1
-    while n < len(lam_list):
-        lam, mu = lam_list[n], mu_list[n]
-        prev, x = x, resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
-        n += 1
-        pts[n] = x
-        if x.tobytes() == prev.tobytes():
-            repeats += 1
-            if repeats == need:
-                skip = _fixed_stages(inst.T, inst.S, x, lams[n:], mus[n:])
-                pts[n + 1 : n + 1 + skip] = x
-                n += skip
-                repeats = 0
-                if skip < _FIXED_BACKOFF:
-                    need *= 2
+    for n, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
+        x = pts[n + 1] = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
     return pts
 
 
-def _fixed_stages(T, S, x: np.ndarray, lams, mus) -> int:
-    """How many of the leading stages fix the point x bit for bit.
+def _fixed_stages(T, S, x: float, lams, mus) -> int:
+    """How many of the leading stages fix the float x bit for bit.
 
     Stage m fixes x when x + mu_m T_{lam_m}(x) is finite and its resolvent
-    under S at mu_m is x, signed zeros included. The stage maps are
-    evaluated in one row-form call per tile of stages; row i of a row form
-    equals the form the stepper calls bit for bit, so by induction the
-    iterates through the counted stages all equal x. A tile whose row forms
-    raise (a singular solve, a -0.0 numerator of a coordinate solve) ends
-    the count at its first stage: the stepper then meets the error itself.
-    Tiles start at 64 stages and double up to 8,192 // d^2, so a stacked
-    d x d solve keeps each temporary within 64 KB.
+    under S at mu_m is x, signed zeros included. The stage maps of the 1-D
+    operators T and S are evaluated in one row-form call per tile of
+    stages; row i of a row form equals the scalar form bit for bit, so by
+    induction the iterates through the counted stages all equal x. A tile
+    whose row forms raise (a singular solve, a -0.0 numerator of a
+    coordinate solve) ends the count at its first stage: the stepper then
+    meets the error itself. Tiles start at 64 stages and double up to 8,192.
     """
     lams, mus = np.asarray(lams), np.asarray(mus)
-    d = x.shape[0]
     sign = np.signbit(x)
-    cap = max(1, _FIXED_TILE_CELLS // (d * d))
-    done, tile = 0, min(_FIXED_BACKOFF, cap)
+    done, tile = 0, _FIXED_BACKOFF
     with np.errstate(all="ignore"):  # an overflow ends the run, it is not reported
         while done < len(lams):
             lam, mu = lams[done : done + tile], mus[done : done + tile]
-            xs = np.broadcast_to(x, (len(lam), d))
+            xs = np.broadcast_to(x, (len(lam), 1))
             try:
                 shifted = xs + mu[:, None] * T.yosida_rows(lam, xs)
-                finite = np.isfinite(shifted).all(axis=1)
+                finite = np.isfinite(shifted[:, 0])
                 end = len(lam) if finite.all() else int(np.argmin(finite))
-                moved = S.resolvent_rows(mu[:end], shifted[:end])
+                moved = S.resolvent_rows(mu[:end], shifted[:end])[:, 0]
             except (SingularSystem, SignedZeroSolve):
                 return done
-            same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)
+            same = (moved == x) & (np.signbit(moved) == sign)
             run = end if same.all() else int(np.argmin(same))
             done += run
             if run < len(lam):
                 return done
-            tile = min(2 * tile, cap)
+            tile = min(2 * tile, _FIXED_TILE_CAP)
     return done
 
 

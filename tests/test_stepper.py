@@ -315,10 +315,29 @@ def count_checks(monkeypatch):
     return skips
 
 
-@pytest.mark.parametrize("x0", X0_1D)
-def test_captured_paths_match_the_reference_loop(x0):
+# one start at the benchmark's 10^5 steps; 20,000 steps already pass the
+# tiles of 64 doubling to the 8,192 cap (16,320 stages)
+@pytest.mark.parametrize(
+    "x0,steps", [(X0_1D[0], 100_000)] + [(x0, 20_000) for x0 in X0_1D[1:]]
+)
+def test_captured_paths_match_the_reference_loop(x0, steps):
     inst = dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
-    assert_same_trace(run(inst, 100_000), reference_run(inst, 100_000))
+    assert_same_trace(run(inst, steps), reference_run(inst, steps))
+
+
+def test_fixed_stages_are_checked_in_tiles_up_to_the_cap(monkeypatch):
+    # the preset's path repeats 0 at step 2; tiles double from 64 stages to
+    # the 8,192 cap, which bounds each row-form temporary
+    rows = []
+
+    def spy(self, lams, xs):
+        rows.append(len(lams))
+        return resolvent_rows(self, lams, xs)
+
+    resolvent_rows = SubdiffAbsSum.resolvent_rows
+    monkeypatch.setattr(SubdiffAbsSum, "resolvent_rows", spy)
+    run(fq.preset("dc-abs-1d"), 40_000)
+    assert rows == [64 << k for k in range(8)] + [8192, 8192, 7294]
 
 
 def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
@@ -404,56 +423,19 @@ def test_a_negative_zero_numerator_inside_a_fixed_run():
     assert np.all(np.signbit(got.points[:1001, 0])) and not np.signbit(got.points[1001, 0])
 
 
-def test_a_dense_instance_captured_at_a_box_corner(monkeypatch):
-    # T couples the coordinates, so the run steps on one-row arrays. The
-    # iterate reaches the corner (0, 1) at step 1 and repeats at step 2; one
-    # check then fills the other 11,998 stages
-    inst = instance(
-        AffinePSD(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([-5.0, 5.0])),
-        NormalConeBox(np.zeros(2), np.ones(2)),
-        [0.5, 0.5],
-        ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), 12_000),
-    )
-    skips = count_checks(monkeypatch)
-    rows = []
-
-    def clamp(self, lams, xs):
-        rows.append(len(lams))
-        return clamp_rows(self, lams, xs)
-
-    clamp_rows = NormalConeBox.resolvent_rows
-    monkeypatch.setattr(NormalConeBox, "resolvent_rows", clamp)
-    got = run(inst, 12_000)
-    assert_same_trace(got, reference_run(inst, 12_000))
-    assert got.points[1:].tolist() == [[0.0, 1.0]] * 12_000
-    assert skips == [11_998]
-    # tiles double from 64 stages to 8,192 // d^2 = 2,048
-    tiles = [n for n in rows if n > 1]
-    assert tiles[:6] == [64, 128, 256, 512, 1024, 2048] and max(tiles) == 2048
-    assert sum(tiles) == 11_998
-
-
-@pytest.mark.parametrize(
-    "T,x0,steps,checks",
-    [
-        # the d = 1 float loop; checks after 1, 2, 4, ..., 4096 of 10,000 repeats
-        (AffinePSD(np.eye(1), np.zeros(1)), [1.0], 20_000, 13),
-        # the one-row loop (T couples the coordinates); after 1, 2, ..., 256 of 1,000
-        (AffinePSD(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2)), [1.0, 1.0], 2_000, 9),
-    ],
-    ids=["float loop", "one-row loop"],
-)
-def test_repeats_that_are_not_fixed_back_off(monkeypatch, T, x0, steps, checks):
+def test_repeats_that_are_not_fixed_back_off(monkeypatch):
     # every mu = 1e-300 stage repeats the iterate and every other one moves
-    # it: steps / 2 repeats, none of them fixed by the next stage
+    # it: 10,000 repeats in 20,000 steps, none of them fixed by the next
+    # stage, so the checks come after 1, 2, 4, ..., 4096 repeats
+    steps = 20_000
     mu = TableRule([1e-300 if n % 2 == 0 else 1.0 / (n + 1) ** 3 for n in range(steps + 1)])
     schedule = ParameterSchedule(PowerRule(Fraction(1), 1), mu, steps)
-    inst = instance(T, SubdiffAbsSum(len(x0)), x0, schedule)
+    inst = instance(AffinePSD(np.eye(1), np.zeros(1)), SubdiffAbsSum(1), [1.0], schedule)
     skips = count_checks(monkeypatch)
     got = run(inst, steps)
     assert_same_trace(got, reference_run(inst, steps))
-    assert np.count_nonzero(np.all(got.points[1:] == got.points[:-1], axis=1)) == steps // 2
-    assert skips == [0] * checks
+    assert np.count_nonzero(got.points[1:] == got.points[:-1]) == steps // 2
+    assert skips == [0] * 13
 
 
 # --------------------------------------------------------------------------
