@@ -17,7 +17,8 @@ schedule='{"lambda": {"rule": "power", "c": 1, "p": 1}, "mu": {"rule": "power", 
 
 echo '{"problem": "dc-abs-1d", "params": {"steps": 50}}' > "$dir/run.json"
 echo '{"problem": "dc-abs-1d", "params": {"max_n": 10, "max_l": 10, "max_i": 15, "steps": 25}}' > "$dir/check-lemmas.json"
-echo '{"problem": "dc-abs-1d", "params": {"k": 0, "steps": 50}}' > "$dir/certify-metastability.json"
+# psi' and the gamma scan; the second run's cap is passed by psi', which overflows
+echo '{"problem": "dc-abs-1d", "params": {"k": 0, "steps": 50, "use_psi_prime": true, "check_gamma": true}}' > "$dir/certify-metastability.json"
 echo '{"problem": "dc-abs-1d", "params": {"steps": 50, "b": "1/2", "phi_reg": {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}}}' > "$dir/cauchy-modulus.json"
 echo '{"params": {"modulus": "kappa", "k": 0, "M": 1, "B": 1}}' > "$dir/moduli-eval.json"
 # 0 is fixed by stages 0..999 and left at stage 1000: a fast-forward that ends partway
@@ -27,13 +28,13 @@ cat > "$dir/run-fixed-partway.json" <<EOF
  "schedule": $schedule, "horizon": 5000}, "quant": $quant_1d, "params": {"steps": 5000}}
 EOF
 
-# each entry is task:config
+# each entry is task:config, or task:config:cap
 for entry in run:run check-lemmas:check-lemmas certify-metastability:certify-metastability \
+    certify-metastability:certify-metastability:100000000000000000000 \
     cauchy-modulus:cauchy-modulus moduli-eval:moduli-eval run:run-fixed-partway; do
-  task=${entry%%:*}
-  config=${entry#*:}
+  IFS=: read -r task config cap <<< "$entry"
   python -X dev -W error -c "import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))" \
-    "$task" --config "$dir/$config.json" --out "$dir/out" 2> "$dir/stderr" \
+    "$task" --config "$dir/$config.json" --out "$dir/out" ${cap:+--cap "$cap"} 2> "$dir/stderr" \
     || { status=$?; echo "$config exited $status"; cat "$dir/stderr"; exit 1; }
   if [ -s "$dir/stderr" ]; then echo "$config wrote to stderr:"; cat "$dir/stderr"; exit 1; fi
 done

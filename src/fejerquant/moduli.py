@@ -135,6 +135,12 @@ class RationalUpper:
     quantity: str
     error_bound: Fraction
 
+    def float_upper(self) -> float:
+        """The least float at or above ``value``: float() rounds to nearest,
+        which may land below it."""
+        f = float(self.value)
+        return math.nextafter(f, math.inf) if Fraction(f) < self.value else f
+
 
 def exp_upper(a: Fraction) -> RationalUpper:
     """Rational u with e^a <= u < e^a + 1e-6, by Taylor series with an
@@ -234,6 +240,18 @@ class NaturalBound:
 # modulus functions
 # --------------------------------------------------------------------------
 
+
+def _identity(n: int) -> int:
+    return n
+
+
+def _linear(a: int, b: int) -> Callable[[int], int]:
+    """n -> a n + b, without a factor of 1 or a term of 0."""
+    if a == 1:
+        return _identity if b == 0 else lambda n: n + b
+    return (lambda n: a * n) if b == 0 else lambda n: a * n + b
+
+
 # the JSON form of each kind of modulus
 _NATURALS = Field(list_of(integer), list)
 _POWER = {"c": RATIONAL, "p": INTEGER}
@@ -282,6 +300,8 @@ class ModulusFn:
                 raise ValueError("a summable power rule needs exponent >= 2")
         if self.kind == "table" and any(v < 0 for v in self.values):
             raise ValueError("table values must be naturals")
+        # the kind is decided here, once; a call only checks its argument
+        object.__setattr__(self, "_at", self._evaluator())
 
     # -- construction helpers ------------------------------------------------
 
@@ -314,22 +334,39 @@ class ModulusFn:
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("modulus arguments are naturals")
+        return self._at(n)
+
+    def _evaluator(self) -> Callable[[int], int]:
+        """The map on naturals with its constants read once. A factor or a
+        divisor of 1 is left out, and so is power_rate's floor at 0: the root
+        of c * (n + 1) > 0 is at least 1. So power_rate(1, 1) is n itself."""
         if self.kind == "identity":
-            return n
+            return _identity
         if self.kind == "affine":
-            return self.a * n + self.b
+            return _linear(self.a, self.b)
         if self.kind == "polynomial":
-            return sum(co * n ** i for i, co in enumerate(self.coeffs))
+            coeffs = self.coeffs
+            return lambda n: sum(co * n ** i for i, co in enumerate(coeffs))
+        num, den = self.c.numerator, self.c.denominator
         if self.kind == "power_rate":
-            return max(_ceil_root(self.c.numerator * (n + 1), self.c.denominator, self.p) - 1, 0)
+            if self.p == 1:  # ceil(num (n + 1) / den) - 1 = (num (n + 1) - 1) // den
+                step = _linear(num, num - 1)
+                return step if den == 1 else lambda n: step(n) // den
+            p, scaled = self.p, _linear(num, num)
+            return lambda n: _ceil_root(scaled(n), den, p) - 1
         if self.kind == "power_sum_rate":
-            p = self.p - 1
-            return _ceil_root(self.c.numerator * (n + 1), self.c.denominator * p, p)
-        if n >= len(self.values):
-            raise TableRangeError(
-                f"table modulus evaluated at {n}, valid range is 0..{len(self.values) - 1}"
-            )
-        return self.values[n]
+            p, den, scaled = self.p - 1, den * (self.p - 1), _linear(num, num)
+            return lambda n: _ceil_root(scaled(n), den, p)
+        values = self.values
+
+        def lookup(n: int) -> int:
+            if n >= len(values):
+                raise TableRangeError(
+                    f"table modulus evaluated at {n}, valid range is 0..{len(values) - 1}"
+                )
+            return values[n]
+
+        return lookup
 
     # -- structure ------------------------------------------------------------
 
@@ -395,7 +432,12 @@ def _chi(r: int, n: int, m: int, e_num: int, e_den: int) -> int:
     """chi with the e^A upper bound given as the pair e_num / e_den."""
     if r < 0 or n < 0 or m < 0:
         raise ValueError("chi arguments are naturals")
-    return max(bounded_sub(n + m, 1), ceil_div((r + 1) * m * e_num, e_den))
+    # the constants combine before they meet r and n: (n + m) - 1 is
+    # n + (m - 1) for m >= 1, and ceil((r + 1) me / e_den) is one floor
+    # division of r me + (me + e_den - 1), where me = m e_num
+    me = m * e_num
+    end = n + (m - 1) if m else bounded_sub(n, 1)
+    return max(end, (r * me + (me + e_den - 1)) // e_den)
 
 
 def xi_tilde(n: int, m_bound: int, e_a: RationalUpper, xi: ModulusFn) -> int:
@@ -441,8 +483,11 @@ def phi_liminf(k: int, n: int, q, phi_search: PhiSearch) -> int:
 
 def _phi_liminf(k: int, n: int, q, phi_search: PhiSearch, c_num: int, c_den: int) -> int:
     """phi_liminf with C given as the pair c_num / c_den."""
-    first = ceil_div(2 * c_num * (k + 1), c_den) - 1
-    inner = q.theta(q.M * q.varpi(k) + q.M - 1)
+    # ceil(2C (k + 1)) - 1 = (2 c_num k + (2 c_num - 1)) // c_den
+    first = 2 * c_num * k + (2 * c_num - 1)
+    if c_den != 1:
+        first //= c_den
+    inner = q.theta(q.M * q.varpi(k) + (q.M - 1))
     return phi_search(first, max(inner, n))
 
 
@@ -475,8 +520,10 @@ def psi(
     for _ in range(int(p_nb)):
         # chi_g^M(val) = max over i <= val of chi(i, g(i), m); chi is monotone
         # in both index slots, so a monotone g needs only the endpoint
-        top = (val,) if val == 0 or monotone else range(val + 1)
-        ci = max(_chi(i, g(i), m, e_num, e_den) for i in top)
+        if monotone or val == 0:
+            ci = _chi(val, g(val), m, e_num, e_den)
+        else:
+            ci = max(_chi(i, g(i), m, e_num, e_den) for i in range(val + 1))
         if chi_floor is not None and ci < chi_floor:
             ci = chi_floor
         nxt = _phi_liminf(ci, xt, q, phi_search, c_num, c_den)

@@ -207,6 +207,12 @@ class AffinePSD(_Operator):
         return v, v
 
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        if self._ab is not None:  # d = 1: resolvent1 row by row, no LAPACK call
+            a, b = self._ab
+            den = 1.0 + lams * a
+            if np.any(den == 0.0):
+                raise SingularSystem("Singular matrix")
+            return (xs - lams[:, None] * b) / den[:, None]
         sys = self._eye + lams[:, None, None] * self.matrix
         rhs = (xs - lams[:, None] * self.offset)[..., None]
         try:

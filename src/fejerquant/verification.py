@@ -151,7 +151,7 @@ def check_quasi_fejer(
     """
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
-    e_a = float(exp_upper(inst.quant.A).value)
+    e_a = exp_upper(inst.quant.A).float_upper()
     coef = (2 * inst.quant.M + 1) * e_a
     steps = trace.steps
     # violation records: arrays of solution index, n, l, form, lhs, rhs

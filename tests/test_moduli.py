@@ -8,7 +8,9 @@ runs on integer pairs; its earlier Fraction form is kept below as the
 reference it must equal.
 """
 
+import dataclasses
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,18 @@ def test_exp_upper_sums_each_exponent_once():
     info = moduli._exp_upper.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert exp_upper(Fraction(7, 4)) == moduli._exp_upper.__wrapped__(Fraction(7, 4))
+
+
+def test_the_float_of_e_to_the_a_rounds_up():
+    # float() rounds to nearest, which lands below the bound at A = 1; the
+    # quasi-Fejer check reads e^A through float_upper
+    u = exp_upper(Fraction(1)).value
+    assert Fraction(float(u)) < u
+    for a in (0, 1, 2, 3, 5, 10, Fraction(7, 4), 300):
+        up = exp_upper(Fraction(a))
+        f = up.float_upper()
+        assert Fraction(f) >= up.value > Fraction(math.nextafter(f, -math.inf))
+    assert exp_upper(Fraction(2)).float_upper() == float(exp_upper(Fraction(2)).value)
 
 
 def test_exp_upper_rejects_negative():
@@ -589,6 +603,23 @@ rates = st.builds(
     st.integers(0, 20), st.integers(2, 7), st.integers(1, 4),
 )
 sum_rates = st.builds(ModulusFn.power_sum_rate, fractions, st.integers(2, 4))
+# theta as the kernel's special cases take it: power_rate(1, 1) is the
+# identity, an integer c needs no division, and any other c does
+thetas = st.one_of(
+    st.just(ModulusFn.power_rate(1, 1)),
+    st.builds(ModulusFn.power_rate, st.integers(1, 4), st.integers(1, 4)),
+    rates,
+)
+# every kind of modulus, a table in range and past its end
+moduli_of_every_kind = st.one_of(
+    st.just(IDENT),
+    st.builds(ModulusFn.affine, st.integers(0, 3), st.integers(0, 3)),
+    st.builds(ModulusFn.polynomial, st.lists(st.integers(0, 5), max_size=4)),
+    st.builds(ModulusFn.table, st.lists(st.integers(0, 10**6), min_size=1, max_size=30)),
+    thetas,
+    sum_rates,
+    st.builds(ModulusFn.power_rate, fractions, st.integers(1, 6)),
+)
 
 
 def _raised_k(k: int, q) -> int:
@@ -604,6 +635,7 @@ def rate_inputs(draw, prime=False):
     fraction f of 0, 1/2 or 10^-30, so P's ceiling lands on b or just above
     it, where a slightly wrong denominator would move it."""
     g = draw(st.one_of(
+        # a = 1 is the metastability workload's g(n) = n + 1
         st.builds(ModulusFn.affine, st.integers(0, 3), st.integers(0, 3)),
         st.builds(ModulusFn.polynomial, st.lists(st.integers(0, 2), min_size=1, max_size=3)),
         # tables, monotone or not; the recursion may run past their end
@@ -611,16 +643,21 @@ def rate_inputs(draw, prime=False):
     ))
     k = draw(st.integers(0, 3))
     q = StubQ(
-        # 0, integers and non-dyadic fractions
+        # 0 (e^A is 1/1), integers and non-dyadic fractions
         A=draw(st.one_of(
-            st.integers(0, 2).map(Fraction),
+            st.just(Fraction(0)),
+            st.integers(1, 2).map(Fraction),
             st.builds(Fraction, st.integers(1, 20), st.sampled_from([3, 5, 7, 10])),
         )),
         d=draw(st.integers(1, 4)),
         M=draw(st.integers(1, 3)),
-        C=draw(st.builds(lambda den, extra: Fraction(den + extra, den),
-                         st.integers(1, 9), st.integers(0, 30))),
-        theta=draw(rates),
+        # integers, and fractions that may reduce to one
+        C=draw(st.one_of(
+            st.integers(1, 4).map(Fraction),
+            st.builds(lambda den, extra: Fraction(den + extra, den),
+                      st.integers(1, 9), st.integers(0, 30)),
+        )),
+        theta=draw(thetas),
         xi=draw(st.one_of(rates, sum_rates)),
         varpi=draw(st.one_of(st.just(IDENT), st.builds(ModulusFn.affine, st.integers(1, 2),
                                                        st.integers(0, 1)))),
@@ -674,11 +711,43 @@ def test_psi_prime_matches_the_fraction_reference(x):
 
 
 @given(
-    st.one_of(rates, sum_rates, st.builds(ModulusFn.power_rate, fractions, st.integers(1, 6))),
-    st.one_of(st.integers(0, 1000), st.integers(0, 10 ** 40)),
+    moduli_of_every_kind,
+    st.one_of(st.integers(0, 40), st.integers(0, 1000), st.integers(0, 10 ** 40)),
 )
 def test_modulus_call_matches_the_fraction_reference(f, n):
-    assert f(n) == RefModulus(f)(n)
+    # values, or the type and message of a table's range error
+    assert _outcome(lambda: f(n)) == _outcome(lambda: RefModulus(f)(n))
+
+
+def test_a_modulus_keeps_its_value_form():
+    # the evaluator chosen at construction is no field: equality, hashing,
+    # repr and the JSON form see the fields alone
+    for make in (
+        lambda: ModulusFn.power_rate(1, 1),
+        lambda: ModulusFn.affine(1, 0),
+        lambda: ModulusFn.table([3, 1]),
+    ):
+        f, h = make(), make()
+        assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
+        assert ModulusFn.from_json(f.to_json()) == f
+    assert [fld.name for fld in dataclasses.fields(ModulusFn)] == [
+        "kind", "a", "b", "coeffs", "values", "c", "p",
+    ]
+    assert ModulusFn.power_rate(1, 1) != IDENT
+    assert ModulusFn.power_rate(1, 1)(10**40) == 10**40
+    assert dataclasses.replace(ModulusFn.affine(1, 1), a=3)(5) == 16
+
+
+@given(
+    st.one_of(st.integers(0, 50), st.integers(0, 10 ** 40)),
+    st.one_of(st.integers(0, 50), st.integers(0, 10 ** 40)),
+    st.integers(0, 40),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(7, 10), Fraction(5, 3)]),
+)
+def test_chi_matches_the_fraction_reference(r, n, m, a):
+    # m = 0 takes the truncated subtraction, m >= 1 the shifted sum
+    e_a = exp_upper(a)
+    assert chi(r, n, m, e_a) == NaturalBound.of(ref_chi_int(r, n, m, e_a))
 
 
 @given(
@@ -743,3 +812,23 @@ def test_psi_golden_value_of_the_metastability_workload():
         "0de8a916380936172dd9217afda09c12dd56c9c2379e392287ca55e58bffeb7c"
     )
     assert psi_prime(2, g, quant, phi).is_overflow
+
+
+def test_the_workload_rates_at_every_small_k():
+    # digits and a sha256 prefix of psi and psi_prime at k = 0..3; psi_prime
+    # at k = 0 runs psi at the raised precision 3
+    g, quant, phi = _dc_abs_1d_rate_inputs()
+    got = []
+    for k in range(4):
+        for rate in (psi, psi_prime):
+            text = rate(k, g, quant, phi).to_json()
+            if isinstance(text, dict):
+                got.append("overflow")
+            else:
+                got.append((len(text), hashlib.sha256(text.encode()).hexdigest()[:16]))
+    assert got == [
+        (970, "c23534248ded4d9a"), (5048, "a962c6593843330d"),
+        (2236, "802aa05a2bc1288b"), "overflow",
+        (3608, "0de8a91638093617"), "overflow",
+        (5048, "a962c6593843330d"), "overflow",
+    ]

@@ -17,14 +17,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_stepper import PAIRS, coord, problems, reference_resolvent, reference_yosida
+from test_stepper import (
+    PAIRS,
+    coord,
+    coords,
+    problems,
+    reference_resolvent,
+    reference_yosida,
+    seeds,
+)
 
 import fejerquant as fq
-from fejerquant.errors import DimensionMismatch, DomainError, NonPositiveParameter
+from fejerquant.errors import (
+    DimensionMismatch,
+    DomainError,
+    NonPositiveParameter,
+    SingularSystem,
+)
 from fejerquant.iteration import ParameterSchedule, PowerRule, ProblemInstance
 from fejerquant.operators import (
     AffinePSD,
     NormalConeBox,
+    SignedZeroSolve,
     SubdiffAbsSum,
     ZeroOperator,
     as_point,
@@ -189,6 +203,53 @@ def test_row_forms_match_per_point_calls(t_kind, s_kind):
                 assert hi_rows[i].tobytes() == hi.tobytes()
 
     check()
+
+
+# --------------------------------------------------------------------------
+# the d = 1 affine row form
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(1, 40), st.booleans())
+def test_the_one_by_one_affine_row_form_is_the_scalar_form(seed, n, coordinate):
+    # (xs - lam b) / (1 + lam a) row by row, as resolvent1 and the 1x1 solve
+    # give it; a coordinate of a diagonal d = 2 operator raises on a -0.0
+    # numerator wherever its resolvent1 does
+    rng = np.random.default_rng(seed)
+    a, b = abs(coords(rng, 1)[0]), coords(rng, 1)[0]
+    op = AffinePSD(np.array([[a]]), np.array([b]))
+    if coordinate:
+        op = AffinePSD(np.diag([a, 1.0]), np.array([b, 0.0])).coordinate(0)
+    lams = rng.choice([0.25, 0.5, 1.0, 2.0, 1e-3, 4.0], n)
+    drawn = rng.random(n) < 0.5
+    lams[drawn] = rng.uniform(1e-3, 4.0, np.count_nonzero(drawn))
+    xs = coords(rng, (n, 1))
+    try:
+        want_j = np.array([op.resolvent1(lam, x) for lam, x in zip(lams, xs[:, 0])])
+    except SignedZeroSolve:
+        with pytest.raises(SignedZeroSolve):
+            op.resolvent_rows(lams, xs)
+        return
+    want_t = np.array([op.yosida1(lam, x) for lam, x in zip(lams, xs[:, 0])])
+    assert op.resolvent_rows(lams, xs)[:, 0].tobytes() == want_j.tobytes()
+    assert op.yosida_rows(lams, xs)[:, 0].tobytes() == want_t.tobytes()
+    system = np.eye(1) + lams[:, None, None] * op.matrix
+    solved = np.linalg.solve(system, (xs - lams[:, None] * op.offset)[..., None])[..., 0]
+    assert op.resolvent_rows(lams, xs).tobytes() == solved.tobytes()
+
+
+def test_a_zero_denominator_in_a_one_by_one_tile_is_singular():
+    # 1 + 2^30 * -2^-30 = 0 in the second row, as the batched solve finds
+    op = AffinePSD(np.array([[-(2.0**-30)]]), np.zeros(1))
+    lams, xs = np.array([1.0, 2.0**30, 1.0]), np.ones((3, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.eye(1) + lams[:, None, None] * op.matrix, xs[..., None])
+    with pytest.raises(SingularSystem, match="Singular matrix"):
+        op.resolvent_rows(lams, xs)
+    with pytest.raises(SingularSystem, match="Singular matrix"):
+        op.resolvent1(2.0**30, 1.0)
+    assert op.resolvent_rows(lams[::2], xs[::2]).tolist() == [[1.0 / (1.0 - 2.0**-30)]] * 2
 
 
 # --------------------------------------------------------------------------

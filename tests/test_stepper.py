@@ -10,6 +10,7 @@ one-row cases of the row forms.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,68 @@ def reference_run(inst, n_steps):
         pts[n + 1] = nxt
         x = nxt
     return Trace(pts, lams, mus, res)
+
+
+# The same per-stage closed forms for d = 1 on Python floats, with the same
+# checks in the same order: reference_run pays 60-90 us a step for numpy
+# calls on one-element arrays. test_the_float_reference_is_the_reference_loop
+# holds it to reference_run bit for bit; the long runs compare against it.
+
+
+def scalar_resolvent(op, lam, x):
+    if not lam > 0:
+        raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
+    if not math.isfinite(x):
+        raise DomainError("points must have finite coordinates")
+    if isinstance(op, AffinePSD):
+        den = 1.0 + lam * float(op.matrix[0, 0])
+        if den == 0.0:
+            raise SingularSystem("Singular matrix")
+        return (x - lam * float(op.offset[0])) / den
+    if isinstance(op, SubdiffAbsSum):
+        m = abs(x) - lam
+        return scalar_sign(x) * (m if m > 0.0 else 0.0)
+    if isinstance(op, NormalConeBox):
+        lo, hi = float(op.lo[0]), float(op.hi[0])
+        v = x if x > lo else lo  # np.maximum and np.minimum keep the bound on a tie
+        return v if v < hi else hi
+    if isinstance(op, ZeroOperator):
+        return x
+    raise TypeError(f"unknown operator {op!r}")
+
+
+def scalar_sign(x):
+    """np.sign on a float: +0.0 for either zero."""
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else 0.0
+
+
+def scalar_yosida(op, lam, x):
+    if not math.isfinite(x):
+        raise DomainError("points must have finite coordinates")
+    if isinstance(op, SubdiffAbsSum):
+        if not lam > 0:
+            raise NonPositiveParameter(f"resolvent parameter must be > 0, got {lam}")
+        q = abs(x) / lam
+        return scalar_sign(x) * (q if q < 1.0 else 1.0)
+    return (x - scalar_resolvent(op, lam, x)) / lam
+
+
+def reference_run_1d(inst, n_steps):
+    """reference_run for d = 1 on floats. The parameters come from the
+    schedule's arrays, which equal its per-index values bit for bit
+    (test_schedule_arrays_and_their_range_checks); the residual is
+    np.linalg.norm's sqrt of the dot product."""
+    assert inst.dim == 1
+    lams = inst.schedule.lams(0, n_steps)
+    mus = inst.schedule.mus(0, n_steps)
+    x = float(inst.x0[0])
+    pts, res = [x], []
+    for lam, mu in zip(lams.tolist(), mus.tolist()):
+        nxt = scalar_resolvent(inst.S, mu, x + mu * scalar_yosida(inst.T, lam, x))
+        res.append(math.sqrt((x - nxt) * (x - nxt)) / mu)
+        pts.append(nxt)
+        x = nxt
+    return Trace(np.array(pts)[:, None], lams, mus, np.array(res, dtype=float))
 
 
 def assert_same_trace(a, b):
@@ -245,6 +308,21 @@ def test_separable_run_matches_reference_loop(t_kind, s_kind, d):
     check()
 
 
+@pytest.mark.parametrize("t_kind,s_kind", PAIRS)
+def test_the_float_reference_is_the_reference_loop(t_kind, s_kind):
+    @settings(max_examples=30, deadline=None)
+    @given(problems(t_kind, s_kind, 1), st.integers(0, STEPS))
+    def check(inst, n_steps):
+        want = outcome(reference_run, inst, n_steps)
+        got = outcome(reference_run_1d, inst, n_steps)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert_same_trace(got, want)
+
+    check()
+
+
 def test_a_negative_zero_numerator_leaves_the_coordinate_loop():
     # LAPACK's elimination may turn the -0.0 numerator of coordinate 1 into
     # +0.0, depending on the other coordinates; the row forms decide it
@@ -322,7 +400,7 @@ def count_checks(monkeypatch):
 )
 def test_captured_paths_match_the_reference_loop(x0, steps):
     inst = dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
-    assert_same_trace(run(inst, steps), reference_run(inst, steps))
+    assert_same_trace(run(inst, steps), reference_run_1d(inst, steps))
 
 
 def test_fixed_stages_are_checked_in_tiles_up_to_the_cap(monkeypatch):
@@ -352,7 +430,7 @@ def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
     )
     skips = count_checks(monkeypatch)
     got = run(inst, 100_000)
-    assert_same_trace(got, reference_run(inst, 100_000))
+    assert_same_trace(got, reference_run_1d(inst, 100_000))
     assert len(np.unique(got.points)) > 4000 and sum(skips) > 90_000
 
 
@@ -433,7 +511,7 @@ def test_repeats_that_are_not_fixed_back_off(monkeypatch):
     inst = instance(AffinePSD(np.eye(1), np.zeros(1)), SubdiffAbsSum(1), [1.0], schedule)
     skips = count_checks(monkeypatch)
     got = run(inst, steps)
-    assert_same_trace(got, reference_run(inst, steps))
+    assert_same_trace(got, reference_run_1d(inst, steps))
     assert np.count_nonzero(got.points[1:] == got.points[:-1]) == steps // 2
     assert skips == [0] * 13
 
