@@ -237,6 +237,8 @@ def _task_cauchy_modulus(
     )
     use_hat = field(params, "use_kappa_hat", boolean, False)
     eps_list = field(params, "eps", list_of(rational), [Fraction(1, 4)])
+    if not eps_list:  # theta(eps) checks the ball radius, so each task needs one
+        raise ConfigError("eps: needs at least one target")
     steps = _steps(params, horizon, 1000)
     k_max, n_max = _phi_range(params, steps)
     if "phi_reg" not in params:
@@ -245,12 +247,12 @@ def _task_cauchy_modulus(
 
     phi_reg = field(params, "phi_reg", RegularityModulus.from_json)
     b = constant("b", field(params, "b", rational, Fraction(1)))
-    _cli.validate_regularity_ball(inst, phi_reg, b)
+    radius = _cli.validate_regularity_ball(inst, phi_reg, b)
     trace = _cli.run(inst, steps)
     phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
 
     def theta_eval(eps: Fraction):
-        return _cli.theta_moudafi(eps, inst.quant, phi, phi_reg, use_hat, cap)
+        return _cli.theta_moudafi(eps, inst.quant, phi, phi_reg, radius, use_hat, cap)
 
     cert = _cli.check_cauchy_modulus(trace, theta_eval, eps_list)
     _write(out_dir, "cauchy_modulus.json", _cert_json(cert))

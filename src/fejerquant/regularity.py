@@ -2,9 +2,13 @@
 
 The three gap functionals vanish exactly on the solution set; a modulus of
 regularity phi converts "the gap is small" into "the point is near a zero"
-on a declared ball. Composing phi with the iteration's quantitative data
-yields explicit Cauchy moduli: ``theta_generic`` for abstract quasi-Fejer
-sequences and ``theta_moudafi`` for the resolvent iteration itself.
+on a declared ball. ``theta_generic`` composes phi with the data of an
+abstract quasi-Fejer sequence (``GHModuli``: alpha_g, beta_h,
+beta_h_prime_at, tau, xi) into a Cauchy modulus. ``theta_moudafi`` is its
+instance for the resolvent iteration: alpha_G(x) = x/e^A, beta_H = id,
+beta'_H(b+e) the trajectory radius e^A*b + D of ``validate_regularity_ball``,
+tau(d, n) = Phi(kappa(ceil(1/d)), n) (kappa_hat with use_kappa_hat) and
+xi(x) = xi~(ceil(1/x)).
 """
 
 from __future__ import annotations
@@ -192,9 +196,9 @@ class GHModuli:
     """Quantitative data of an abstract quasi-Fejer monotone sequence.
 
     alpha_g, beta_h: moduli for the transforms G and H (positive,
-    nondecreasing eps-maps); beta_h_prime_at: the single value beta'_H(b+e)
-    fixing the radius on which the regularity modulus must hold; b bounds
-    G(d(x0, z)), e bounds the accumulated errors; tau(delta, n) bounds the
+    nondecreasing eps-maps); beta_h_prime_at: beta'_H(b+e), b bounding
+    G(d(x0, z)) and e the accumulated errors, the radius of the ball the
+    sequence stays in and on which phi must hold; tau(delta, n) bounds the
     index where the sequence comes within delta of the target set past the
     error-tail index n; xi(delta) is a Cauchy rate for the error series.
     """
@@ -202,15 +206,11 @@ class GHModuli:
     alpha_g: Callable[[Fraction], Fraction]
     beta_h: Callable[[Fraction], Fraction]
     beta_h_prime_at: Fraction
-    b: Fraction
-    e: Fraction
     tau: Callable[[Fraction, int], int]
     xi: Callable[[Fraction], int]
 
     def __post_init__(self):
         object.__setattr__(self, "beta_h_prime_at", Fraction(self.beta_h_prime_at))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "e", Fraction(self.e))
 
 
 def theta_generic(
@@ -220,20 +220,20 @@ def theta_generic(
     cap: int = DEFAULT_CAP,
 ) -> NaturalBound:
     """Cauchy modulus theta(delta) = tau(phi(alpha_G(beta_H(delta/2)/2)),
-    xi(beta_H(delta/2)/2)) for an abstract quasi-Fejer sequence."""
+    xi(beta_H(delta/2)/2)) for an abstract quasi-Fejer sequence; the one place
+    where phi's radius is compared with beta'_H(b+e)."""
+    if phi_reg.radius < gh.beta_h_prime_at:
+        raise DomainError(
+            f"regularity ball radius {phi_reg.radius} smaller than the certified "
+            f"trajectory radius beta'_H(b+e) = {float(gh.beta_h_prime_at):.6g}"
+        )
     delta = Fraction(delta)
     if delta <= 0:
         raise DomainError("Cauchy modulus arguments are positive")
-    if phi_reg.radius < gh.beta_h_prime_at:
-        raise DomainError(
-            f"regularity modulus certified on radius {phi_reg.radius}, "
-            f"needs beta'_H(b+e) = {gh.beta_h_prime_at}"
-        )
     inner = gh.beta_h(delta / 2) / 2
     if inner <= 0:
         raise DomainError("beta_H must return positive values")
-    n_err = gh.xi(inner)
-    val = gh.tau(phi_reg.phi_value(gh.alpha_g(inner)), n_err)
+    val = gh.tau(phi_reg.phi_value(gh.alpha_g(inner)), gh.xi(inner))
     if val < 0:
         raise InvariantViolation("tau returned a negative index")
     return NaturalBound.of(val, cap)
@@ -249,64 +249,60 @@ def theta_moudafi(
     q,
     phi_search: PhiSearch,
     phi_reg: RegularityModulus,
+    radius: Fraction,
     use_kappa_hat: bool = False,
     cap: int = DEFAULT_CAP,
 ) -> NaturalBound:
-    """Cauchy modulus for the resolvent iteration under metric regularity.
-
-    theta(eps) = Phi(level, xi~(eps/4)) where level = kappa(ceil(1/phi(eps/(4e^A))))
-    converts regularity of the fixed-point gap into membership depth, or
-    kappa_hat of the same argument when phi_reg certifies the selection or
-    difference gap instead (requires the continuity modulus of S).
+    """Cauchy modulus for the resolvent iteration under metric regularity:
+    ``theta_generic`` on the iteration's data (see the module docstring), with
+    beta'_H(b+e) = radius. kappa converts regularity of the fixed-point gap
+    into membership depth; kappa_hat replaces it when phi_reg certifies the
+    selection or difference gap (requires the continuity modulus of S).
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise DomainError("Cauchy modulus arguments are positive")
     e_a = exp_upper(q.A)
-    phi_val = phi_reg.phi_value(eps / (4 * e_a.value))
-    k_arg = ceil_fraction(1 / phi_val)
-    if use_kappa_hat:
+
+    def level(k: int) -> int:
+        if not use_kappa_hat:
+            return kappa(k, q.M, q.B)
         if q.varpi_hat is None:
             raise ConfigError("kappa_hat needs the continuity modulus of S (varpi_hat)")
-        level = kappa_hat(k_arg, q.M, q.B, q.Bprime, q.varpi_hat)
-    else:
-        level = kappa(k_arg, q.M, q.B)
-    n_arg = xi_tilde(ceil_fraction(4 / eps), q.M, e_a, q.xi)
-    return NaturalBound.of(phi_liminf(level, n_arg, q, phi_search), cap)
+        return kappa_hat(k, q.M, q.B, q.Bprime, q.varpi_hat)
+
+    gh = GHModuli(
+        alpha_g=lambda x: x / e_a.value,
+        beta_h=lambda x: x,
+        beta_h_prime_at=radius,
+        tau=lambda d, n: phi_liminf(level(ceil_fraction(1 / d)), n, q, phi_search),
+        xi=lambda x: xi_tilde(ceil_fraction(1 / x), q.M, e_a, q.xi),
+    )
+    return theta_generic(eps, gh, phi_reg, cap)
 
 
 def validate_regularity_ball(
     inst: ProblemInstance, phi_reg: RegularityModulus, b: Fraction, k_max: int = 1000
 ) -> Fraction:
-    """Certify the ball hypothesis of the iteration-specific Cauchy modulus.
+    """The radius e^A*b + D of the ball about phi_reg's center z that the
+    trajectory stays in, which ``theta_moudafi`` compares with phi_reg's.
 
-    The trajectory stays in B(z; e^A*b + D) where b >= ||x0 - z|| and D bounds
-    the total accumulated step sizes; D is certified from the Cauchy rate xi
-    as min over k of (partial sum below xi(k)) + 1/(k+1), all exact rationals.
-    Returns the certified radius; raises if phi_reg's ball is smaller.
+    b >= ||x0 - z|| is checked; D bounds the total accumulated step sizes and
+    is certified from the Cauchy rate xi as min over k of (partial sum below
+    xi(k)) + 1/(k+1), all exact rationals. The partial sum only grows, so a
+    candidate is made only at the last k before it grows, and at k_max.
     """
     b = Fraction(b)
     if float(np.linalg.norm(inst.x0 - phi_reg.center)) > float(b) + 1e-12:
         raise DomainError("b must bound the distance from x0 to the ball center")
-    e_a = exp_upper(inst.quant.A)
-    best = None
+    run_ends = []
     partial = Fraction(0)
     upto = 0
     for k in range(k_max + 1):
         n_k = inst.quant.xi(k)
+        if k and upto < n_k:
+            run_ends.append(partial + Fraction(1, k))
         while upto < n_k:
             partial += inst.schedule.mu_fraction(upto)
             upto += 1
-        cand = partial + Fraction(1, k + 1)
-        if best is None or cand < best:
-            best = cand
-    needed = e_a.value * b + best
-    if phi_reg.radius < needed:
-        raise DomainError(
-            f"regularity ball radius {phi_reg.radius} smaller than the certified "
-            f"trajectory radius {float(needed):.6g}"
-        )
-    return needed
+    return exp_upper(inst.quant.A).value * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
 
 
 # --------------------------------------------------------------------------

@@ -200,8 +200,6 @@ def test_criterion_4_generic_cauchy_modulus():
         alpha_g=lambda e: e,
         beta_h=lambda e: e,
         beta_h_prime_at=Fraction(1),
-        b=Fraction(1),
-        e=Fraction(0),
         tau=lambda d, n: max(n, math.ceil(math.log2(1 / d))),
         xi=lambda d: 0,
     )
@@ -272,7 +270,7 @@ def test_criterion_6_cauchy_modulus(calibrated_pilot):
     needed = validate_regularity_ball(inst, phi_reg, Fraction(1, 2))
 
     def theta_eval(eps):
-        return theta_moudafi(eps, inst.quant, phi, phi_reg, use_kappa_hat=True)
+        return theta_moudafi(eps, inst.quant, phi, phi_reg, needed, use_kappa_hat=True)
 
     cert = check_cauchy_modulus(trace, theta_eval, [Fraction(1, 4), Fraction(1, 16)])
     quarter = cert.witness["per_eps"]["1/4"]

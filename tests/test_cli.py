@@ -393,6 +393,30 @@ def test_vacuous_certificates_exit_1_when_not_tolerated(tmp_path, capsys):
 PHI_REG = {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}
 
 
+def test_a_regularity_ball_smaller_than_the_trajectory_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {
+        "eps": ["1/4", "1/16"], "steps": 50, "b": "1/2", "phi_reg": {**PHI_REG, "radius": "3"}}})
+    assert main(["cauchy-modulus", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"regularity ball radius 3 smaller than .* = 4\.\d+$", err.strip()), err
+    assert not (tmp_path / "cauchy_modulus.json").exists()
+
+
+def test_a_rounding_stall_is_not_read_as_convergence(tmp_path, capsys):
+    # T = Id, S = 0: from step 249,647 mu_n x/(1 + lambda_n) is below half an
+    # ulp of x, so the iterate stays at 0.8637 with residual 0.0, far from the
+    # only zero 0; the stationary completion must not take that stall
+    cfg = write_config(tmp_path, {
+        **_inline_dc(S={"kind": "zero", "dim": 1}),
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 300_000},
+        "params": {"k": 0, "steps": 300_000, "k_max": 3, "n_max": 100},
+    })
+    assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "the trace tail is not verified stationary" in capsys.readouterr().err
+    assert not list(tmp_path.glob("metastability_k*.json"))
+
+
 @pytest.mark.parametrize(
     "task,cfg",
     [
@@ -476,6 +500,10 @@ MALFORMED_VALUES = {
     ),
     "cauchy b 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "b": "1/0"}}, "b: expected"),
     "cauchy eps 1/0": ("cauchy-modulus", {"params": {"phi_reg": PHI_REG, "eps": ["1/0"]}}, "eps:"),
+    # theta(eps) compares the ball radii: with no eps a small ball went unchecked
+    "cauchy eps empty": (
+        "cauchy-modulus", {"params": {"phi_reg": PHI_REG, "eps": []}}, "eps: needs at least one target"
+    ),
     "phi_reg table entry key": (
         "cauchy-modulus",
         {"params": {"b": "1/2", "phi_reg": {

@@ -53,8 +53,6 @@ def stub_gh(xi=lambda d: 0):
         alpha_g=lambda e: e,
         beta_h=lambda e: e,
         beta_h_prime_at=Fraction(1),
-        b=Fraction(1),
-        e=Fraction(0),
         tau=lambda d, n: max(n, math.ceil(math.log2(1 / d))),
         xi=xi,
     )
@@ -248,15 +246,15 @@ def test_generic_modulus_guards():
 def test_iteration_modulus_stub_values():
     q = stub_quant()
     phi = linear_phi()
-    assert int(theta_moudafi(Fraction(1), q, sum_search, phi)) == 5789
-    assert int(theta_moudafi(Fraction(4), q, sum_search, phi)) == 788
+    assert int(theta_moudafi(Fraction(1), q, sum_search, phi, phi.radius)) == 5789
+    assert int(theta_moudafi(Fraction(4), q, sum_search, phi, phi.radius)) == 788
 
 
 def test_iteration_modulus_shrinks_for_larger_targets():
     q = stub_quant()
     phi = linear_phi()
     vals = [
-        int(theta_moudafi(e, q, sum_search, phi))
+        int(theta_moudafi(e, q, sum_search, phi, phi.radius))
         for e in (Fraction(4), Fraction(1), Fraction(1, 4))
     ]
     assert vals == sorted(vals)  # finer targets cost more stages
@@ -267,9 +265,65 @@ def test_iteration_modulus_guards():
     q = stub_quant()
     phi = linear_phi()
     with pytest.raises(DomainError):
-        theta_moudafi(Fraction(-1), q, sum_search, phi)
+        theta_moudafi(Fraction(-1), q, sum_search, phi, phi.radius)
     with pytest.raises(ConfigError):
-        theta_moudafi(Fraction(1), q, sum_search, phi, use_kappa_hat=True)
+        theta_moudafi(Fraction(1), q, sum_search, phi, phi.radius, use_kappa_hat=True)
+    with pytest.raises(DomainError, match=r"radius 1 smaller than .* = 1\.5$"):
+        theta_moudafi(Fraction(1), q, sum_search, phi, Fraction(3, 2))
+
+
+def test_iteration_modulus_is_the_generic_modulus_on_the_iteration_data(monkeypatch):
+    # alpha_G(x) = x/e^A, beta_H = id, tau(d, n) = Phi(kappa(ceil(1/d)), n),
+    # xi(x) = xi~(ceil(1/x)) and beta'_H(b+e) = the certified trajectory radius
+    q = stub_quant()
+    phi = linear_phi()
+    seen = []
+    generic = fq.regularity.theta_generic
+
+    def recording(delta, gh, phi_reg, cap):
+        seen.append(gh)
+        return generic(delta, gh, phi_reg, cap)
+
+    monkeypatch.setattr(fq.regularity, "theta_generic", recording)
+    assert int(theta_moudafi(Fraction(1), q, sum_search, phi, Fraction(1, 3))) == 5789
+    (gh,) = seen
+    e_a = fq.exp_upper(q.A)
+    assert gh.beta_h_prime_at == Fraction(1, 3)
+    assert gh.alpha_g(Fraction(1, 4)) == Fraction(1, 4) / e_a.value
+    assert gh.beta_h(Fraction(2, 7)) == Fraction(2, 7)
+    assert gh.tau(Fraction(1, 3), 5) == fq.phi_liminf(kappa(3, q.M, q.B), 5, q, sum_search)
+    assert gh.xi(Fraction(1, 4)) == fq.xi_tilde(4, q.M, e_a, q.xi)
+
+
+def calibrated_box():
+    # trace-cauchy-2d's inputs: box-affine-nd on lambda power 2, mu power 4
+    inst = fq.preset("box-affine-nd")
+    sched = ParameterSchedule(PowerRule(Fraction(1), 2), PowerRule(Fraction(1), 4), 12_000)
+    q = QuantitativeData(
+        A=Fraction(7, 4),
+        B=1,
+        Bprime=0,
+        C=Fraction(1),
+        M=3,
+        L=Fraction(2),
+        d=2,
+        theta=ModulusFn.power_rate(1, 2),
+        xi=ModulusFn.power_sum_rate(1, 4),
+        varpi=ModulusFn.identity(),
+        varpi_hat=ModulusFn.identity(),
+    )
+    return dataclasses.replace(inst, x0=np.array([0.5, 0.5]), schedule=sched, quant=q)
+
+
+def test_iteration_modulus_on_the_calibrated_box():
+    inst = calibrated_box()
+    phi_reg = RegularityModulus("linear", np.array([0.0, 1.0]), Fraction(8), "analytic")
+    radius = validate_regularity_ball(inst, phi_reg, Fraction(3, 4))
+    trace = fq.run(inst, 12_000)
+    phi = fq.build_empirical_phi(trace, 25, 200, inst)
+    thetas = [int(theta_moudafi(e, inst.quant, phi, phi_reg, radius))
+              for e in (Fraction(1, 4), Fraction(1, 16))]
+    assert thetas == [2598, 10246]
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +359,26 @@ def test_regularity_ball_certificate():
     assert needed <= Fraction(4)
     with pytest.raises(DomainError):
         validate_regularity_ball(inst, phi, Fraction(1, 4))  # b below ||x0 - z||
+    # the trajectory radius does not depend on phi's radius, which the
+    # Cauchy modulus compares with it
     small = RegularityModulus("linear", np.array([0.0]), Fraction(3), "grid-oracle")
-    with pytest.raises(DomainError):
-        validate_regularity_ball(inst, small, Fraction(1, 2))
+    assert validate_regularity_ball(inst, small, Fraction(1, 2)) == needed
+    with pytest.raises(DomainError, match=r"radius 3 smaller than .* = 3\.95984$"):
+        theta_moudafi(Fraction(1, 4), inst.quant, sum_search, small, needed)
+    assert int(theta_moudafi(Fraction(1, 4), inst.quant, sum_search, phi, needed)) > 0
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 5, 37, 1000, 3000])
+def test_regularity_ball_is_the_least_candidate_over_every_k(k_max):
+    inst = slow_lambda_instance()
+    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "grid-oracle")
+    partial, sums = Fraction(0), []
+    for n in range(inst.quant.xi(k_max) + 1):
+        sums.append(partial)
+        partial += inst.schedule.mu_fraction(n)
+    least = min(sums[inst.quant.xi(k)] + Fraction(1, k + 1) for k in range(k_max + 1))
+    e_a = fq.exp_upper(inst.quant.A).value
+    assert validate_regularity_ball(inst, phi, Fraction(1, 2), k_max) == e_a / 2 + least
 
 
 # --------------------------------------------------------------------------

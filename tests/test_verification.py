@@ -633,6 +633,18 @@ def test_cauchy_modulus_vacuous_cases():
     assert overflowed.vacuous
 
 
+def test_cauchy_modulus_checks_the_one_point_window_at_the_last_step():
+    # theta = steps leaves the window {x_steps}, which is checked; one past
+    # it there is no window, and the conclusion is vacuous
+    tr = run(dc(), 100)
+    last = check_cauchy_modulus(tr, lambda e: NaturalBound.of(tr.steps), [Fraction(1, 2)])
+    assert last.sound and not last.vacuous
+    assert last.witness["per_eps"]["1/2"] == {"theta": "100", "status": "pass", "diameter": 0.0}
+    past = check_cauchy_modulus(tr, lambda e: NaturalBound.of(tr.steps + 1), [Fraction(1, 2)])
+    assert past.sound and past.vacuous
+    assert past.witness["per_eps"]["1/2"] == {"theta": "101", "status": "vacuous"}
+
+
 # --------------------------------------------------------------------------
 # liminf witnesses and uniform closedness
 # --------------------------------------------------------------------------
