@@ -19,18 +19,18 @@ _EXPORTS = {
         NonPositiveParameter ResidualFloor ScheduleError SingularSystem
         TableRangeError UnknownPreset ZeroInfimum""",
     "iteration": """ParameterSchedule PowerRule ProblemInstance QuantitativeData
-        TableRule Trace gamma_k_check gamma_witness preset run""",
-    "moduli": """DEFAULT_CAP Counterfunction ModulusFn NaturalBound RationalUpper
-        bounded_sub chi delta exp_upper kappa kappa_hat omega phi_liminf psi
-        psi_prime sqrt_upper total_boundedness_P varpi_prime xi_tilde""",
+        TableRule Trace gamma_k_check preset run""",
+    "moduli": """DEFAULT_CAP Counterfunction ModulusFn NaturalBound bounded_sub chi delta
+        exp_upper kappa kappa_hat omega phi_liminf psi psi_prime sqrt_upper
+        total_boundedness_P varpi_prime xi_tilde""",
     "operators": """AffinePSD NormalConeBox SubdiffAbsSum ZeroOperator evaluate in_box
         least_norm minimal_selection resolvent resolvent_rows value_rows yosida
         yosida_rows""",
     "regularity": """GapFunctional GHModuli RegularityModulus eval_gap eval_gaps
         grid_regularity_oracle theta_generic theta_moudafi validate_regularity_ball""",
     "verification": """Certificate EmpiricalPhi build_empirical_phi certify_metastability
-        check_approx_error check_cauchy_modulus check_liminf_witness check_quasi_fejer
-        find_metastable monotonize_table""",
+        check_approx_error check_cauchy_modulus check_quasi_fejer find_metastable
+        monotonize_table""",
 }
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -144,12 +144,6 @@ class PowerRule:
     def value_fraction(self, n: int) -> Fraction:
         return self.c / (n + 1) ** self.p
 
-    def rate(self) -> ModulusFn:
-        """theta: the rate of convergence of the values toward 0, exact."""
-        if self.p < 1:
-            raise ScheduleError("a closed-form rate needs a decaying power rule")
-        return ModulusFn.power_rate(self.c, self.p)
-
     def to_json(self) -> dict:
         return {"rule": self.rule, **write_form(self, self.json_fields)}
 
@@ -321,8 +315,9 @@ class QuantitativeData:
         for name in ("A", "B", "Bprime", "C", "L", "M"):
             constant(name, getattr(self, name))
 
-    def validate_against(self, schedule: ParameterSchedule, spot_k: int = 50) -> None:
-        """Spot-check the certified constants against the stored horizon.
+    def validate_against(self, schedule: ParameterSchedule) -> None:
+        """Spot-check the certified constants against the stored horizon, and
+        the moduli at k = 0..50.
 
         These are necessary-condition checks on the realized finite schedule;
         certification of the full-sum constants remains the caller's claim.
@@ -343,7 +338,7 @@ class QuantitativeData:
         suffix = np.concatenate([np.cumsum(mus[::-1])[::-1], [0.0]])
         running_max = np.maximum.accumulate(lams[::-1])[::-1]
         prev = -1
-        for k in range(spot_k + 1):
+        for k in range(51):
             t = self.theta(k)
             if t <= h and running_max[t] > 1.0 / (k + 1) + 1e-12:
                 raise InvariantViolation(f"theta({k}) misses the lambda rate")
@@ -432,13 +427,13 @@ class ProblemInstance:
         schedule, quant = self.schedule.to_json(), self.quant.to_json()
         return {"problem": write_form(self, self.json_fields), "schedule": schedule, "quant": quant}
 
-    def in_search_region(self, x, tol: float = _CLAUSE_TOL) -> bool:
+    def in_search_region(self, x) -> bool:
         """Membership in the ball of radius L around x0 intersected with the
-        closure of the domain of S."""
+        closure of the domain of S, each to within _CLAUSE_TOL."""
         x = as_point(x, self.dim)
-        if float(np.linalg.norm(x - self.x0)) > float(self.quant.L) + tol:
+        if float(np.linalg.norm(x - self.x0)) > float(self.quant.L) + _CLAUSE_TOL:
             return False
-        return domain_contains(self.S, x, tol=tol)
+        return domain_contains(self.S, x, tol=_CLAUSE_TOL)
 
 
 # the catalog problems with certified quantitative data, as the config
@@ -778,15 +773,10 @@ def _check_diameter(inst: ProblemInstance, trace: Trace) -> None:
 # --------------------------------------------------------------------------
 
 
-def gamma_witness(inst: ProblemInstance, x, lam: float) -> np.ndarray:
-    """Canonical membership witness: the Yosida approximant of T at x."""
-    return yosida(inst.T, lam, x)
-
-
-def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL) -> bool:
+def gamma_k_check(inst: ProblemInstance, x, k: int, y) -> bool:
     """Membership of x in the k-th approximate solution stratum with witness y.
 
-    Three clauses, each with additive tolerance ``tol``:
+    Three clauses, each with additive tolerance _CLAUSE_TOL:
     (i)  the witness norm matches the minimal selection norm of T to 1/(k+1);
     (ii) the witness lies within 1/(k+1) of the value set T(x) (squared
          distance against squared bound, exact per coordinate);
@@ -801,7 +791,7 @@ def gamma_k_check(inst: ProblemInstance, x, k: int, y, tol: float = _CLAUSE_TOL)
         raise DomainError("point outside the search region (L-ball and domain of S)")
     if k > inst.schedule.horizon:
         raise HorizonExceeded(f"stratum {k} needs stages beyond the horizon")
-    eps = 1.0 / (k + 1) + tol
+    eps = 1.0 / (k + 1) + _CLAUSE_TOL
     lo, hi = evaluate(inst.T, x)
     if abs(float(np.linalg.norm(y)) - float(np.linalg.norm(least_norm(lo, hi)))) > eps:
         return False

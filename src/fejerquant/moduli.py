@@ -95,13 +95,6 @@ def _iroot(x: int, p: int) -> int:
     return r
 
 
-def ceil_nth_root(q: Fraction, p: int) -> int:
-    """Smallest natural t with t**p >= q (exact)."""
-    if p < 1:
-        raise ValueError("root order must be >= 1")
-    return _ceil_root(q.numerator, q.denominator, p)
-
-
 def _ceil_root(num: int, den: int, p: int) -> int:
     """Smallest natural t with t**p * den >= num, for den >= 1 and p >= 1."""
     if num <= 0:
@@ -124,25 +117,14 @@ def _ceil_root(num: int, den: int, p: int) -> int:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RationalUpper:
-    """A certified rational upper bound on a real quantity.
-
-    ``value`` satisfies  quantity <= value < quantity + error_bound.
-    """
-
-    value: Fraction
-    quantity: str
-    error_bound: Fraction
-
-    def float_upper(self) -> float:
-        """The least float at or above ``value``: float() rounds to nearest,
-        which may land below it."""
-        f = float(self.value)
-        return math.nextafter(f, math.inf) if Fraction(f) < self.value else f
+def float_upper(q: Fraction) -> float:
+    """The least float at or above q: float() rounds to nearest, which may
+    land below it."""
+    f = float(q)
+    return math.nextafter(f, math.inf) if Fraction(f) < q else f
 
 
-def exp_upper(a: Fraction) -> RationalUpper:
+def exp_upper(a: Fraction) -> Fraction:
     """Rational u with e^a <= u < e^a + 1e-6, by Taylor series with an
     explicit geometric remainder bound, rounded up to denominator 1e9.
 
@@ -155,9 +137,9 @@ def exp_upper(a: Fraction) -> RationalUpper:
 
 
 @functools.lru_cache(maxsize=64)
-def _exp_upper(a: Fraction) -> RationalUpper:
+def _exp_upper(a: Fraction) -> Fraction:
     if a == 0:
-        return RationalUpper(Fraction(1), "e^0", Fraction(0))
+        return Fraction(1)
     term = total = Fraction(1)
     i = 0
     while True:
@@ -170,22 +152,21 @@ def _exp_upper(a: Fraction) -> RationalUpper:
             tail = term * qr / (1 - qr)
             if tail < Fraction(1, 10 ** 7):
                 break
-    u = Fraction(ceil_fraction((total + tail) * _EXP_GRAIN), _EXP_GRAIN)
-    return RationalUpper(u, f"e^{a}", Fraction(1, 10 ** 6))
+    return Fraction(ceil_fraction((total + tail) * _EXP_GRAIN), _EXP_GRAIN)
 
 
-def sqrt_upper(d: int) -> RationalUpper:
+def sqrt_upper(d: int) -> Fraction:
     """Rational u with sqrt(d) <= u < sqrt(d) + 1e-6; exact on perfect squares."""
     if d < 0:
         raise ValueError("sqrt_upper needs d >= 0")
     s = math.isqrt(d)
     if s * s == d:
-        return RationalUpper(Fraction(s), f"sqrt({d})", Fraction(0))
+        return Fraction(s)
     scaled = d * _SQRT_GRAIN ** 2
     m = math.isqrt(scaled)
     if m * m < scaled:
         m += 1
-    return RationalUpper(Fraction(m, _SQRT_GRAIN), f"sqrt({d})", Fraction(1, 10 ** 6))
+    return Fraction(m, _SQRT_GRAIN)
 
 
 # --------------------------------------------------------------------------
@@ -422,10 +403,10 @@ def varpi_prime(k: int, b_bound: int, varpi: ModulusFn) -> int:
     return varpi(b_bound * k ** 2 + 2 * b_bound * k + b_bound - 1)
 
 
-def chi(r: int, n: int, m: int, e_a: RationalUpper, cap: int = DEFAULT_CAP) -> NaturalBound:
+def chi(r: int, n: int, m: int, e_a: Fraction, cap: int = DEFAULT_CAP) -> NaturalBound:
     """Index bound for locating a quasi-stationary window: the larger of the
     shifted window end and the growth-compensated search start."""
-    return NaturalBound.of(_chi(r, n, m, *e_a.value.as_integer_ratio()), cap)
+    return NaturalBound.of(_chi(r, n, m, *e_a.as_integer_ratio()), cap)
 
 
 def _chi(r: int, n: int, m: int, e_num: int, e_den: int) -> int:
@@ -440,17 +421,17 @@ def _chi(r: int, n: int, m: int, e_num: int, e_den: int) -> int:
     return max(end, (r * me + (me + e_den - 1)) // e_den)
 
 
-def xi_tilde(n: int, m_bound: int, e_a: RationalUpper, xi: ModulusFn) -> int:
+def xi_tilde(n: int, m_bound: int, e_a: Fraction, xi: ModulusFn) -> int:
     """Cauchy rate for the accumulated step sizes, rescaled by the uniform
     trajectory bound (2M+1)e^A."""
-    e_num, e_den = e_a.value.as_integer_ratio()
+    e_num, e_den = e_a.as_integer_ratio()
     return xi(ceil_div((2 * m_bound + 1) * e_num * (n + 1), e_den) - 1)
 
 
 def total_boundedness_P(
     k: int,
-    e_a: RationalUpper,
-    sqrt_d: RationalUpper,
+    e_a: Fraction,
+    sqrt_d: Fraction,
     l_bound: Fraction,
     d: int,
     cap: int = DEFAULT_CAP,
@@ -459,8 +440,8 @@ def total_boundedness_P(
     of recursion stages the metastability bound must absorb."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    e_num, e_den = e_a.value.as_integer_ratio()
-    s_num, s_den = sqrt_d.value.as_integer_ratio()
+    e_num, e_den = e_a.as_integer_ratio()
+    s_num, s_den = sqrt_d.as_integer_ratio()
     l_num, l_den = Fraction(l_bound).as_integer_ratio()
     inner = ceil_div(8 * e_num * (k + 1), e_den)
     base = ceil_div(2 * inner * s_num * l_num, s_den * l_den)
@@ -513,7 +494,7 @@ def psi(
         return NaturalBound.overflow()
     m = 8 * k + 7
     xt = xi_tilde(m, q.M, e_a, q.xi)
-    e_num, e_den = e_a.value.as_integer_ratio()
+    e_num, e_den = e_a.as_integer_ratio()
     c_num, c_den = Fraction(q.C).as_integer_ratio()
     monotone = g.is_monotone
     val = 0
@@ -544,10 +525,10 @@ def psi_prime(
     cap: int = DEFAULT_CAP,
 ) -> NaturalBound:
     """Metastability rate whose window additionally consists of approximate
-    solutions: psi at the raised precision k0 = max(k, ceil((omega-1)/2)) with
-    the three-term omega, and with the stage threshold delta(k) floored into
-    every chi evaluation."""
-    om = max(q.varpi(2 * k + 1), 4 * k + 3, q.varpi(4 * q.M * (k + 1) ** 2 - 1))
+    solutions: psi at the raised precision k0 = max(k, ceil((om-1)/2)), where
+    om = max(varpi(2k+1), omega(k)), and with the stage threshold delta(k)
+    floored into every chi evaluation."""
+    om = max(q.varpi(2 * k + 1), omega(k, q.M, q.varpi))
     k0 = max(k, ceil_div(om - 1, 2))
     return psi(k0, g, q, phi_search, cap=cap, chi_floor=delta(k))
 

@@ -63,9 +63,6 @@ class GapFunctional:
         if self.variant not in _GAP_VARIANTS:
             raise ConfigError(f"unknown gap variant {self.variant!r}")
 
-    def __call__(self, x) -> float:
-        return eval_gap(self, x)
-
 
 _OUTSIDE = "gap functionals need x in the domain of both operators"
 
@@ -269,7 +266,7 @@ def theta_moudafi(
         return kappa_hat(k, q.M, q.B, q.Bprime, q.varpi_hat)
 
     gh = GHModuli(
-        alpha_g=lambda x: x / e_a.value,
+        alpha_g=lambda x: x / e_a,
         beta_h=lambda x: x,
         beta_h_prime_at=radius,
         tau=lambda d, n: phi_liminf(level(ceil_fraction(1 / d)), n, q, phi_search),
@@ -302,7 +299,7 @@ def validate_regularity_ball(
         while upto < n_k:
             partial += inst.schedule.mu_fraction(upto)
             upto += 1
-    return exp_upper(inst.quant.A).value * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
+    return exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .iteration import (
     ProblemInstance,
     Trace,
     gamma_k_check,
-    gamma_witness,
     run,
 )
 from .moduli import (
@@ -33,7 +32,7 @@ from .moduli import (
     NaturalBound,
     PhiSearch,
     exp_upper,
-    phi_liminf,
+    float_upper,
     psi,
     psi_prime,
     sqrt_upper,
@@ -70,8 +69,9 @@ class Certificate:
     ``sound`` follows the rule: witness within the computed bound, or no
     violations for inequality checks; a bound that overflowed the cap makes
     the certificate vacuously sound and sets ``vacuous``. ``digest`` is a
-    SHA-256 over the canonical params JSON, so identical inputs are
-    recognizable across runs.
+    SHA-256 over the canonical params JSON only. It names the configuration
+    checked, not the trace nor the outcome: a sound certificate and its twin
+    on a fault-injected trace of the same config share it.
     """
 
     kind: str
@@ -151,7 +151,7 @@ def check_quasi_fejer(
     """
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
-    e_a = exp_upper(inst.quant.A).float_upper()
+    e_a = float_upper(exp_upper(inst.quant.A))
     coef = (2 * inst.quant.M + 1) * e_a
     steps = trace.steps
     # violation records: arrays of solution index, n, l, form, lhs, rhs
@@ -350,7 +350,7 @@ def _in_gamma(inst: ProblemInstance, trace: Trace, k: int, i: int) -> bool:
     """Whether iterate i is a level-k approximate solution with its canonical
     Yosida witness at its own stage parameter."""
     lam = trace.lambdas[i] if i < trace.steps else inst.schedule.lam(i)
-    return gamma_k_check(inst, trace.points[i], k, gamma_witness(inst, trace.points[i], lam))
+    return gamma_k_check(inst, trace.points[i], k, yosida(inst.T, lam, trace.points[i]))
 
 
 def certify_metastability(
@@ -604,38 +604,3 @@ def check_cauchy_modulus(
         violations=tuple(violations),
         provenance={"strictness_guard": _CAUCHY_GUARD},
     )
-
-
-def check_liminf_witness(
-    inst: ProblemInstance,
-    trace: Trace,
-    k: int,
-    n: int,
-    phi_search: PhiSearch,
-) -> Certificate:
-    """Search [n, Phi(k, n)] for an iterate that is a level-k approximate
-    solution with its canonical Yosida witness."""
-    bound_val = phi_liminf(k, n, inst.quant, phi_search)
-    bound = NaturalBound.of(bound_val)
-    top = min(bound_val, trace.steps)
-    found = next((i for i in range(n, top + 1) if _in_gamma(inst, trace, k, i)), None)
-    vacuous = bound_val > trace.steps and found is None
-    violations = ()
-    if found is None:
-        violations = (
-            {
-                "reason": "no approximate solution found in the search range",
-                "range": [n, top],
-            },
-        )
-    return Certificate(
-        kind="liminf-witness",
-        params={"k": k, "n": n, **_instance_params(inst)},
-        witness={"N": found},
-        bound=bound,
-        sound=found is not None,
-        vacuous=vacuous,
-        violations=violations,
-        provenance={"witness": "yosida at the iterate's own stage parameter"},
-    )
-

@@ -86,13 +86,13 @@ PUBLIC_NAMES = [
     "DimensionMismatch", "DomainError", "EmpiricalPhi", "EmptyGrid", "FejerQuantError",
     "GHModuli", "GapFunctional", "HorizonExceeded", "InvariantViolation", "MissingSolutions",
     "ModulusFn", "NaturalBound", "NegativeExponent", "NonPositiveParameter", "NormalConeBox",
-    "ParameterSchedule", "PowerRule", "ProblemInstance", "QuantitativeData", "RationalUpper",
+    "ParameterSchedule", "PowerRule", "ProblemInstance", "QuantitativeData",
     "RegularityModulus", "ResidualFloor", "ScheduleError", "SingularSystem", "SubdiffAbsSum",
     "TableRangeError", "TableRule", "Trace", "UnknownPreset", "ZeroInfimum", "ZeroOperator",
     "bounded_sub", "build_empirical_phi", "certify_metastability", "check_approx_error",
-    "check_cauchy_modulus", "check_liminf_witness", "check_quasi_fejer",
+    "check_cauchy_modulus", "check_quasi_fejer",
     "chi", "delta", "eval_gap", "eval_gaps", "evaluate",
-    "exp_upper", "find_metastable", "gamma_k_check", "gamma_witness", "grid_regularity_oracle",
+    "exp_upper", "find_metastable", "gamma_k_check", "grid_regularity_oracle",
     "in_box", "kappa", "kappa_hat", "least_norm", "minimal_selection", "monotonize_table",
     "omega", "phi_liminf", "preset", "psi", "psi_prime", "resolvent", "resolvent_rows", "run",
     "sqrt_upper", "theta_generic", "theta_moudafi", "total_boundedness_P",

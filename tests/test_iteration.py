@@ -29,7 +29,6 @@ from fejerquant.iteration import (
     TableRule,
     Trace,
     gamma_k_check,
-    gamma_witness,
     rule_from_json,
     run,
 )
@@ -41,6 +40,7 @@ from fejerquant.operators import (
     ZeroOperator,
     resolvent,
     resolvent_rows,
+    yosida,
 )
 
 
@@ -129,10 +129,14 @@ def test_schedule_json_round_trip():
 
 
 def test_closed_form_rates_from_rules():
-    th = PowerRule(Fraction(1), 2).rate()
-    assert th.to_json() == ModulusFn.power_rate(1, 2).to_json()
-    with pytest.raises(ScheduleError):
-        PowerRule(Fraction(1), 0).rate()
+    # power_rate(c, p) at j is the first stage whose power-rule value is at
+    # most 1/(j+1): the theta of a lambda schedule c/(n+1)^p, exactly
+    for c, p in ((Fraction(1), 1), (Fraction(1), 2), (Fraction(3, 2), 3), (Fraction(1, 10), 1)):
+        rule, th = PowerRule(c, p), ModulusFn.power_rate(c, p)
+        for j in range(40):
+            n = th(j)
+            assert rule.value_fraction(n) <= Fraction(1, j + 1)
+            assert n == 0 or rule.value_fraction(n - 1) > Fraction(1, j + 1)
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +406,11 @@ def test_trace_jsonl_layout():
 
 
 def test_gamma_witness_closed_form():
+    # the canonical membership witness is the Yosida value of T at x
     inst = dc_instance()
-    assert gamma_witness(inst, [0.0], 1.0)[0] == 0.0
-    assert gamma_witness(inst, [2.0], 1.0)[0] == pytest.approx(1.0, abs=1e-12)
-    assert gamma_witness(inst, [2.0], 0.25)[0] == pytest.approx(1.6, abs=1e-12)
+    assert yosida(inst.T, 1.0, [0.0])[0] == 0.0
+    assert yosida(inst.T, 1.0, [2.0])[0] == pytest.approx(1.0, abs=1e-12)
+    assert yosida(inst.T, 0.25, [2.0])[0] == pytest.approx(1.6, abs=1e-12)
 
 
 def test_gamma_membership_examples():
@@ -430,7 +435,7 @@ def test_gamma_strata_are_nested():
     hits = 0
     for _ in range(200):
         x = rng.uniform(-3.5, 3.5, size=1)
-        y = gamma_witness(inst, x, float(rng.uniform(0.01, 1.0)))
+        y = yosida(inst.T, float(rng.uniform(0.01, 1.0)), x)
         for k in (1, 2, 5):
             if gamma_k_check(inst, x, k, y):
                 hits += 1

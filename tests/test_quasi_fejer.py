@@ -30,7 +30,7 @@ from fejerquant.verification import (
 def reference_quasi_fejer(trace, inst, max_n, max_l):
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
-    e_a = float(exp_upper(inst.quant.A).value)
+    e_a = float(exp_upper(inst.quant.A))
     m_coeff = 2 * inst.quant.M + 1
     steps = trace.steps
     violations = []

@@ -289,7 +289,7 @@ def test_iteration_modulus_is_the_generic_modulus_on_the_iteration_data(monkeypa
     (gh,) = seen
     e_a = fq.exp_upper(q.A)
     assert gh.beta_h_prime_at == Fraction(1, 3)
-    assert gh.alpha_g(Fraction(1, 4)) == Fraction(1, 4) / e_a.value
+    assert gh.alpha_g(Fraction(1, 4)) == Fraction(1, 4) / e_a
     assert gh.beta_h(Fraction(2, 7)) == Fraction(2, 7)
     assert gh.tau(Fraction(1, 3), 5) == fq.phi_liminf(kappa(3, q.M, q.B), 5, q, sum_search)
     assert gh.xi(Fraction(1, 4)) == fq.xi_tilde(4, q.M, e_a, q.xi)
@@ -377,7 +377,7 @@ def test_regularity_ball_is_the_least_candidate_over_every_k(k_max):
         sums.append(partial)
         partial += inst.schedule.mu_fraction(n)
     least = min(sums[inst.quant.xi(k)] + Fraction(1, k + 1) for k in range(k_max + 1))
-    e_a = fq.exp_upper(inst.quant.A).value
+    e_a = fq.exp_upper(inst.quant.A)
     assert validate_regularity_ball(inst, phi, Fraction(1, 2), k_max) == e_a / 2 + least
 
 

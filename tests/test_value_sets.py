@@ -11,6 +11,7 @@ with infinite, signed-zero, subnormal and near-overflow endpoints.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_stepper import PAIRS, problems
 
+from fejerquant import iteration
 from fejerquant.errors import (
     DimensionMismatch,
     DomainError,
@@ -25,7 +27,7 @@ from fejerquant.errors import (
     HorizonExceeded,
     InvariantViolation,
 )
-from fejerquant.iteration import _CLAUSE_TOL, gamma_k_check, gamma_witness, preset
+from fejerquant.iteration import _CLAUSE_TOL, gamma_k_check, preset
 from fejerquant.operators import (
     as_point,
     check_bounds,
@@ -34,6 +36,7 @@ from fejerquant.operators import (
     least_norm,
     resolvent_rows,
     value_rows,
+    yosida,
 )
 
 # --------------------------------------------------------------------------
@@ -168,6 +171,17 @@ def reference_gamma_k_check(inst, x, k: int, y, tol: float = _CLAUSE_TOL) -> boo
     return bool(np.all(dists <= bound + tol))
 
 
+@contextmanager
+def clause_tol(tol: float):
+    """``iteration._CLAUSE_TOL`` set to tol: the additive tolerance of
+    gamma_k_check's clauses and of its search-region test."""
+    saved, iteration._CLAUSE_TOL = iteration._CLAUSE_TOL, tol
+    try:
+        yield
+    finally:
+        iteration._CLAUSE_TOL = saved
+
+
 def outcome(fn, *args, **kwargs):
     """What a call gives: its value, or the type of the error it raised."""
     try:
@@ -290,7 +304,7 @@ def test_gamma_k_check_equals_the_value_set_reference(pair, d, data):
     # a turn keeps the norm, so clause (i) holds and clause (ii) decides
     c, s = math.cos(turn := data.draw(st.floats(0.0, math.pi))), math.sin(turn)
     witnesses = [
-        gamma_witness(inst, x, data.draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0]))),
+        yosida(inst.T, data.draw(st.sampled_from([1e-3, 0.1, 1.0, 4.0])), x),
         t_min,
         -t_min,
         t_min + data.draw(st.sampled_from([0.5, -0.5, 0.25, 1e-12, 2.0])),
@@ -299,8 +313,9 @@ def test_gamma_k_check_equals_the_value_set_reference(pair, d, data):
     ]
     for y in witnesses:
         for tol in (_CLAUSE_TOL, 0.0, -0.25):
-            want = outcome(reference_gamma_k_check, inst, x, k, y, tol)
-            assert outcome(gamma_k_check, inst, x, k, y, tol) == want
+            with clause_tol(tol):  # the reference's search-region test reads it too
+                want = outcome(reference_gamma_k_check, inst, x, k, y, tol)
+                assert outcome(gamma_k_check, inst, x, k, y) == want
 
 
 def test_clause_ii_decides_a_reflected_witness():
@@ -310,4 +325,5 @@ def test_clause_ii_decides_a_reflected_witness():
     inst = preset("dc-abs-1d")
     for tol, member in ((_CLAUSE_TOL, False), (0.1, True), (0.09, False)):
         assert reference_gamma_k_check(inst, [0.3], 1, [-0.3], tol) is member
-        assert gamma_k_check(inst, [0.3], 1, [-0.3], tol) is member
+        with clause_tol(tol):
+            assert gamma_k_check(inst, [0.3], 1, [-0.3]) is member

@@ -26,11 +26,12 @@ from fejerquant.errors import (
     TableRangeError,
 )
 from fejerquant.iteration import Trace, gamma_k_check, run
-from fejerquant.moduli import ModulusFn, NaturalBound, delta, omega
-from fejerquant.operators import minimal_selection
+from fejerquant.moduli import ModulusFn, NaturalBound, delta, omega, phi_liminf
+from fejerquant.operators import AffinePSD, minimal_selection
 from fejerquant.verification import (
     _SLACK,
     Certificate,
+    _in_gamma,
     _instance_params,
     _verified_stage_fixed_point,
     EmpiricalPhi,
@@ -38,7 +39,6 @@ from fejerquant.verification import (
     certify_metastability,
     check_approx_error,
     check_cauchy_modulus,
-    check_liminf_witness,
     check_quasi_fejer,
     find_metastable,
     monotonize_table,
@@ -388,6 +388,60 @@ def test_metastability_certificate_overflow_is_vacuous():
     assert cert.bound.is_overflow and cert.bound.to_json() == {"overflow": True}
 
 
+# Hand-built traces on dc-abs-1d (stage 0: lambda = mu = 1) with g(n) = 1, so
+# a window is [n, n + 1]. A constant phi_search c makes psi = psi' = c: the
+# recursion's first stage returns c and every later one keeps it.
+G_ONE = ModulusFn.affine(0, 1)
+
+
+def hand_trace(xs):
+    """A trace through the points xs with unit stage parameters."""
+    pts = np.array(xs, dtype=float).reshape(-1, 1)
+    steps = len(xs) - 1
+    return Trace(pts, np.ones(steps), np.ones(steps), np.abs(np.diff(pts[:, 0])))
+
+
+def constant_phi(c):
+    return lambda k, n: c
+
+
+def test_metastability_decides_n_at_the_rate():
+    # windows [0, 1] and [1, 2] move by 5; [2, 3] is the first of diameter <= 1
+    inst, tr = dc(), hand_trace([0.0, 5.0, 10.0, 10.0, 10.0])
+    at = certify_metastability(inst, 0, G_ONE, constant_phi(2), 4, trace=tr)
+    assert (at.witness["N"], int(at.bound)) == (2, 2) and at.sound
+    below = certify_metastability(inst, 0, G_ONE, constant_phi(1), 4, trace=tr)
+    assert (below.witness["N"], int(below.bound)) == (2, 1)
+    assert not below.sound and not below.vacuous
+
+
+def test_metastability_decides_n_gamma_at_the_strengthened_rate():
+    # at 4 the Yosida witness 2 is 2 away from T(4) = {4}: no level-0
+    # member; 0 is one. [0, 1] is metastable at N = 0, [2, 3] is the first
+    # window of members
+    inst, tr = dc(), hand_trace([4.0, 4.0, 0.0, 0.0, 0.0])
+    assert [_in_gamma(inst, tr, 0, i) for i in range(5)] == [False, False, True, True, True]
+    for c, sound in ((2, True), (1, False)):
+        cert = certify_metastability(
+            inst, 0, G_ONE, constant_phi(c), 4, trace=tr, use_psi_prime=True, check_gamma=True
+        )
+        assert cert.witness["N"] == 0 and cert.witness["N_gamma"] == 2
+        assert cert.witness["psi_prime"] == str(c)
+        assert cert.sound is sound and not cert.vacuous
+
+
+def test_metastability_without_a_window_of_approximate_solutions_is_unsound():
+    # every window is metastable, and none is made of level-0 members
+    inst, tr = dc(), hand_trace([4.0, 4.0, 4.0, 4.0])
+    cert = certify_metastability(
+        inst, 0, G_ONE, constant_phi(5), 3, trace=tr, use_psi_prime=True, check_gamma=True
+    )
+    assert cert.witness["N"] == 0 and cert.witness["N_gamma"] is None
+    assert cert.witness["psi_prime"] == "5"
+    assert not cert.sound and not cert.vacuous
+    assert cert.violations == ({"reason": "no window of approximate solutions found"},)
+
+
 def test_certificate_json_is_reproducible():
     inst = dc()
     tr, phi = pilot_phi(inst)
@@ -431,6 +485,19 @@ def test_empirical_phi_stationary_completion():
     assert phi.stationary_from == 1
     assert phi(50, 10_000) == 10_000  # completion: max(n, stationary index)
     assert phi(50, 0) == 1
+
+
+def test_a_diagonal_t_must_fix_the_tail_at_lambda_b_too():
+    # T x = x and S x = 2x - 1 agree at 1, so T(1) = 1 lies in S(1) = {1}: the
+    # lambda -> 0 endpoint holds. The Yosida value at lambda = B = 1 is 1/2,
+    # not in S(1), so no stage map fixes 1 and a constant trace there is not
+    # a stationary tail
+    inst = dc(S=AffinePSD([[2.0]], [-1.0]), x0=np.array([1.0]), known_solutions=())
+    assert not _verified_stage_fixed_point(inst, np.array([1.0]))
+    phi = build_empirical_phi(hand_trace([1.0] * 6), k_max=2, inst=inst)
+    assert phi.stationary_from is None and phi.provenance == "empirical"
+    with pytest.raises(TableRangeError):
+        phi(3, 0)
 
 
 def reference_stationary_from(points: np.ndarray) -> int:
@@ -651,10 +718,12 @@ def test_cauchy_modulus_checks_the_one_point_window_at_the_last_step():
 
 
 def test_liminf_witness_found_immediately_on_the_catalog():
+    # the liminf lemma: some iterate in [n, Phi(k, n)] is a level-k
+    # approximate solution with its canonical Yosida witness
     inst = dc()
     tr = run(inst, 50)
-    cert = check_liminf_witness(inst, tr, 0, 0, max_search)
-    assert cert.sound and cert.witness["N"] == 0
+    assert phi_liminf(0, 0, inst.quant, max_search) <= tr.steps
+    assert _in_gamma(inst, tr, 0, 0)
 
 
 def test_liminf_witness_fails_honestly_at_finer_levels():
@@ -662,10 +731,8 @@ def test_liminf_witness_fails_honestly_at_finer_levels():
     # Yosida witness within 1/2 of the minimal selection, which never happens
     inst = from_two()
     tr = run(inst, 30)
-    cert = check_liminf_witness(inst, tr, 1, 0, max_search)
-    assert not cert.sound and not cert.vacuous
-    assert int(cert.bound) == 3
-    assert cert.violations[0]["range"] == [0, 3]
+    assert phi_liminf(1, 0, inst.quant, max_search) == 3
+    assert not any(_in_gamma(inst, tr, 1, i) for i in range(4))
 
 
 def check_uniform_closedness(inst, samples, k):
