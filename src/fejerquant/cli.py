@@ -222,9 +222,9 @@ def _task_certify_metastability(
     )
     label = str(k)
     if len(label) > 64:  # keep the file name within the usual 255-byte limit
-        import hashlib
+        from .verification import sha256
 
-        label = f"{len(label)}digits-{hashlib.sha256(label.encode()).hexdigest()[:12]}"
+        label = f"{len(label)}digits-{sha256(label.encode()).hexdigest()[:12]}"
     _write(out_dir, f"metastability_k{label}.json", _cert_json(cert))
     return [cert]
 

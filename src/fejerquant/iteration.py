@@ -136,10 +136,13 @@ class PowerRule:
         c = float(self.c)
         # stage n has base n + 1, so stages below the largest int64 base fit
         cut = min(n1, max(n0, _int64_max_base(self.p)))
-        small = np.arange(n0 + 1, cut + 1, dtype=np.int64) ** self.p
-        big = np.array([_float_or_inf((n + 1) ** self.p) for n in range(cut, n1)])
+        small = np.arange(n0 + 1, cut + 1, dtype=np.int64)
+        x = np.power(small, self.p, out=small).astype(float)
+        if cut < n1:
+            big = [_float_or_inf((n + 1) ** self.p) for n in range(cut, n1)]
+            x = np.concatenate([x, big])
         # an infinite denominator gives the 0.0 of value()'s overflow case
-        return c / np.concatenate([small.astype(float), big])
+        return np.divide(c, x, out=x)
 
     def value_fraction(self, n: int) -> Fraction:
         return self.c / (n + 1) ** self.p
@@ -335,7 +338,8 @@ class QuantitativeData:
             raise InvariantViolation("C does not dominate sup mu")
         if float(np.max(mus) - np.min(mus)) > float(self.C) + 1e-12:
             raise InvariantViolation("C does not dominate the spread of mu")
-        suffix = np.concatenate([np.cumsum(mus[::-1])[::-1], [0.0]])
+        # suffix[x] = sum of mus[x:], read only at x <= h
+        suffix = np.cumsum(mus[::-1])[::-1]
         running_max = np.maximum.accumulate(lams[::-1])[::-1]
         prev = -1
         for k in range(51):

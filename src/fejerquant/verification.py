@@ -9,7 +9,6 @@ reason, and provenance distinguishes analytic moduli from empirical ones.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -49,6 +48,17 @@ from .operators import (
     yosida_rows,
 )
 
+# The interpreter's builtin SHA-256, as random.py takes _sha512: hashlib would
+# load OpenSSL's libcrypto into every certificate process (README, "What each
+# task loads")
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the builtin hash modules
+        from hashlib import sha256
+
 _SLACK = 1e-9
 # float64 elements in one temporary of the lemma kernels (64 KB), whatever the
 # trace length; larger tiles run the quasi-Fejer check faster but raise the
@@ -86,7 +96,7 @@ class Certificate:
     @property
     def digest(self) -> str:
         blob = json.dumps(self.params, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
     def to_json(self) -> dict:
         if self.bound is None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import re
@@ -25,6 +26,10 @@ def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+# an analytic regularity modulus for dc-abs-1d's cauchy-modulus configs
+PHI_REG = {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +158,51 @@ def test_tasks_that_certify_nothing_load_no_certificate_layer(tmp_path, argv, pa
     )
     out = fresh_output(code, *argv, "--config", cfg, "--out", str(tmp_path))
     assert out == f"{exit_code} [] False"
+
+
+@pytest.mark.parametrize(
+    "task,params",
+    [
+        ("certify-metastability", {"k": 0, "steps": 50, "use_psi_prime": True}),
+        ("check-lemmas", {"max_n": 10, "max_l": 10, "max_i": 15, "steps": 25}),
+        ("cauchy-modulus", {"steps": 50, "b": "1/2", "phi_reg": PHI_REG}),
+    ],
+)
+def test_certificate_digests_load_no_openssl(tmp_path, task, params):
+    # the digest uses the interpreter's builtin SHA-256: hashlib's _hashlib
+    # maps libcrypto. numpy 1.x loads hashlib itself (numpy.random imports
+    # secrets), and a build without _sha2/_sha256 falls back to hashlib.
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": params})
+    code = (
+        "import importlib.util, sys, numpy\n"
+        "numpy_hashlib = '_hashlib' in sys.modules\n"
+        "builtin = any(importlib.util.find_spec(m) for m in ('_sha2', '_sha256'))\n"
+        "from fejerquant.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, '_hashlib' in sys.modules and builtin and not numpy_hashlib)"
+    )
+    out = fresh_output(code, task, "--config", cfg, "--out", str(tmp_path))
+    assert out == "0 False"
+    (written,) = tmp_path.glob("*_*.json")
+    certs = json.loads(written.read_text())
+    for cert in certs if isinstance(certs, list) else [certs]:
+        assert cert["digest"] == reference_digest(cert["params"])
+
+
+def reference_digest(params: dict) -> str:
+    blob = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{}, {"k": 3, "eps": ["1/4"], "b": "1/2"}, {"k": 10**400, "name": "é☃", "x": [0.1, None]}],
+)
+def test_certificate_digest_is_the_sha256_of_the_canonical_params(params):
+    from fejerquant.verification import Certificate
+
+    cert = Certificate(kind="metastability", params=params, witness={}, bound=None, sound=True)
+    assert cert.digest == reference_digest(params)
 
 
 # the cli names perfbench/replay.py's patch_layers rebinds to trace a task
@@ -388,9 +438,6 @@ def test_vacuous_certificates_exit_1_when_not_tolerated(tmp_path, capsys):
     )
     assert main(["cauchy-modulus", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "vacuous=True" in capsys.readouterr().out
-
-
-PHI_REG = {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}
 
 
 def test_a_regularity_ball_smaller_than_the_trajectory_exits_2(tmp_path, capsys):
@@ -822,7 +869,8 @@ def test_metastability_task_with_a_huge_k(tmp_path, capsys):
     assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
     (written,) = tmp_path.glob("metastability_k*.json")
-    assert written.name.startswith("metastability_k401digits-")
+    label = hashlib.sha256(str(k).encode()).hexdigest()[:12]
+    assert written.name == f"metastability_k401digits-{label}.json"
     cert = json.loads(written.read_text())
     assert cert["params"]["k"] == k and cert["bound"] == {"overflow": True}
 
