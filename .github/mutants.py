@@ -28,6 +28,7 @@ import xml.etree.ElementTree as ET
 
 ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 VERIFICATION = "src/fejerquant/verification.py"
+ITERATION = "src/fejerquant/iteration.py"
 
 # (file, original line, replacement, test files of which one must fail)
 MUTANTS = [
@@ -69,6 +70,18 @@ MUTANTS = [
      "        return sha256(blob.encode()).hexdigest()",
      '        return __import__("hashlib").sha256(blob.encode()).hexdigest()',
      ["tests/test_cli.py"]),
+    # build_empirical_phi: a row holds only for the levels its residuals
+    # qualify at; copied to every finer level it makes phi, and so psi, too
+    # small, which can give a wrong sound=True
+    (VERIFICATION,
+     "        end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))",
+     "        end = k_max + 1",
+     ["tests/test_verification.py"]),
+    # ProblemInstance: dom S lies in dom T on the hi side of each coordinate too
+    (ITERATION,
+     "        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):",
+     "        if not np.all(s_lo >= t_lo):",
+     ["tests/test_iteration.py"]),
 ]
 
 IGNORE = shutil.ignore_patterns(

@@ -29,8 +29,7 @@ _EXPORTS = {
     "regularity": """GapFunctional GHModuli RegularityModulus eval_gap eval_gaps
         grid_regularity_oracle theta_generic theta_moudafi validate_regularity_ball""",
     "verification": """Certificate EmpiricalPhi build_empirical_phi certify_metastability
-        check_approx_error check_cauchy_modulus check_quasi_fejer find_metastable
-        monotonize_table""",
+        check_approx_error check_cauchy_modulus check_quasi_fejer find_metastable""",
 }
 # public name -> the submodule that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

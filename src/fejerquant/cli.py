@@ -110,9 +110,9 @@ def _steps(params: dict, horizon: int | None, default: int) -> int:
 
 
 # The residual table of the empirical modulus has (k_max + 1) x (n + 1) int64
-# entries, n = min(n_max, steps - 1), and is held twice while it is made
-# monotone: at most 2**24 entries (128 MiB a copy). A larger k_max is refused
-# before anything is allocated; n_max is clamped to the trace.
+# entries, n = min(n_max, steps - 1): at most 2**24 entries (128 MiB). A
+# larger k_max is refused before anything is allocated; n_max is clamped to
+# the trace.
 _PHI_CELLS = 2**24
 
 
@@ -166,7 +166,7 @@ def _summarize(cert) -> str:
 # --------------------------------------------------------------------------
 
 
-def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
+def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None, cap: int):
     params = _params(cfg, {"steps"})
     steps = _steps(params, horizon, 100)
     trace = _cli.run(inst, steps)
@@ -179,7 +179,9 @@ def _task_run(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | Non
     return []
 
 
-def _task_check_lemmas(cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None):
+def _task_check_lemmas(
+    cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None, cap: int
+):
     params = _params(cfg, {"max_n", "max_l", "max_i", "steps"})
     max_n = field(params, "max_n", natural, 100)
     max_l = field(params, "max_l", natural, 100)
@@ -259,6 +261,15 @@ def _task_cauchy_modulus(
     return [cert]
 
 
+# the tasks that certify an instance, in the order the usage message lists them
+_TASKS = {
+    "run": _task_run,
+    "certify-metastability": _task_certify_metastability,
+    "cauchy-modulus": _task_cauchy_modulus,
+    "check-lemmas": _task_check_lemmas,
+}
+
+
 def _task_moduli_eval(cfg: dict) -> list:
     params = _params(
         cfg,
@@ -329,16 +340,7 @@ def main(argv=None) -> int:
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     parser = argparse.ArgumentParser(prog="fejerquant", description=__doc__)
-    parser.add_argument(
-        "task",
-        choices=[
-            "run",
-            "certify-metastability",
-            "cauchy-modulus",
-            "check-lemmas",
-            "moduli-eval",
-        ],
-    )
+    parser.add_argument("task", choices=[*_TASKS, "moduli-eval"])
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument(
         "--out", default=None, help="output directory (default $FEJERQUANT_OUT or .)"
@@ -371,14 +373,7 @@ def main(argv=None) -> int:
             print(json.dumps(resolved_config(cfg, inst), sort_keys=True, indent=2))
             return 0
         inst.quant.validate_against(inst.schedule)
-        if args.task == "run":
-            certs = _task_run(cfg, inst, out_dir, args.horizon)
-        elif args.task == "check-lemmas":
-            certs = _task_check_lemmas(cfg, inst, out_dir, args.horizon)
-        elif args.task == "certify-metastability":
-            certs = _task_certify_metastability(cfg, inst, out_dir, args.horizon, cap)
-        else:
-            certs = _task_cauchy_modulus(cfg, inst, out_dir, args.horizon, cap)
+        certs = _TASKS[args.task](cfg, inst, out_dir, args.horizon, cap)
     except FejerQuantError as exc:
         print(f"config/problem error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,6 @@ from .fields import FLOATS, INTEGER, RATIONAL, Field, field, list_of, number, ra
 from .fields import json_of, string, tolist, write_form
 from .moduli import ModulusFn, constant
 from .operators import (
-    NormalConeBox,
     SignedZeroSolve,
     as_point,
     dist_sq_rows,
@@ -55,9 +54,6 @@ _CLAUSE_TOL = 1e-12
 # rows per block of the trace writer: few enough that the block's Python
 # floats stay small next to the trace arrays
 _JSONL_BLOCK_ROWS = 4096
-# windows of up to 16 rows are scanned pairwise: that costs less than the
-# pruned scan's set-up, about 0.2 ms
-_PAIRWISE_MAX_ROWS = 16
 # the pruned scan bounds distances by the boxes of chunks of consecutive rows
 _CHUNK_ROWS = 64
 # ``_fixed_stages``: its first tile of stages, also the skip below which the
@@ -93,6 +89,14 @@ def _float_or_inf(i: int) -> float:
         return math.inf
 
 
+def _check_stages(n0: int, n1: int) -> None:
+    """Stage ranges n0 <= n < n1 are ranges of naturals."""
+    if n0 < 0:
+        raise ValueError("stage indices are naturals")
+    if n1 < n0:
+        raise ValueError(f"bad stage range [{n0}, {n1})")
+
+
 @dataclass(frozen=True)
 class PowerRule:
     """n -> c / (n+1)^p with rational c > 0 and integer p >= 0."""
@@ -119,20 +123,14 @@ class PowerRule:
         except OverflowError:
             raise ConfigError("c: number out of float range") from None
 
-    def value(self, n: int) -> float:
-        try:
-            return float(self.c) / float((n + 1) ** self.p)
-        except OverflowError:
-            # denominator beyond float range: the value has underflowed
-            return 0.0
-
     def value_array(self, n0: int, n1: int) -> np.ndarray:
-        """value(n) for n0 <= n < n1, bit for bit.
+        """The float values c / (n+1)^p of the stages n0 <= n < n1.
 
-        The powers (n+1)^p are exact integers rounded once to float, as in
-        value(): int64 while below 2^63, Python ints beyond. A float power
-        would round differently.
+        The powers (n+1)^p are exact integers rounded once to float: int64
+        while below 2^63, Python ints beyond. A float power would round
+        differently.
         """
+        _check_stages(n0, n1)
         c = float(self.c)
         # stage n has base n + 1, so stages below the largest int64 base fit
         cut = min(n1, max(n0, _int64_max_base(self.p)))
@@ -141,10 +139,11 @@ class PowerRule:
         if cut < n1:
             big = [_float_or_inf((n + 1) ** self.p) for n in range(cut, n1)]
             x = np.concatenate([x, big])
-        # an infinite denominator gives the 0.0 of value()'s overflow case
+        # a denominator beyond float range is infinite: the value underflows to 0.0
         return np.divide(c, x, out=x)
 
     def value_fraction(self, n: int) -> Fraction:
+        _check_stages(n, n + 1)
         return self.c / (n + 1) ** self.p
 
     def to_json(self) -> dict:
@@ -168,19 +167,15 @@ class TableRule:
         if any(not v > 0 for v in vals):
             raise ScheduleError("schedule values must be > 0")
 
-    def value(self, n: int) -> float:
-        if n >= len(self.values):
-            raise HorizonExceeded(f"stage {n} beyond table of length {len(self.values)}")
-        return self.values[n]
-
     def value_array(self, n0: int, n1: int) -> np.ndarray:
-        """value(n) for n0 <= n < n1."""
+        """The values of the stages n0 <= n < n1."""
+        _check_stages(n0, n1)
         if n1 > len(self.values):
             raise HorizonExceeded(f"stage {n1 - 1} beyond table of length {len(self.values)}")
         return np.array(self.values[n0:n1], dtype=float)
 
     def value_fraction(self, n: int) -> Fraction:
-        return Fraction(self.value(n))
+        return Fraction(self.value_array(n, n + 1)[0])
 
     def to_json(self) -> dict:
         return {"rule": self.rule, **write_form(self, self.json_fields)}
@@ -219,23 +214,20 @@ class ParameterSchedule:
         for rule in (self.lam_rule, self.mu_rule):
             if isinstance(rule, TableRule) and len(rule.values) < self.horizon + 1:
                 raise ScheduleError("table rule shorter than the horizon")
-        if isinstance(self.mu_rule, PowerRule):
-            if self.mu_rule.value(self.horizon) < _MU_FLOOR:
-                raise ScheduleError("mu underflows 1e-300 within the horizon")
-        else:
-            if min(self.mu_rule.values[: self.horizon + 1]) < _MU_FLOOR:
-                raise ScheduleError("mu underflows 1e-300 within the horizon")
+        first = self.horizon if isinstance(self.mu_rule, PowerRule) else 0
+        if np.min(self.mu_rule.value_array(first, self.horizon + 1)) < _MU_FLOOR:
+            raise ScheduleError("mu underflows 1e-300 within the horizon")
 
     def lam(self, n: int) -> float:
-        self._check(n)
-        return self.lam_rule.value(n)
+        """lambda_n: the one-stage case of lams."""
+        return float(self.lams(n, n + 1)[0])
 
     def mu(self, n: int) -> float:
-        self._check(n)
-        return self.mu_rule.value(n)
+        """mu_n: the one-stage case of mus."""
+        return float(self.mus(n, n + 1)[0])
 
     def mu_fraction(self, n: int) -> Fraction:
-        self._check(n)
+        self._check_range(n, n + 1)
         return self.mu_rule.value_fraction(n)
 
     def lams(self, n0: int, n1: int) -> np.ndarray:
@@ -248,18 +240,10 @@ class ParameterSchedule:
         self._check_range(n0, n1)
         return self.mu_rule.value_array(n0, n1)
 
-    def _check(self, n: int):
-        if n < 0:
-            raise ValueError("stage indices are naturals")
-        if n > self.horizon:
-            raise HorizonExceeded(f"stage {n} beyond horizon {self.horizon}")
-
     def _check_range(self, n0: int, n1: int):
-        if n1 < n0:
-            raise ValueError(f"bad stage range [{n0}, {n1})")
-        if n1 > n0:
-            self._check(n0)
-            self._check(n1 - 1)
+        _check_stages(n0, n1)
+        if n1 > n0 and n1 - 1 > self.horizon:
+            raise HorizonExceeded(f"stage {n1 - 1} beyond horizon {self.horizon}")
 
     def to_json(self) -> dict:
         return write_form(self, self.json_fields)
@@ -391,14 +375,10 @@ class ProblemInstance:
         d = self.S.dim
         if self.T.dim != d or x0.shape[0] != d or self.quant.d != d:
             raise DimensionMismatch("operators, start point and constants disagree on d")
-        if isinstance(self.T, NormalConeBox):
-            # structural dom S subset dom T check: S must confine iterates to T's box
-            if not (
-                isinstance(self.S, NormalConeBox)
-                and np.all(self.S.lo >= self.T.lo)
-                and np.all(self.S.hi <= self.T.hi)
-            ):
-                raise DomainError("domain of S must be contained in domain of T")
+        # structural dom S subset dom T check: S must confine iterates to T's domain
+        (s_lo, s_hi), (t_lo, t_hi) = self.S.domain(), self.T.domain()
+        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):
+            raise DomainError("domain of S must be contained in domain of T")
         if not domain_contains(self.S, x0):
             raise DomainError("start point outside the domain of S")
 
@@ -526,17 +506,14 @@ class Trace:
     def window_diameter(self, a: int, b: int) -> float:
         """The largest distance between points a..b inclusive: the maximum of
         np.linalg.norm(w[i + 1 :] - w[i], axis=1) over the window's rows i,
-        bit for bit. A window of more than 16 points in d > 1 skips the rows
-        that provably end no farthest pair (see ``_diameter_scan_order``)."""
+        bit for bit. In d > 1 the scan skips the rows that provably end no
+        farthest pair (see ``_diameter_scan_order``)."""
         if a < 0 or b > self.steps or a > b:
             raise ValueError(f"bad window [{a}, {b}]")
         w = self.points[a : b + 1]
         if self.dim == 1:
             return float(np.max(w) - np.min(w))
-        if w.shape[0] > _PAIRWISE_MAX_ROWS:
-            w, limits = _diameter_scan_order(w)
-        else:
-            limits = [math.inf] * w.shape[0]
+        w, limits = _diameter_scan_order(w)
         best = 0.0
         for i in range(w.shape[0] - 1):
             if limits[i] <= best:

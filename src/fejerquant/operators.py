@@ -13,12 +13,12 @@ membership, ``least_norm`` the least-norm element and ``dist_sq_rows`` the
 squared distance from a point, each in one place.
 
 Each catalog class owns its forms over an (N, d) array of points: its value
-sets as bound rows (``value_rows``), its domain as a row mask
-(``domain_rows``), its resolvent and Yosida approximant with one parameter
-per row (``resolvent_rows``, ``yosida_rows``), the scalar forms the stepper
-runs on each coordinate (``resolvent1``, ``yosida1``), its restriction to
-one coordinate (``coordinate``) and its JSON form (``kind`` and
-``json_fields``). The per-point ``evaluate``, ``domain_contains``,
+sets as bound rows (``value_rows``), its domain as a box (``domain()``) and
+a row mask (``domain_rows``), its resolvent and Yosida approximant with one
+parameter per row (``resolvent_rows``, ``yosida_rows``), the scalar forms
+the stepper runs on each coordinate (``resolvent1``, ``yosida1``), its
+restriction to one coordinate (``coordinate``) and its JSON form (``kind``
+and ``json_fields``). The per-point ``evaluate``, ``domain_contains``,
 ``resolvent`` and ``yosida`` are one-row cases of the row forms, so each of
 these is decided in one place.
 """
@@ -142,7 +142,8 @@ class _Operator:
     ``resolvent_rows``, ``value_rows``, the scalar ``resolvent1`` and
     ``coordinate(j)``: the 1-D operator whose scalar forms step coordinate j
     exactly as the row forms do, or None when the operator couples
-    coordinates.
+    coordinates. A subclass with a smaller domain than R^d overrides
+    ``domain()``.
     """
 
     def yosida1(self, lam: float, x: float) -> float:
@@ -151,8 +152,13 @@ class _Operator:
     def yosida_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return (xs - self.resolvent_rows(lams, xs)) / lams[:, None]
 
+    def domain(self) -> tuple:
+        """The domain as the bound pair (lo, hi) of a box: all of R^d."""
+        return np.full(self.dim, -np.inf), np.full(self.dim, np.inf)
+
     def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.ones(xs.shape[0], dtype=bool)
+        lo, hi = self.domain()
+        return np.all(xs >= lo - tol, axis=1) & np.all(xs <= hi + tol, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +349,8 @@ class NormalConeBox(_Operator):
             raise DomainError("point outside the box domain of the normal cone")
         return np.where(xs == self.lo, -np.inf, 0.0), np.where(xs == self.hi, np.inf, 0.0)
 
-    def domain_rows(self, xs: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        return np.all(xs >= self.lo - tol, axis=1) & np.all(xs <= self.hi + tol, axis=1)
+    def domain(self) -> tuple:
+        return self.lo, self.hi
 
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(xs, self.lo), self.hi)

@@ -450,15 +450,6 @@ def certify_metastability(
 # --------------------------------------------------------------------------
 
 
-def monotonize_table(table: np.ndarray) -> np.ndarray:
-    """Cumulative max along both axes: the smallest pointwise-dominating
-    table that is monotone nondecreasing in k (axis 0) and n (axis 1)."""
-    out = np.array(table, dtype=np.int64, copy=True)
-    np.maximum.accumulate(out, axis=0, out=out)
-    np.maximum.accumulate(out, axis=1, out=out)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalPhi:
     """Residual-search modulus built from a trace.
@@ -524,6 +515,10 @@ def build_empirical_phi(
     qualifies. When the trace tail is bit-constant and ``inst`` certifies the
     tail point as a universal stage fixed point, the modulus additionally
     answers out-of-rectangle queries via the stationary completion.
+
+    The table is monotone in both arguments as built: each row is a running
+    minimum from the end, so it never decreases in n, and a finer level has
+    fewer qualifying residuals, so no row is below the one above it.
     """
     res = trace.residuals
     steps = trace.steps
@@ -532,7 +527,7 @@ def build_empirical_phi(
     if n_max is None:
         n_max = steps - 1
     n_max = min(n_max, steps - 1)
-    raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
+    table = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
     head = np.arange(n_max + 1, dtype=np.int64)
     k = 0
     while k <= k_max:
@@ -553,9 +548,8 @@ def build_empirical_phi(
         # computed per distinct residual, the levels between get copies.
         top = float(np.max(res, where=below, initial=-np.inf))
         end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))
-        raw[k:end] = next_qual
+        table[k:end] = next_qual
         k = end
-    table = monotonize_table(raw)
     stationary_from: Optional[int] = None
     tail = trace.points[-1]
     same = np.all(trace.points == tail[None, :], axis=1)

@@ -98,7 +98,7 @@ PUBLIC_NAMES = [
     "check_cauchy_modulus", "check_quasi_fejer",
     "chi", "delta", "eval_gap", "eval_gaps", "evaluate",
     "exp_upper", "find_metastable", "gamma_k_check", "grid_regularity_oracle",
-    "in_box", "kappa", "kappa_hat", "least_norm", "minimal_selection", "monotonize_table",
+    "in_box", "kappa", "kappa_hat", "least_norm", "minimal_selection",
     "omega", "phi_liminf", "preset", "psi", "psi_prime", "resolvent", "resolvent_rows", "run",
     "sqrt_upper", "theta_generic", "theta_moudafi", "total_boundedness_P",
     "validate_regularity_ball", "value_rows", "varpi_prime", "xi_tilde", "yosida", "yosida_rows",
@@ -902,7 +902,7 @@ def test_constants_at_their_bounds_are_accepted():
         past = value + (1 if name in ("B", "Bprime", "M") else Fraction(1, 10**9))
         with pytest.raises(ConfigError, match=f"^{name}: must be at most"):
             dataclasses.replace(quant, **{name: past})
-    assert PowerRule(Fraction(1), 1023).value(0) == 1.0
+    assert PowerRule(Fraction(1), 1023).value_array(0, 1)[0] == 1.0
     with pytest.raises(ConfigError, match="^p: must be at most 1023"):
         PowerRule(Fraction(1), 1024)
     with pytest.raises(ConfigError, match="^c: number out of float range"):

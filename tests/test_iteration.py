@@ -69,9 +69,9 @@ def dc_instance(**overrides):
 
 def test_power_rule_values():
     r = PowerRule(Fraction(1), 1)
-    assert r.value(0) == 1.0 and r.value(3) == 0.25
+    assert r.value_array(0, 1)[0] == 1.0 and r.value_array(3, 4)[0] == 0.25
     assert r.value_fraction(3) == Fraction(1, 4)
-    assert PowerRule(Fraction(3, 2), 0).value(17) == 1.5
+    assert PowerRule(Fraction(3, 2), 0).value_array(17, 18)[0] == 1.5
     with pytest.raises(ScheduleError):
         PowerRule(Fraction(0), 1)
     with pytest.raises(ScheduleError):
@@ -80,9 +80,9 @@ def test_power_rule_values():
 
 def test_table_rule_values():
     t = TableRule((1.0, 0.5, 0.25))
-    assert t.value(2) == 0.25
+    assert t.value_array(2, 3)[0] == 0.25 and t.value_fraction(2) == Fraction(1, 4)
     with pytest.raises(HorizonExceeded):
-        t.value(3)
+        t.value_fraction(3)
     with pytest.raises(ScheduleError):
         TableRule(())
     with pytest.raises(ScheduleError):
@@ -111,7 +111,7 @@ def test_rule_json_round_trip():
     for rule in (PowerRule(Fraction(1), 3), PowerRule(Fraction(3, 2), 1), TableRule((1.0, 2.0))):
         again = rule_from_json(rule.to_json())
         assert again.to_json() == rule.to_json()
-        assert again.value(1) == rule.value(1)
+        assert again.value_array(0, 2).tobytes() == rule.value_array(0, 2).tobytes()
     with pytest.raises(ConfigError, match=r"unknown rule fields \['q'\]"):
         rule_from_json({"rule": "power", "c": 1, "p": 1, "q": 2})
     with pytest.raises(ScheduleError):
@@ -266,6 +266,19 @@ def test_instance_domain_checks():
     assert nested.dim == 1
     with pytest.raises(DomainError):
         dataclasses.replace(nested, x0=np.array([2.0]))  # outside dom S
+
+
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_instance_domain_inclusion_is_checked_on_each_side(side):
+    # dom S = [0, 1]^2; T's box is narrower on one side of one coordinate only
+    inst = fq.preset("box-affine-nd")
+    lo, hi = np.zeros(2), np.ones(2)
+    assert dataclasses.replace(inst, T=NormalConeBox(lo - 1.0, hi + 1.0)).dim == 2
+    narrow = {"lo": (np.array([0.0, 0.1]), hi), "hi": (lo, np.array([1.0, 0.9]))}[side]
+    with pytest.raises(DomainError, match="domain of S must be contained"):
+        dataclasses.replace(inst, T=NormalConeBox(*narrow))
+    with pytest.raises(DomainError, match="domain of S must be contained"):
+        dataclasses.replace(inst, T=NormalConeBox(lo, hi), S=SubdiffAbsSum(2))
 
 
 def test_search_region_membership():

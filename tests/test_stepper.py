@@ -523,8 +523,17 @@ def test_repeats_that_are_not_fixed_back_off(monkeypatch):
 # --------------------------------------------------------------------------
 
 
+def reference_value(rule, n):
+    """c / (n+1)^p of a power rule on Python numbers: the exact integer power
+    rounded once to float, and 0.0 where it is beyond float range."""
+    try:
+        return float(rule.c) / float((n + 1) ** rule.p)
+    except OverflowError:
+        return 0.0
+
+
 def values_of(rule, n0, n1):
-    return np.array([rule.value(n) for n in range(n0, n1)])
+    return np.array([reference_value(rule, n) for n in range(n0, n1)])
 
 
 @pytest.mark.parametrize(
@@ -557,7 +566,7 @@ def test_power_rule_arrays_cover_overflow_and_odd_constants():
     ):
         got = rule.value_array(0, 150)
         assert got.tobytes() == values_of(rule, 0, 150).tobytes()
-    assert 0.0 < PowerRule(Fraction(1), 150).value(112) < np.finfo(float).tiny
+    assert 0.0 < PowerRule(Fraction(1), 150).value_array(112, 113)[0] < np.finfo(float).tiny
     assert PowerRule(Fraction(1), 200).value_array(40, 50).tolist() == [0.0] * 10
     # a c beyond float range gave 0.0 at every stage; it is refused now
     with pytest.raises(ConfigError, match="c: number out of float range"):
@@ -572,6 +581,19 @@ def test_table_rule_arrays():
         rule.value_array(0, 4)
 
 
+@pytest.mark.parametrize(
+    "rule,third", [(TableRule((1.0, 0.5, 0.25)), Fraction(1, 4)), (PowerRule(1, 1), Fraction(1, 3))]
+)
+def test_rules_refuse_stages_outside_the_naturals(rule, third):
+    # unchecked, -1 was read as the last table index, or as the base 0 of (n+1)^p
+    for n0, n1 in ((-1, 1), (-1, -1), (3, 1)):
+        with pytest.raises(ValueError):
+            rule.value_array(n0, n1)
+    with pytest.raises(ValueError, match="stage indices are naturals"):
+        rule.value_fraction(-1)
+    assert rule.value_fraction(2) == third
+
+
 def test_a_horizon_beyond_2_to_the_24_is_refused():
     rules = PowerRule(Fraction(1), 0), PowerRule(Fraction(1), 0)
     assert ParameterSchedule(*rules, 2**24).horizon == 2**24
@@ -584,6 +606,12 @@ def test_schedule_arrays_and_their_range_checks():
     assert sched.lams(0, 11).tolist() == [sched.lam(n) for n in range(11)]
     assert sched.mus(3, 7).tolist() == [sched.mu(n) for n in range(3, 7)]
     assert sched.mus(11, 11).shape == (0,)
+    table = ParameterSchedule(TableRule((1.0, 0.5, 0.25, 0.2)), TableRule((0.1, 0.3, 0.7)), 2)
+    assert [table.lam(n) for n in range(3)] == table.lams(0, 3).tolist() == [1.0, 0.5, 0.25]
+    assert [table.mu(n) for n in range(3)] == table.mus(0, 3).tolist() == [0.1, 0.3, 0.7]
+    assert type(table.lam(0)) is float and table.mu_fraction(1) == Fraction(0.3)
+    with pytest.raises(HorizonExceeded):
+        table.lam(3)
     with pytest.raises(HorizonExceeded):
         sched.lams(0, 12)
     with pytest.raises(ValueError):
@@ -599,7 +627,7 @@ def test_schedule_arrays_and_their_range_checks():
 
 def test_lambda_underflow_raises_at_its_stage():
     lam_rule = PowerRule(Fraction(1), 200)
-    first_zero = next(n for n in range(100) if lam_rule.value(n) == 0.0)
+    first_zero = int(np.flatnonzero(lam_rule.value_array(0, 100) == 0.0)[0])
     inst = instance(
         ZeroOperator(1),
         SubdiffAbsSum(1),

@@ -41,7 +41,6 @@ from fejerquant.verification import (
     check_cauchy_modulus,
     check_quasi_fejer,
     find_metastable,
-    monotonize_table,
 )
 
 G_LINEAR = ModulusFn.affine(1, 1)  # g(n) = n + 1
@@ -457,6 +456,17 @@ def test_certificate_json_is_reproducible():
 # --------------------------------------------------------------------------
 
 
+def monotonize_table(table: np.ndarray) -> np.ndarray:
+    """Cumulative max along both axes: the smallest pointwise-dominating
+    table that is monotone nondecreasing in k (axis 0) and n (axis 1).
+    build_empirical_phi's table is monotone as built, so it is its own
+    closure."""
+    out = np.array(table, dtype=np.int64, copy=True)
+    np.maximum.accumulate(out, axis=0, out=out)
+    np.maximum.accumulate(out, axis=1, out=out)
+    return out
+
+
 def test_monotonize_table():
     out = monotonize_table(np.array([[3, 2], [1, 9]]))
     assert out.tolist() == [[3, 3], [3, 9]]
@@ -585,6 +595,7 @@ def test_empirical_phi_matches_the_reference_scan():
             continue
         table = build_empirical_phi(tr, k_max, n_max).table
         assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        assert np.array_equal(monotonize_table(table), table)
         outcomes["table"] += 1
     assert min(outcomes.values()) > 50
 
@@ -642,6 +653,7 @@ def test_empirical_phi_matches_the_per_level_loop():
             continue
         phi = build_empirical_phi(tr, k_max, n_max, dc())
         assert phi.table.dtype == table.dtype and np.array_equal(phi.table, table)
+        assert np.array_equal(monotonize_table(phi.table), phi.table)
         assert phi.stationary_from == stationary_from
         outcomes["table"] += 1
         outcomes["stationary"] += stationary_from is not None
