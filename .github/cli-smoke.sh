@@ -17,8 +17,22 @@ schedule='{"lambda": {"rule": "power", "c": 1, "p": 1}, "mu": {"rule": "power", 
 
 echo '{"problem": "dc-abs-1d", "params": {"steps": 50}}' > "$dir/run.json"
 echo '{"problem": "dc-abs-1d", "params": {"max_n": 10, "max_l": 10, "max_i": 15, "steps": 25}}' > "$dir/check-lemmas.json"
-# psi' and the gamma scan; the second run's cap is passed by psi', which overflows
+# psi' and the gamma scan; the second run's cap is passed by psi and psi'
 echo '{"problem": "dc-abs-1d", "params": {"k": 0, "steps": 50, "use_psi_prime": true, "check_gamma": true}}' > "$dir/certify-metastability.json"
+# psi alone at k = 2 (3,608 digits), where a cap of 10^3000 lets the growth
+# bound call the overflow at the first stage
+echo '{"problem": "dc-abs-1d", "params": {"k": 2, "steps": 200}}' > "$dir/certify-psi.json"
+# the sublinear theta = power_rate(1, 2) takes psi to a fixed point long
+# before its P = 8,231,162 stages at k = 10
+cat > "$dir/certify-fixed-point.json" <<EOF
+{"problem": "box-affine-nd",
+ "schedule": {"lambda": {"rule": "power", "c": 1, "p": 2}, "mu": {"rule": "power", "c": 1, "p": 4},
+              "horizon": 2000},
+ "quant": {"A": "7/4", "B": 1, "Bprime": 0, "C": "1", "M": 3, "L": "2", "d": 2,
+           "theta": {"kind": "power_rate", "c": "1", "p": 2},
+           "xi": {"kind": "power_sum_rate", "c": "1", "p": 4}, "varpi": {"kind": "identity"}},
+ "params": {"k": 10, "steps": 2000}}
+EOF
 echo '{"problem": "dc-abs-1d", "params": {"steps": 50, "b": "1/2", "phi_reg": {"kind": "linear", "provenance": "analytic", "center": [0.0], "radius": "5", "scale": "1"}}}' > "$dir/cauchy-modulus.json"
 echo '{"params": {"modulus": "kappa", "k": 0, "M": 1, "B": 1}}' > "$dir/moduli-eval.json"
 # 0 is fixed by stages 0..999 and left at stage 1000: a fast-forward that ends partway
@@ -31,6 +45,7 @@ EOF
 # each entry is task:config, or task:config:cap
 for entry in run:run check-lemmas:check-lemmas certify-metastability:certify-metastability \
     certify-metastability:certify-metastability:100000000000000000000 \
+    certify-metastability:certify-psi:1e3000 certify-metastability:certify-fixed-point \
     cauchy-modulus:cauchy-modulus moduli-eval:moduli-eval run:run-fixed-partway; do
   IFS=: read -r task config cap <<< "$entry"
   python -X dev -W error -c "import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))" \

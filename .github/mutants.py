@@ -29,6 +29,7 @@ import xml.etree.ElementTree as ET
 ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
 VERIFICATION = "src/fejerquant/verification.py"
 ITERATION = "src/fejerquant/iteration.py"
+MODULI = "src/fejerquant/moduli.py"
 
 # (file, original line, replacement, test files of which one must fail)
 MUTANTS = [
@@ -82,6 +83,23 @@ MUTANTS = [
      "        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):",
      "        if not np.all(s_lo >= t_lo):",
      ["tests/test_iteration.py"]),
+    # psi's growth exit counts the stages left after this one, not one more:
+    # with the cap at psi's value, the last stage must still be built
+    (MODULI,
+     "    top = cap.bit_length() - grow * (p - 1)",
+     "    top = cap.bit_length() - grow * p",
+     ["tests/test_moduli.py"]),
+    # power_rate(c, 1) grows at slope c only for c >= 1: power_rate(1/2, 1) is
+    # 0 at n = 1
+    (MODULI,
+     '        if self.kind == "power_rate" and self.p == 1 and self.c >= 1:',
+     '        if self.kind == "power_rate" and self.p == 1:',
+     ["tests/test_moduli.py"]),
+    # psi ends at a fixed point of its stages, not at a stage that moves by one
+    (MODULI,
+     "        if nxt <= val:  # one test on the exact path: a decrease or a fixed point",
+     "        if nxt <= val + 1:",
+     ["tests/test_moduli.py"]),
 ]
 
 IGNORE = shutil.ignore_patterns(

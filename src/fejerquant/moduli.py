@@ -352,6 +352,20 @@ class ModulusFn:
     # -- structure ------------------------------------------------------------
 
     @property
+    def slope(self) -> Fraction:
+        """A rational s with f(n) >= s n at every natural n: 0 for tables,
+        power_sum_rate and every power_rate but power_rate(c >= 1, 1)."""
+        if self.kind == "identity":
+            return Fraction(1)
+        if self.kind == "affine":
+            return Fraction(self.a)
+        if self.kind == "polynomial":  # n^i >= n for i >= 1
+            return Fraction(sum(self.coeffs[1:]))
+        if self.kind == "power_rate" and self.p == 1 and self.c >= 1:
+            return self.c  # ceil(c (n + 1)) - 1 >= c n + (c - 1)
+        return Fraction(0)
+
+    @property
     def is_monotone(self) -> bool:
         """Closed forms are monotone by construction; tables are inspected."""
         return self.kind != "table" or all(x <= y for x, y in zip(self.values, self.values[1:]))
@@ -376,7 +390,9 @@ class ModulusFn:
 Counterfunction = ModulusFn
 
 #: Two-argument residual-search modulus: phi(k, n) bounds the search for an
-#: index N >= n whose step residual drops below 1/(k+1).
+#: index N >= n whose step residual drops below 1/(k+1), so phi(k, n) >= n.
+#: One whose ``answers_every_query`` attribute is true answers every (k, n)
+#: and raises at none; ``psi`` may then call an overflow before it is built.
 PhiSearch = Callable[[int, int], int]
 
 
@@ -472,6 +488,20 @@ def _phi_liminf(k: int, n: int, q, phi_search: PhiSearch, c_num: int, c_den: int
     return phi_search(first, max(inner, n))
 
 
+def _growth_bits(g: Counterfunction, q, phi_search: PhiSearch, me: int, e_den: int) -> int:
+    """The b >= 1 of a proven growth Psi_0(i+1) >= 2^b Psi_0(i), or 0.
+
+    A stage of psi is at least R (val + 1), R = s_theta M s_varpi me / e_den
+    with me = m e_num: chi >= (val + 1) me / e_den, theta's argument is
+    M varpi(chi) + M - 1, and phi(k, n) >= n. b = floor(log2 R) counts only
+    when no stage can raise: g is a closed form and phi answers every query
+    (a table theta or varpi has slope 0)."""
+    if g.kind == "table" or not getattr(phi_search, "answers_every_query", False):
+        return 0
+    rate = q.theta.slope * q.M * q.varpi.slope * Fraction(me, e_den)
+    return max(math.floor(rate).bit_length() - 1, 0)
+
+
 def psi(
     k: int,
     g: Counterfunction,
@@ -487,6 +517,12 @@ def psi(
     points: Psi_0(0) = 0, Psi_0(i+1) = Phi(chi_g^M(Psi_0(i), 8k+7), xi~(8k+7)),
     returning Psi_0(P). The sequence is monotone nondecreasing (asserted).
     Values above ``cap`` collapse to the symbolic overflow marker.
+
+    Two exits end the recursion before stage P with the same result. A stage
+    that returns its input is a fixed point of the stage map, which reads the
+    value alone, so every later stage repeats it. And when each stage provably
+    multiplies the value by 2^b (``_growth_bits``), the overflow is returned as
+    soon as the stages left must carry the value past the cap.
     """
     e_a = exp_upper(q.A)
     p_nb = total_boundedness_P(k, e_a, sqrt_upper(q.d), q.L, q.d, cap)
@@ -497,8 +533,13 @@ def psi(
     e_num, e_den = e_a.as_integer_ratio()
     c_num, c_den = Fraction(q.C).as_integer_ratio()
     monotone = g.is_monotone
+    p = int(p_nb)
+    grow = _growth_bits(g, q, phi_search, m * e_num, e_den)
+    # after stage i, Psi_0(P) >= 2^(val.bit_length() - 1 + grow (P - 1 - i)),
+    # which passes the cap once val.bit_length() > top
+    top = cap.bit_length() - grow * (p - 1)
     val = 0
-    for _ in range(int(p_nb)):
+    for _ in range(p):
         # chi_g^M(val) = max over i <= val of chi(i, g(i), m); chi is monotone
         # in both index slots, so a monotone g needs only the endpoint
         if monotone or val == 0:
@@ -508,11 +549,14 @@ def psi(
         if chi_floor is not None and ci < chi_floor:
             ci = chi_floor
         nxt = _phi_liminf(ci, xt, q, phi_search, c_num, c_den)
-        if nxt < val:
-            raise InvariantViolation(f"metastability recursion decreased: {val} -> {nxt}")
+        if nxt <= val:  # one test on the exact path: a decrease or a fixed point
+            if nxt < val:
+                raise InvariantViolation(f"metastability recursion decreased: {val} -> {nxt}")
+            break
         val = nxt
-        if val > cap:
+        if val > cap or val.bit_length() > top:
             return NaturalBound.overflow()
+        top += grow
     return NaturalBound.of(val, cap)
 
 

@@ -480,6 +480,12 @@ class EmpiricalPhi:
             "and the trace tail is not verified stationary"
         )
 
+    @property
+    def answers_every_query(self) -> bool:
+        """Whether the stationary completion answers every query beyond the
+        rectangle. Every answer is then at least n, and phi is monotone."""
+        return self.stationary_from is not None
+
 
 def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> bool:
     """True when x_bar is provably fixed by every stage map of the schedule.

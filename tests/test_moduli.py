@@ -311,6 +311,16 @@ def test_psi_asserts_monotonicity_of_the_recursion():
         psi(0, ModulusFn.affine(0, 0), q, bad_phi)
 
 
+def test_psi_runs_every_stage_that_moves():
+    # A = 0, C = 1, k = 0 and g = 0: chi is 7 (val + 1) and phi's level is
+    # 14 val + 15, so this phi takes each value v to v + 1 below 5 and fixes 5
+    q = StubQ(L=Fraction(5, 16))  # 6 stages
+    phi = lambda k, n: min((k - 15) // 14 + 1, 5)  # noqa: E731
+    assert int(psi(0, ModulusFn.affine(0, 0), q, phi)) == 5
+    q.L = Fraction(3, 16)  # 4 stages stop short of the fixed point
+    assert int(psi(0, ModulusFn.affine(0, 0), q, phi)) == 4
+
+
 def test_psi_chi_floor_never_decreases_the_bound():
     q, phi = _stub_psi_inputs()
     g = ModulusFn.affine(0, 0)
@@ -465,7 +475,8 @@ def test_natural_bound_respects_cap():
 #
 # The rate recursion as it was written on Fraction, kept verbatim: only the
 # names carry a ref_ prefix, and ModulusFn's evaluation and monotonicity flag
-# read the modulus through RefModulus.f.
+# read the modulus through RefModulus.f. It runs every stage: it has neither
+# the fixed-point exit nor the growth exit of psi.
 
 _CLOSED_FORM_KINDS = ("identity", "affine", "polynomial", "power_rate", "power_sum_rate")
 
@@ -594,12 +605,28 @@ def ref_psi_prime(k, g, q, phi_search, *, cap=DEFAULT_CAP):
 # the integer kernel against the reference
 # --------------------------------------------------------------------------
 
+class Answering:
+    """A phi_search that answers every query with a value at least n, and
+    says so: psi may then take its growth exit."""
+
+    answers_every_query = True
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def __call__(self, k: int, n: int) -> int:
+        return self.phi(k, n)
+
+
 PHI_SEARCHES = {
     "stationary": lambda k, n: max(n, 1),
     "sum": lambda k, n: n + k,
     # not monotone: once the values pass 10007 the recursion decreases and raises
     "wrapping": lambda k, n: (n + k) % 10007,
 }
+PHI_SEARCHES.update(
+    {f"{name}, answering": Answering(PHI_SEARCHES[name]) for name in ("stationary", "sum")}
+)
 
 fractions = st.builds(Fraction, st.integers(1, 60), st.integers(1, 7))
 # a rate whose c is not an integer
@@ -614,6 +641,16 @@ thetas = st.one_of(
     st.just(ModulusFn.power_rate(1, 1)),
     st.builds(ModulusFn.power_rate, st.integers(1, 4), st.integers(1, 4)),
     rates,
+)
+# every closed form, with power rates of c < 1 and of p >= 2 among them
+closed_forms = st.one_of(
+    st.just(IDENT),
+    st.builds(ModulusFn.affine, st.integers(0, 3), st.integers(0, 3)),
+    st.builds(ModulusFn.polynomial, st.lists(st.integers(0, 2), max_size=3)),
+    thetas,
+    st.builds(ModulusFn.power_rate, st.builds(Fraction, st.integers(1, 6), st.just(7)),
+              st.integers(1, 3)),
+    sum_rates,
 )
 # every kind of modulus, a table in range and past its end
 moduli_of_every_kind = st.one_of(
@@ -633,8 +670,11 @@ def _raised_k(k: int, q) -> int:
     return max(k, ceil_div(om - 1, 2))
 
 
+ANSWERING = sorted(name for name, phi in PHI_SEARCHES.items() if isinstance(phi, Answering))
+
+
 @st.composite
-def rate_inputs(draw, prime=False):
+def rate_inputs(draw, prime=False, phis=sorted(PHI_SEARCHES)):
     """Inputs of psi (of psi_prime when ``prime``) whose net has at most 301
     points: L is (b + f) / (2 * inner * sqrt(d)) for a drawn net base b and a
     fraction f of 0, 1/2 or 10^-30, so P's ceiling lands on b or just above
@@ -662,10 +702,9 @@ def rate_inputs(draw, prime=False):
             st.builds(lambda den, extra: Fraction(den + extra, den),
                       st.integers(1, 9), st.integers(0, 30)),
         )),
-        theta=draw(thetas),
+        theta=draw(closed_forms),
         xi=draw(st.one_of(rates, sum_rates)),
-        varpi=draw(st.one_of(st.just(IDENT), st.builds(ModulusFn.affine, st.integers(1, 2),
-                                                       st.integers(0, 1)))),
+        varpi=draw(closed_forms),
     )
     inner = ceil_fraction(8 * exp_upper(q.A) * ((_raised_k(k, q) if prime else k) + 1))
     base = draw(st.integers(0, (299, 16, 5, 3)[q.d - 1]))
@@ -675,7 +714,7 @@ def rate_inputs(draw, prime=False):
         "k": k,
         "g": g,
         "q": q,
-        "phi": draw(st.sampled_from(sorted(PHI_SEARCHES))),
+        "phi": draw(st.sampled_from(phis)),
         # small enough to overflow at varied stages
         "cap": 10 ** draw(st.integers(1, 300)),
         "chi_floor": draw(st.one_of(st.none(), st.integers(0, 200))),
@@ -715,6 +754,28 @@ def test_psi_prime_matches_the_fraction_reference(x):
     assert got == want
 
 
+# phis that answer every query, where psi's growth exit may fire; the
+# reference runs their unmarked functions through every stage
+@settings(max_examples=100, deadline=None)
+@given(rate_inputs(phis=ANSWERING))
+def test_psi_exits_match_the_fraction_reference(x):
+    k, g, q, cap, floor = x["k"], x["g"], x["q"], x["cap"], x["chi_floor"]
+    phi = PHI_SEARCHES[x["phi"]]
+    got = _outcome(lambda: psi(k, g, q, phi, cap=cap, chi_floor=floor))
+    want = _outcome(lambda: ref_psi(k, RefModulus(g), _ref_q(q), phi.phi, cap=cap, chi_floor=floor))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate_inputs(prime=True, phis=ANSWERING))
+def test_psi_prime_exits_match_the_fraction_reference(x):
+    k, g, q, cap = x["k"], x["g"], x["q"], x["cap"]
+    phi = PHI_SEARCHES[x["phi"]]
+    got = _outcome(lambda: psi_prime(k, g, q, phi, cap=cap))
+    want = _outcome(lambda: ref_psi_prime(k, RefModulus(g), _ref_q(q), phi.phi, cap=cap))
+    assert got == want
+
+
 @given(
     moduli_of_every_kind,
     st.one_of(st.integers(0, 40), st.integers(0, 1000), st.integers(0, 10 ** 40)),
@@ -722,6 +783,35 @@ def test_psi_prime_matches_the_fraction_reference(x):
 def test_modulus_call_matches_the_fraction_reference(f, n):
     # values, or the type and message of a table's range error
     assert _outcome(lambda: f(n)) == _outcome(lambda: RefModulus(f)(n))
+
+
+@given(
+    moduli_of_every_kind,
+    st.one_of(st.just(0), st.just(1), st.integers(0, 1000), st.integers(0, 10 ** 40)),
+)
+def test_a_modulus_grows_at_least_at_its_slope(f, n):
+    s = f.slope
+    assert s >= 0 and (s == 0 or f.kind != "table")
+    if f.kind != "table":
+        assert f(n) >= s * n
+
+
+def test_the_slope_of_each_kind():
+    assert IDENT.slope == 1
+    assert ModulusFn.affine(3, 2).slope == 3 and ModulusFn.affine(0, 9).slope == 0
+    assert ModulusFn.polynomial([5, 2, 0, 1]).slope == 3
+    assert ModulusFn.polynomial([5]).slope == ModulusFn.polynomial([]).slope == 0
+    assert ModulusFn.table([0, 10, 20]).slope == 0
+    for c in (Fraction(1, 3), Fraction(1, 2), Fraction(6, 7), 1, Fraction(3, 2), 2, Fraction(7, 3)):
+        for p in (1, 2, 3):
+            f = ModulusFn.power_rate(c, p)
+            assert f.slope == (c if p == 1 and c >= 1 else 0)
+            for n in (0, 1, 2, 3, 10, 10 ** 40):
+                assert f(n) >= f.slope * n
+            if p >= 2:
+                assert ModulusFn.power_sum_rate(c, p).slope == 0
+    # c < 1: power_rate(1/2, 1) is 0 at n = 1
+    assert ModulusFn.power_rate(Fraction(1, 2), 1)(1) == 0
 
 
 def test_a_modulus_keeps_its_value_form():
@@ -799,14 +889,14 @@ def test_rate_helpers_match_the_fraction_reference():
 
 # the metastability workload's rate inputs: the dc-abs-1d constants with g(n) =
 # n + 1 at k = 2; every query of that workload falls outside the empirical
-# table, whose stationary completion is max(n, 1)
-def _dc_abs_1d_rate_inputs():
+# table, whose stationary completion is max(n, 1) and answers every query
+def _dc_abs_1d_rate_inputs(phi="stationary, answering"):
     quant = QuantitativeData(
         A=Fraction(2), B=1, Bprime=0, C=Fraction(1), M=2, L=Fraction(4), d=1,
         theta=ModulusFn.power_rate(1, 1), xi=ModulusFn.power_sum_rate(1, 3),
         varpi=IDENT, varpi_hat=IDENT,
     )
-    return ModulusFn.affine(1, 1), quant, PHI_SEARCHES["stationary"]
+    return ModulusFn.affine(1, 1), quant, PHI_SEARCHES[phi]
 
 
 def test_psi_golden_value_of_the_metastability_workload():
@@ -822,19 +912,59 @@ def test_psi_golden_value_of_the_metastability_workload():
 
 def test_the_workload_rates_at_every_small_k():
     # digits and a sha256 prefix of psi and psi_prime at k = 0..3; psi_prime
-    # at k = 0 runs psi at the raised precision 3
+    # at k = 0 runs psi at the raised precision 3. A phi that answers every
+    # query lets the growth exit call the overflows, which changes no result.
+    for name in ("stationary", "stationary, answering"):
+        g, quant, phi = _dc_abs_1d_rate_inputs(name)
+        got = []
+        for k in range(4):
+            for rate in (psi, psi_prime):
+                text = rate(k, g, quant, phi).to_json()
+                if isinstance(text, dict):
+                    got.append("overflow")
+                else:
+                    got.append((len(text), hashlib.sha256(text.encode()).hexdigest()[:16]))
+        assert got == [
+            (970, "c23534248ded4d9a"), (5048, "a962c6593843330d"),
+            (2236, "802aa05a2bc1288b"), "overflow",
+            (3608, "0de8a91638093617"), "overflow",
+            (5048, "a962c6593843330d"), "overflow",
+        ], name
+
+
+def test_the_growth_exit_keeps_a_cap_at_the_rate():
+    # each stage multiplies the value by at least 2^6 (2^8 at k = 2), so the
+    # exit may count every stage left but not one more: with the cap at psi
+    # the last stage must still be built
     g, quant, phi = _dc_abs_1d_rate_inputs()
-    got = []
-    for k in range(4):
-        for rate in (psi, psi_prime):
-            text = rate(k, g, quant, phi).to_json()
-            if isinstance(text, dict):
-                got.append("overflow")
-            else:
-                got.append((len(text), hashlib.sha256(text.encode()).hexdigest()[:16]))
-    assert got == [
-        (970, "c23534248ded4d9a"), (5048, "a962c6593843330d"),
-        (2236, "802aa05a2bc1288b"), "overflow",
-        (3608, "0de8a91638093617"), "overflow",
-        (5048, "a962c6593843330d"), "overflow",
-    ]
+    for k in range(3):
+        want = int(psi(k, g, quant, PHI_SEARCHES["stationary"]))
+        assert psi(k, g, quant, phi, cap=want) == NaturalBound(want)
+        assert psi(k, g, quant, phi, cap=want - 1).is_overflow
+
+
+def test_the_growth_exit_fires_at_varied_stages():
+    # A = 0, k = 0, M = 1 and theta = varpi = id: a stage takes v to
+    # 7 (v + 1) through 200 stages, and the exit counts a factor 2^2 for each.
+    # phi's calls count the stages each run builds.
+    q = StubQ(L=Fraction(199, 16), theta=IDENT)
+    g = ModulusFn.affine(1, 1)
+    calls = []
+
+    def counted(k, n):
+        calls.append(k)
+        return max(n, 1)
+
+    built = set()
+    for j in range(1, 301, 7):
+        runs = []
+        for phi in (counted, Answering(counted)):
+            calls.clear()
+            runs.append((psi(0, g, q, phi, cap=10**j), len(calls)))
+        (plain, ran), (early, stages) = runs
+        # the exit only ever calls an overflow, and never builds more
+        assert plain == early and (stages == ran or early.is_overflow and stages < ran)
+        built.add(stages)
+    # caps below 10^120 exit at stage 1, caps from 10^127 to 10^162 at stages
+    # 27 to 172, and caps above the rate let all 200 stages run
+    assert len(built) >= 8

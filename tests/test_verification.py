@@ -387,6 +387,27 @@ def test_metastability_certificate_overflow_is_vacuous():
     assert cert.bound.is_overflow and cert.bound.to_json() == {"overflow": True}
 
 
+def test_metastability_rate_ends_at_a_fixed_point_of_its_stages():
+    # box-affine-nd on the lambda power 2, mu power 4 schedule: the sublinear
+    # theta = power_rate(1, 2) sends the recursion to a fixed point long
+    # before its P = 8,231,162 stages at k = 10
+    inst = fq.ProblemInstance.from_json({
+        "problem": "box-affine-nd",
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 2},
+                     "mu": {"rule": "power", "c": 1, "p": 4}, "horizon": 2000},
+        "quant": {"A": "7/4", "B": 1, "Bprime": 0, "C": "1", "M": 3, "L": "2", "d": 2,
+                  "theta": {"kind": "power_rate", "c": "1", "p": 2},
+                  "xi": {"kind": "power_sum_rate", "c": "1", "p": 4},
+                  "varpi": {"kind": "identity"}},
+    })
+    tr = run(inst, 2000)
+    phi = build_empirical_phi(tr, k_max=25, n_max=200, inst=inst)
+    assert phi.answers_every_query
+    cert = certify_metastability(inst, 10, G_LINEAR, phi, 2000, trace=tr)
+    assert cert.witness["P"] == "8231162"
+    assert cert.bound == NaturalBound(1501) and cert.sound and not cert.vacuous
+
+
 # Hand-built traces on dc-abs-1d (stage 0: lambda = mu = 1) with g(n) = 1, so
 # a window is [n, n + 1]. A constant phi_search c makes psi = psi' = c: the
 # recursion's first stage returns c and every later one keeps it.
@@ -495,6 +516,7 @@ def test_empirical_phi_stationary_completion():
     assert phi.stationary_from == 1
     assert phi(50, 10_000) == 10_000  # completion: max(n, stationary index)
     assert phi(50, 0) == 1
+    assert phi.answers_every_query
 
 
 def test_a_diagonal_t_must_fix_the_tail_at_lambda_b_too():
@@ -543,7 +565,7 @@ def test_stationary_from_matches_the_row_loop(moving, want):
 def test_empirical_phi_without_instance_does_not_extrapolate():
     tr = run(dc(), 200)
     phi = build_empirical_phi(tr, k_max=2, n_max=150)  # no fixed-point certificate
-    assert phi.stationary_from is None
+    assert phi.stationary_from is None and not phi.answers_every_query
     with pytest.raises(TableRangeError):
         phi(0, 151)
 
