@@ -78,6 +78,18 @@ MUTANTS = [
      "        end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))",
      "        end = k_max + 1",
      ["tests/test_verification.py"]),
+    # check_quasi_fejer: a row is decided only when no distance from n on
+    # exceeds fl(dist[n] + slack); a wider test skips a row that violates
+    (VERIFICATION,
+     "    decided = top[:, :cols] <= dist[:, :cols] + _SLACK",
+     "    decided = top[:, :cols] <= dist[:, :cols] + 10 * _SLACK",
+     ["tests/test_quasi_fejer.py"]),
+    # the decision needs every rho >= 1 and mu >= 0: a hand-built trace with a
+    # negative mu is swept in full
+    (VERIFICATION,
+     "    if not (np.all(rho >= 1.0) and np.all(mus >= 0.0)):",
+     "    if False:",
+     ["tests/test_quasi_fejer.py"]),
     # ProblemInstance: dom S lies in dom T on the hi side of each coordinate too
     (ITERATION,
      "        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):",

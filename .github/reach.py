@@ -46,6 +46,17 @@ ALLOWED = {
     "regularity.eval_gap": "perfbench/replay.py times it per call (--trace 1)",
     "iteration.ParameterSchedule.lam": "perfbench/replay.py reads the stage-0 lambda "
     "(--trace 1); a membership check reads it at the last point of a trace",
+    "fields.Record.__setattr__": "keeps a record frozen; no task assigns to one "
+    "(tests/test_records.py)",
+    "fields.Record.__delattr__": "keeps a record frozen; no task deletes a field "
+    "(tests/test_records.py)",
+    "fields.Record.__repr__": "a record's text for library callers and test failures; "
+    "no task prints a record (tests/test_records.py pins it)",
+    "fields._field_values": "the field tuple of the value equality below",
+    "fields._fields_equal": "value equality of the eq=True records for library callers; "
+    "no task compares two records (tests/test_records.py)",
+    "fields._fields_hash": "the hash that goes with that equality; no task hashes a record "
+    "(tests/test_records.py)",
 }
 
 # the recorder: the code objects each process enters, written at exit as

@@ -8,11 +8,15 @@ silent truncation such as ``int(10.7)``.
 A serialized class declares its JSON form once, as a dict from each JSON key
 to a ``Field``; ``read_form`` and ``write_form`` turn that one declaration
 into its parser and its writer.
+
+The package's immutable classes are ``Record`` subclasses: frozen records
+whose methods are shared functions that read the field declarations, in
+place of code generated for each class at import (README, "What each task
+loads").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
 from typing import TYPE_CHECKING, Callable
@@ -44,8 +48,105 @@ def field(obj, key: str, convert: Callable, default=_REQUIRED):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Field:
+class Factory:
+    """The default of a record field that is made anew for each record, as
+    ``make()``: ``provenance: dict = Factory(dict)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+
+class Record:
+    """A frozen record.
+
+    Its fields are its annotated class attributes, in order, after those of
+    the record classes it derives from. An annotated value is the field's
+    default; a ``Factory`` default makes one per record. Each record class
+    has the methods of the standard library's frozen data classes, as shared
+    functions that read the class's ``_fields`` and ``_defaults``:
+
+    - ``__init__`` takes the fields by position or keyword, fills in the
+      defaults, and then calls ``__post_init__``, which may normalize a field
+      with ``object.__setattr__``;
+    - ``__setattr__`` and ``__delattr__`` raise ``AttributeError``;
+    - ``__repr__`` is ``Name(field=value!r, ...)``, the standard library's text;
+    - equality is identity, unless the class is declared with ``eq=True``:
+      then records of one class are equal when their tuples of fields are,
+      and hash as that tuple. A subclass keeps the equality it inherits.
+    """
+
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, eq: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # read as names only: under ``from __future__ import annotations`` the
+        # annotations are strings, never evaluated
+        own = vars(cls).get("__annotations__", {})
+        cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        for name in own:
+            if isinstance(vars(cls).get(name), Factory):
+                delattr(cls, name)  # each record has its own; the class has none
+        if eq:
+            cls.__eq__, cls.__hash__ = _fields_equal, _fields_hash
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(names)} fields, got {len(args)} positional"
+            )
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__qualname__}() got an unexpected or repeated "
+                                f"argument {name!r}")
+            values[name] = value
+        state, defaults = vars(self), self._defaults
+        for name in names:
+            if name in values:
+                state[name] = values[name]
+            elif name in defaults:
+                default = defaults[name]
+                state[name] = default.make() if isinstance(default, Factory) else default
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and normalize the fields; records without checks keep this."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _field_values(record: Record) -> tuple:
+    return tuple([getattr(record, name) for name in record._fields])
+
+
+def _fields_equal(self, other):
+    """The ``__eq__`` of a record class declared with ``eq=True``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _field_values(self) == _field_values(other)
+
+
+def _fields_hash(self) -> int:
+    """The ``__hash__`` of a record class declared with ``eq=True``."""
+    return hash(_field_values(self))
+
+
+class Field(Record, eq=True):
     """One key of a JSON form: ``read`` converts the JSON value with a strict
     type, ``write`` turns the attribute back into JSON, and ``default`` is
     taken when the key is absent (the key is required without one). ``attr``

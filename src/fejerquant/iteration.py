@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -29,8 +28,8 @@ from .errors import (
     SingularSystem,
     UnknownPreset,
 )
-from .fields import FLOATS, INTEGER, RATIONAL, Field, field, list_of, number, rational, read_form
-from .fields import json_of, string, tolist, write_form
+from .fields import FLOATS, INTEGER, RATIONAL, Field, Record, field, list_of, number, rational
+from .fields import json_of, read_form, string, tolist, write_form
 from .moduli import ModulusFn, constant
 from .operators import (
     SignedZeroSolve,
@@ -97,8 +96,7 @@ def _check_stages(n0: int, n1: int) -> None:
         raise ValueError(f"bad stage range [{n0}, {n1})")
 
 
-@dataclass(frozen=True)
-class PowerRule:
+class PowerRule(Record, eq=True):
     """n -> c / (n+1)^p with rational c > 0 and integer p >= 0."""
 
     rule = "power"
@@ -150,8 +148,7 @@ class PowerRule:
         return {"rule": self.rule, **write_form(self, self.json_fields)}
 
 
-@dataclass(frozen=True, eq=False)
-class TableRule:
+class TableRule(Record):
     """Explicit per-stage values; indices beyond the table are errors."""
 
     rule = "table"
@@ -192,8 +189,7 @@ def rule_from_json(obj: dict):
     return cls(**read_form(obj, cls.json_fields, "rule fields", "rule"))
 
 
-@dataclass(frozen=True)
-class ParameterSchedule:
+class ParameterSchedule(Record, eq=True):
     """Per-stage Yosida parameters lambda_n and step sizes mu_n up to a horizon."""
 
     json_fields = {"lambda": Field(rule_from_json, json_of, attr="lam_rule"),
@@ -258,8 +254,7 @@ class ParameterSchedule:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantitativeData:
+class QuantitativeData(Record, eq=True):
     """User-certified constants and moduli for one problem instance.
 
     A >= sum mu_n/lambda_n;  B >= sup lambda_n and B >= mu_0;
@@ -351,8 +346,7 @@ class QuantitativeData:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ProblemInstance:
+class ProblemInstance(Record):
     """Two catalog operators, a start point, a schedule, certified constants,
     and (optionally) the known solution set for oracle checks."""
 
@@ -435,7 +429,10 @@ PRESETS = {
                   "xi": {"kind": "power_sum_rate", "c": "1", "p": 3},
                   "varpi": {"kind": "identity"}, "varpi_hat": {"kind": "identity"}},
     },
-    # T = 2I, S = I: (T - S)x = x, unique zero at the origin
+    # T = 2I, S = I: (T - S)x = x, unique zero at the origin. The path from
+    # (1, 1) settles at (0.855, 0.855) and never nears it: each late step
+    # scales x by about 1 + mu_n, and sum mu_n is finite. So no residual drops
+    # below 1, and certify-metastability exits 2 at k = 0.
     "affine-affine-nd": {
         "problem": {"T": {"kind": "affine_psd", "matrix": [[2.0, 0.0], [0.0, 2.0]],
                           "offset": [0.0, 0.0]},
@@ -473,8 +470,7 @@ def preset(name: str) -> ProblemInstance:
     return ProblemInstance.from_json({"problem": name})
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Record):
     """A recorded run: iterates x_0..x_N, stage parameters, step residuals.
 
     residuals[n] = ||x_n - x_{n+1}|| / mu_n, the quantity every certificate

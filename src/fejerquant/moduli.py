@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +27,8 @@ from .errors import (
     NegativeExponent,
     TableRangeError,
 )
-from .fields import INTEGER, RATIONAL, Field, field, integer, list_of, read_form, string, write_form
+from .fields import INTEGER, RATIONAL, Field, Record, field, integer, list_of, read_form, string
+from .fields import write_form
 
 #: Default cap for symbolic bounds: values above this become Overflow markers.
 DEFAULT_CAP = 10 ** 10000
@@ -174,8 +174,7 @@ def sqrt_upper(d: int) -> Fraction:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaturalBound:
+class NaturalBound(Record, eq=True):
     """An exact natural number, or a symbolic overflow marker.
 
     Overflow is a value, not an error: certificates must be able to report
@@ -241,8 +240,7 @@ _KINDS = {"identity": {}, "affine": {"a": INTEGER, "b": INTEGER},
           "power_rate": _POWER, "power_sum_rate": _POWER}
 
 
-@dataclass(frozen=True)
-class ModulusFn:
+class ModulusFn(Record, eq=True):
     """A represented map N -> N.
 
     Closed-form kinds (identity, affine, polynomial with natural coefficients,

@@ -26,7 +26,6 @@ these is decided in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (
     NonPositiveParameter,
     SingularSystem,
 )
-from .fields import FLOATS, INTEGER, field, read_form, string, write_form
+from .fields import FLOATS, INTEGER, Record, field, read_form, string, write_form
 
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -134,11 +133,11 @@ def row_norms(r: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-class _Operator:
+class _Operator(Record):
     """The forms most catalog classes share.
 
     A subclass names its JSON ``kind`` and declares its JSON form
-    (``json_fields``: each dataclass field to its ``fields.Field``), and defines
+    (``json_fields``: each record field to its ``fields.Field``), and defines
     ``resolvent_rows``, ``value_rows``, the scalar ``resolvent1`` and
     ``coordinate(j)``: the 1-D operator whose scalar forms step coordinate j
     exactly as the row forms do, or None when the operator couples
@@ -161,7 +160,6 @@ class _Operator:
         return np.all(xs >= lo - tol, axis=1) & np.all(xs <= hi + tol, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
 class AffinePSD(_Operator):
     """x -> {A x + b} with A symmetric positive semidefinite."""
 
@@ -266,8 +264,7 @@ class _SolveCoordinate(AffinePSD):
         return AffinePSD.resolvent_rows(self, lams, xs)
 
 
-@dataclass(frozen=True)
-class SubdiffAbsSum(_Operator):
+class SubdiffAbsSum(_Operator, eq=True):
     """Subdifferential of x -> sum_i |x_i| (coordinatewise sign intervals)."""
 
     kind = "subdiff_abs"
@@ -309,7 +306,6 @@ class SubdiffAbsSum(_Operator):
         return SubdiffAbsSum(1)
 
 
-@dataclass(frozen=True, eq=False)
 class NormalConeBox(_Operator):
     """Normal cone of the box [lo, hi]; domain is the box itself."""
 
@@ -359,8 +355,7 @@ class NormalConeBox(_Operator):
         return NormalConeBox(self.lo[j : j + 1], self.hi[j : j + 1])
 
 
-@dataclass(frozen=True)
-class ZeroOperator(_Operator):
+class ZeroOperator(_Operator, eq=True):
     """x -> {0}."""
 
     kind = "zero"

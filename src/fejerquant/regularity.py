@@ -13,14 +13,15 @@ xi(x) = xi~(ceil(1/x)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
-from .fields import FLOATS, RATIONAL, Field, field, list_of, read_form, string, write_form
+from .fields import FLOATS, RATIONAL, Field, Record, field, list_of, read_form, string
+from .fields import write_form
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -47,8 +48,7 @@ from .operators import (
 _GAP_VARIANTS = ("F1", "F2", "FDiff")
 
 
-@dataclass(frozen=True, eq=False)
-class GapFunctional:
+class GapFunctional(Record):
     """A nonnegative functional vanishing exactly on the solution set.
 
     F1(x) = ||x - J^S_{mu_0}(x + mu_0 * T°x)||   (fixed-point gap)
@@ -106,8 +106,7 @@ def eval_gap(gap: GapFunctional, x) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class RegularityModulus:
+class RegularityModulus(Record):
     """phi with: |F(x)| < phi(eps) implies dist(x, zer F) < eps on B(center; radius).
 
     ``linear`` is an analytic closed form phi(eps) = scale * eps; ``table``
@@ -188,8 +187,7 @@ _REGULARITY_KINDS = {"linear": {**_BALL, "scale": RATIONAL},
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GHModuli:
+class GHModuli(Record):
     """Quantitative data of an abstract quasi-Fejer monotone sequence.
 
     alpha_g, beta_h: moduli for the transforms G and H (positive,
@@ -284,21 +282,29 @@ def validate_regularity_ball(
     b >= ||x0 - z|| is checked; D bounds the total accumulated step sizes and
     is certified from the Cauchy rate xi as min over k of (partial sum below
     xi(k)) + 1/(k+1), all exact rationals. The partial sum only grows, so a
-    candidate is made only at the last k before it grows, and at k_max.
+    candidate is made only at the last k of each run of equal values of xi's
+    running maximum.
+    A closed-form xi is monotone and total, so the end of each run is found
+    by bisection over k: power_sum_rate(1, 4) takes 7 values at k <= 1000. A
+    table is read at every k, in order, so an error names the first k out of
+    its range.
     """
     b = Fraction(b)
     if float(np.linalg.norm(inst.x0 - phi_reg.center)) > float(b) + 1e-12:
         raise DomainError("b must bound the distance from x0 to the ball center")
+    xi = inst.quant.xi
     run_ends = []
     partial = Fraction(0)
-    upto = 0
-    for k in range(k_max + 1):
-        n_k = inst.quant.xi(k)
+    upto = k = 0
+    while k <= k_max:
+        n_k = xi(k)
         if k and upto < n_k:
             run_ends.append(partial + Fraction(1, k))
         while upto < n_k:
             partial += inst.schedule.mu_fraction(upto)
             upto += 1
+        # the next k whose value may exceed the largest so far
+        k = k + 1 if xi.kind == "table" else bisect_right(range(k_max + 1), upto, lo=k + 1, key=xi)
     return exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
 
 

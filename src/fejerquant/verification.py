@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -19,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MissingSolutions, ResidualFloor, TableRangeError
+from .fields import Factory, Record
 from .iteration import (
     ProblemInstance,
     Trace,
@@ -72,8 +72,7 @@ _CAUCHY_GUARD = 1e-12
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record, eq=True):
     """An immutable verification record.
 
     ``sound`` follows the rule: witness within the computed bound, or no
@@ -91,7 +90,7 @@ class Certificate:
     sound: bool
     vacuous: bool = False
     violations: tuple = ()
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = Factory(dict)
 
     @property
     def digest(self) -> str:
@@ -158,6 +157,16 @@ def check_quasi_fejer(
     the trace, so a pair with n + l > steps never counts. The right-hand
     sides are the ones of a loop over (n, l) bit for bit. Violations are
     listed in (solution, n, l, form) order, the first 50 of them.
+
+    Rows where the sequence is Fejer monotone are decided without the sweep.
+    Every running product and e^A is >= 1 and every added term is >= 0 when
+    each rho >= 1 and each mu >= 0, as in every trace that ``run`` makes.
+    Rounding is monotone, so each computed right-hand side of row n is then
+    >= fl(dist[n] + 1e-9), and a row none of whose distances from n on
+    exceeds that holds no violation (a NaN right-hand side reports none
+    either). The sweep runs over the rows from the first one left to the
+    last. The argument needs only a slack >= 0 and added terms >= 0, so it
+    still holds when a series of rounding errors replaces the slack.
     """
     if not inst.known_solutions:
         raise MissingSolutions("quasi-Fejer checks need known solutions")
@@ -180,38 +189,46 @@ def check_quasi_fejer(
     n_top = min(max_n, steps)
     l_top = min(max_l, steps)
     checked = 0
+    left = np.arange(0)  # the rows n that the sweep checks
     if kept and n_top >= 0 and l_top >= 0:
         cols = n_top + 1
         # the last offset checked from row n is min(max_l, steps - n)
         checked = len(kept) * sum(min(l_top, steps - n) + 1 for n in range(cols))
-        sol = np.array(kept)
         reach = n_top + l_top  # the last step to offset l_top reads rho[reach - 1]
         live = min(reach, steps)
         dist = np.full((len(kept), reach + 1), -np.inf)
         dist[:, : live + 1] = np.stack(dists)[:, : live + 1]
-        lhs_of = sliding_window_view(dist, cols, axis=1)  # [s, l, n] = dist[s, n + l]
-        base = dist[:, None, :cols]
-        e_base = e_a * base
-        t2 = np.array(t2)[:, None, None]
         # past the trace a row keeps its last values: finite, never compared
         rho = np.ones(reach)
         rho[:live] = 1.0 + trace.mus[:live] / trace.lambdas[:live]
         mus = np.zeros(reach)
         mus[:live] = trace.mus[:live]
-        height = max(1, _TILE // (len(kept) * cols))
+        left = _undecided_rows(dist, rho, mus, cols)
+    if left.size:
+        lo, cols = int(left[0]), int(left[-1]) + 1 - int(left[0])
+        dist, rho, mus = dist[:, lo:], rho[lo:], mus[lo:]
+        sol = np.array(kept)
+        lhs_of = sliding_window_view(dist, cols, axis=1)  # [s, l, n] = dist[s, lo + n + l]
+        base = dist[:, None, :cols]
+        e_base = e_a * base
+        t2 = np.array(t2)[:, None, None]
+        height = max(1, min(_TILE // (len(kept) * cols), l_top + 1))
         prod = np.empty((height, cols))
         acc = np.empty((height, cols))
         musum = np.empty((height, cols))
         prod[0], acc[0], musum[0] = 1.0, 0.0, 0.0
+        # the buffer rows, each view made once: on a narrow sweep a view per
+        # offset costs more than the arithmetic
+        rows = list(zip(prod, acc, musum))
         for l in range(l_top + 1):
             j = l % height  # the buffer row of offset l
             if l:
-                p = j - 1 if j else height - 1
+                (prod_p, acc_p, musum_p), (prod_j, acc_j, musum_j) = rows[j - 1], rows[j]
                 step_rho, step_mu = rho[l - 1 : l - 1 + cols], mus[l - 1 : l - 1 + cols]
-                np.multiply(prod[p], step_rho, out=prod[j])
-                np.multiply(acc[p], step_rho, out=acc[j])
-                acc[j] += step_mu
-                np.add(musum[p], step_mu, out=musum[j])
+                np.multiply(prod_p, step_rho, out=prod_j)
+                np.multiply(acc_p, step_rho, out=acc_j)
+                np.add(acc_j, step_mu, out=acc_j)
+                np.add(musum_p, step_mu, out=musum_j)
             if j < height - 1 and l < l_top:
                 continue
             first = l - j  # the buffer holds offsets first..l
@@ -226,7 +243,9 @@ def check_quasi_fejer(
                 if above.any():
                     s, at, n = np.nonzero(above)
                     of_form = np.full(s.size, form)
-                    found.append((sol[s], n, first + at, of_form, lhs[s, at, n], rhs[s, at, n]))
+                    found.append(
+                        (sol[s], lo + n, first + at, of_form, lhs[s, at, n], rhs[s, at, n])
+                    )
     violations = []
     if found:
         sols, ns, ls, forms, lhss, rhss = (np.concatenate(c) for c in zip(*found))
@@ -265,6 +284,22 @@ def check_quasi_fejer(
         violations=tuple(violations),
         provenance={"slack": _SLACK, "witnesses": "exact minimal selections"},
     )
+
+
+def _undecided_rows(dist: np.ndarray, rho: np.ndarray, mus: np.ndarray, cols: int) -> np.ndarray:
+    """The rows n < cols that some solution's distances do not decide.
+
+    A row is decided when no distance from n on exceeds fl(dist[n] + _SLACK):
+    with every rho >= 1 and every mu >= 0, no right-hand side of the row is
+    below that (see ``check_quasi_fejer``). A NaN decides nothing, and
+    neither does any row when a rho or a mu breaks the premise.
+    """
+    if not (np.all(rho >= 1.0) and np.all(mus >= 0.0)):
+        return np.arange(cols)
+    # the largest distance from each row on, padding included
+    top = np.maximum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
+    decided = top[:, :cols] <= dist[:, :cols] + _SLACK
+    return np.flatnonzero(~np.all(decided, axis=0))
 
 
 def check_approx_error(
@@ -450,8 +485,7 @@ def certify_metastability(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class EmpiricalPhi:
+class EmpiricalPhi(Record):
     """Residual-search modulus built from a trace.
 
     ``table[k, n]`` is the first index N >= n whose step residual is below

@@ -6,7 +6,6 @@ tolerance and runtime budget is asserted, not just eyeballed; fault-injection
 twins prove the inequality checks can actually fail.
 """
 
-import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -61,6 +60,7 @@ from fejerquant.verification import (
     check_cauchy_modulus,
     check_quasi_fejer,
 )
+from records import replace
 
 IDENT = ModulusFn.identity()
 G_LINEAR = ModulusFn.affine(1, 1)
@@ -79,7 +79,7 @@ def report(number, label, ok, detail=""):
 @pytest.fixture(scope="module")
 def catalog_trace():
     """dc-abs-1d from x0 = 2, 250 recorded stages."""
-    inst = dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([2.0]))
+    inst = replace(fq.preset("dc-abs-1d"), x0=np.array([2.0]))
     return inst, run(inst, 250)
 
 
@@ -111,7 +111,7 @@ def calibrated_pilot():
         varpi=IDENT,
         varpi_hat=IDENT,
     )
-    inst = dataclasses.replace(base, schedule=sched, quant=quant)
+    inst = replace(base, schedule=sched, quant=quant)
     inst.quant.validate_against(inst.schedule)
     trace = run(inst, 100_000)
     phi = build_empirical_phi(trace, k_max=25, n_max=200, inst=inst)
@@ -338,8 +338,8 @@ def test_criterion_8_conversion_lemmas():
     base = fq.preset("dc-abs-1d")
     # widen the certified trajectory bound so the search region covers the
     # whole sampled interval [-4, 4] from x0 = 1/2
-    inst = dataclasses.replace(
-        base, quant=dataclasses.replace(base.quant, L=Fraction(9, 2))
+    inst = replace(
+        base, quant=replace(base.quant, L=Fraction(9, 2))
     )
     f1, f2 = GapFunctional("F1", inst), GapFunctional("F2", inst)
     grid = np.linspace(-4.0, 4.0, 201)[:-1]  # 200 points, hits -1, 0, 1 exactly

@@ -1,6 +1,5 @@
 """Command-line entry point: presets, config validation, tasks, exit codes."""
 
-import dataclasses
 import gc
 import hashlib
 import json
@@ -20,6 +19,7 @@ from fejerquant.cli import _parse_cap, build_instance, main
 from fejerquant.errors import ConfigError, UnknownPreset
 from fejerquant.iteration import PowerRule
 from fejerquant.operators import NormalConeBox, SubdiffAbsSum
+from records import replace
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -136,6 +136,20 @@ def test_moduli_eval_loads_no_numpy(tmp_path):
     cfg = write_config(tmp_path, {"params": {"modulus": "kappa", "k": 0, "M": 1, "B": 1}})
     code = "import sys; from fejerquant.cli import main; main(sys.argv[1:]); print('numpy' in sys.modules)"
     assert fresh_output(code, "moduli-eval", "--config", cfg) == "False"
+
+
+def test_no_task_loads_dataclasses(tmp_path):
+    # the records build their methods without the dataclasses module, which
+    # generates code for each class at import; cauchy-modulus loads every module
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d",
+                                  "params": {"steps": 50, "b": "1/2", "phi_reg": PHI_REG}})
+    code = (
+        "import sys; import fejerquant.cli; at_import = 'dataclasses' in sys.modules\n"
+        "code = fejerquant.cli.main(sys.argv[1:])\n"
+        "print(at_import, code, 'dataclasses' in sys.modules)"
+    )
+    out = fresh_output(code, "cauchy-modulus", "--config", cfg, "--out", str(tmp_path))
+    assert out == "False 0 False"
 
 
 @pytest.mark.parametrize(
@@ -461,6 +475,21 @@ def test_a_rounding_stall_is_not_read_as_convergence(tmp_path, capsys):
     })
     assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "the trace tail is not verified stationary" in capsys.readouterr().err
+    assert not list(tmp_path.glob("metastability_k*.json"))
+
+
+def test_the_affine_preset_path_never_nears_its_zero(tmp_path, capsys):
+    # T = 2I, S = I: the path from (1, 1) settles at (0.855, 0.855), not at the
+    # zero (0, 0), so no residual drops below 1/(k+1) even at k = 0
+    inst = preset("affine-affine-nd")
+    end = fq.run(inst, 2000).points[-1]
+    assert np.allclose(end, 0.855, atol=5e-4)
+    cfg = write_config(tmp_path, {"problem": "affine-affine-nd", "params": {"k": 0, "steps": 1000}})
+    assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config/problem error: residuals never drop below 1/1 past index 21 "
+        "(observed floor 1.00667)"
+    )
     assert not list(tmp_path.glob("metastability_k*.json"))
 
 
@@ -897,11 +926,11 @@ def test_an_oversized_k_max_exits_2_before_allocating(tmp_path, capsys, monkeypa
 def test_constants_at_their_bounds_are_accepted():
     quant = preset("dc-abs-1d").quant
     top = {"A": 709, "B": 10**300, "Bprime": 1074, "C": 10**300, "L": 10**300, "M": 10**300}
-    assert dataclasses.replace(quant, **top).to_json()["Bprime"] == 1074
+    assert replace(quant, **top).to_json()["Bprime"] == 1074
     for name, value in top.items():
         past = value + (1 if name in ("B", "Bprime", "M") else Fraction(1, 10**9))
         with pytest.raises(ConfigError, match=f"^{name}: must be at most"):
-            dataclasses.replace(quant, **{name: past})
+            replace(quant, **{name: past})
     assert PowerRule(Fraction(1), 1023).value_array(0, 1)[0] == 1.0
     with pytest.raises(ConfigError, match="^p: must be at most 1023"):
         PowerRule(Fraction(1), 1024)

@@ -5,7 +5,6 @@ The 1-d absolute-value preset has fully hand-checkable steps at stage 0
 at 1, so 2 -> 2, 0.5 -> 0 and 0 -> 0.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -42,6 +41,7 @@ from fejerquant.operators import (
     resolvent_rows,
     yosida,
 )
+from records import replace
 
 
 _RESIDUAL_RECOMPUTE_TOL = 1e-12
@@ -59,7 +59,7 @@ def validate_residuals(trace: Trace) -> None:
 
 def dc_instance(**overrides):
     inst = fq.preset("dc-abs-1d")
-    return dataclasses.replace(inst, **overrides) if overrides else inst
+    return replace(inst, **overrides) if overrides else inst
 
 
 # --------------------------------------------------------------------------
@@ -242,11 +242,11 @@ def test_quant_json_round_trip():
 def test_instance_dimension_checks():
     inst = dc_instance()
     with pytest.raises(DimensionMismatch):
-        dataclasses.replace(inst, S=SubdiffAbsSum(2))
+        replace(inst, S=SubdiffAbsSum(2))
     with pytest.raises(DimensionMismatch):
-        dataclasses.replace(inst, x0=np.array([1.0, 2.0]))
+        replace(inst, x0=np.array([1.0, 2.0]))
     with pytest.raises(DimensionMismatch):
-        dataclasses.replace(inst, quant=quant(d=2))
+        replace(inst, quant=quant(d=2))
 
 
 def test_instance_domain_checks():
@@ -254,7 +254,7 @@ def test_instance_domain_checks():
     box = NormalConeBox(np.array([0.0]), np.array([1.0]))
     # a cone-restricted T needs S to confine the iterates to its box
     with pytest.raises(DomainError):
-        dataclasses.replace(inst, T=box)
+        replace(inst, T=box)
     wide = NormalConeBox(np.array([-1.0]), np.array([2.0]))
     with pytest.raises(DomainError):
         ProblemInstance(
@@ -265,7 +265,7 @@ def test_instance_domain_checks():
     )
     assert nested.dim == 1
     with pytest.raises(DomainError):
-        dataclasses.replace(nested, x0=np.array([2.0]))  # outside dom S
+        replace(nested, x0=np.array([2.0]))  # outside dom S
 
 
 @pytest.mark.parametrize("side", ["lo", "hi"])
@@ -273,12 +273,12 @@ def test_instance_domain_inclusion_is_checked_on_each_side(side):
     # dom S = [0, 1]^2; T's box is narrower on one side of one coordinate only
     inst = fq.preset("box-affine-nd")
     lo, hi = np.zeros(2), np.ones(2)
-    assert dataclasses.replace(inst, T=NormalConeBox(lo - 1.0, hi + 1.0)).dim == 2
+    assert replace(inst, T=NormalConeBox(lo - 1.0, hi + 1.0)).dim == 2
     narrow = {"lo": (np.array([0.0, 0.1]), hi), "hi": (lo, np.array([1.0, 0.9]))}[side]
     with pytest.raises(DomainError, match="domain of S must be contained"):
-        dataclasses.replace(inst, T=NormalConeBox(*narrow))
+        replace(inst, T=NormalConeBox(*narrow))
     with pytest.raises(DomainError, match="domain of S must be contained"):
-        dataclasses.replace(inst, T=NormalConeBox(lo, hi), S=SubdiffAbsSum(2))
+        replace(inst, T=NormalConeBox(lo, hi), S=SubdiffAbsSum(2))
 
 
 def test_search_region_membership():
@@ -337,7 +337,7 @@ def test_run_guards():
     inst = dc_instance()
     with pytest.raises(ValueError):
         run(inst, -1)
-    short = dataclasses.replace(inst, schedule=standard_schedule(10))
+    short = replace(inst, schedule=standard_schedule(10))
     with pytest.raises(HorizonExceeded):
         run(short, 11)
     tight = dc_instance(x0=np.array([2.0]), quant=quant(L=Fraction(1, 100)))

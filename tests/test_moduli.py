@@ -8,7 +8,6 @@ runs on integer pairs; its earlier Fraction form is kept below as the
 reference it must equal.
 """
 
-import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -49,6 +48,7 @@ from fejerquant.moduli import (
     varpi_prime,
     xi_tilde,
 )
+from records import field_names, replace
 
 IDENT = ModulusFn.identity()
 
@@ -825,12 +825,12 @@ def test_a_modulus_keeps_its_value_form():
         f, h = make(), make()
         assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
         assert ModulusFn.from_json(f.to_json()) == f
-    assert [fld.name for fld in dataclasses.fields(ModulusFn)] == [
+    assert field_names(ModulusFn) == [
         "kind", "a", "b", "coeffs", "values", "c", "p",
     ]
     assert ModulusFn.power_rate(1, 1) != IDENT
     assert ModulusFn.power_rate(1, 1)(10**40) == 10**40
-    assert dataclasses.replace(ModulusFn.affine(1, 1), a=3)(5) == 16
+    assert replace(ModulusFn.affine(1, 1), a=3)(5) == 16
 
 
 @given(

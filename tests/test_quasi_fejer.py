@@ -7,7 +7,6 @@ JSON, so the right-hand sides, the violation order, the cut at 50
 violations and the ``checked`` count must all agree exactly.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 from test_value_sets import evaluate, minimal_selection
 
 import fejerquant as fq
+from fejerquant import verification
 from fejerquant.errors import MissingSolutions
 from fejerquant.iteration import Trace, run
 from fejerquant.moduli import exp_upper
@@ -25,6 +25,7 @@ from fejerquant.verification import (
     _instance_params,
     check_quasi_fejer,
 )
+from records import replace
 
 
 def reference_quasi_fejer(trace, inst, max_n, max_l):
@@ -116,7 +117,7 @@ def nudged(trace, index, by):
 
 
 def dc(x0):
-    return dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
+    return replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
 
 
 def _cases():
@@ -141,7 +142,7 @@ def _cases():
     # form only: rows n < 5 list violations at two offsets, in (l, form) order
     two = nudged(nudged(tr, 5, 50.0), 6, 5.0)
     cases.append(("dc faults at 5 by 50 and 6 by 5", inst, two, 80, 80))
-    fake = dataclasses.replace(
+    fake = replace(
         inst, known_solutions=(np.array([-1.0]), np.array([0.5]), np.array([1.0]))
     )
     cases.append(("fake solution between two real ones", fake, tr, 40, 40))
@@ -169,6 +170,23 @@ def _cases():
     tr2 = run(affine, 500)
     cases.append(("affine S, tiles of 27", affine, tr2, 300, 200))
     cases.append(("affine S, tiles, fault at 250", affine, nudged(tr2, 250, 1e-3), 300, 200))
+    # dc-abs-1d from 0.5 is at the zero 0 from step 1 on, so each row's
+    # distances are constant: the sweep is left only row 0 and the rows a
+    # late rise is not within fl(dist[n] + 1e-9) of. At the solution 0 the
+    # product form's right-hand side is exactly 1e-9 (T°0 = 0).
+    calm = dc(0.5)
+    held = run(calm, 120)
+    cases.append(("late rise by 5e-10", calm, nudged(held, 100, 5e-10), 80, 80))
+    cases.append(("late rise to fl(d + 1e-9)", calm, nudged(held, 100, _SLACK), 80, 80))
+    cases.append(("late rise by 5e-9", calm, nudged(held, 100, 5e-9), 80, 80))
+    # rows below 90 see the rise only past their max_l
+    cases.append(("rise past max_l", calm, nudged(held, 100, 5e-9), 95, 10))
+    cases.append(("NaN point", calm, nudged(held, 60, np.nan), 80, 80))
+    # a negative mu (rho < 1) voids the argument: every row is swept
+    mus = np.array(held.mus)
+    mus[50] = -mus[50]
+    cases.append(("a negative mu", calm, Trace(held.points, held.lambdas, mus, held.residuals),
+                  80, 80))
     zero = run(inst, 0)
     for max_n, max_l in ((0, 0), (5, 5), (-1, 0)):
         cases.append((f"zero steps, max_n={max_n} max_l={max_l}", inst, zero, max_n, max_l))
@@ -230,3 +248,26 @@ def test_negative_ranges_check_nothing():
     for max_n, max_l in ((-1, 5), (5, -1)):
         cert = check_quasi_fejer(tr, inst, max_n, max_l)
         assert cert.sound and cert.witness["checked"] == 0
+
+
+def test_fejer_monotone_rows_skip_the_sweep(monkeypatch):
+    """On lemmas-1d's trace, dc-abs-1d from 0.5 at max_n = max_l = 800, only
+    row 0 can rise: the sweep runs over that one row."""
+    widths = []
+    window = verification.sliding_window_view
+
+    def spy(array, width, axis=-1):
+        widths.append(width)
+        return window(array, width, axis=axis)
+
+    monkeypatch.setattr(verification, "sliding_window_view", spy)
+    inst = dc(0.5)
+    tr = run(inst, 1600)
+    cert = check_quasi_fejer(tr, inst, 800, 800)
+    assert cert.sound and cert.witness["checked"] == 3 * 801 * 801
+    assert set(widths) == {1}
+    # a point 5e-9 off the zero 0 takes rows 0..499 back (solution 0), and
+    # row 500 too: from there the distance to the solution 1 rises again
+    widths.clear()
+    assert not check_quasi_fejer(nudged(tr, 500, 5e-9), inst, 800, 800).sound
+    assert set(widths) == {501}

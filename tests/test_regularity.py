@@ -5,7 +5,6 @@ phi_search(k, n) = n + k) pins every composition to an exact integer;
 grid-oracle moduli are cross-checked on independent, finer grids.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from fejerquant.errors import (
     DomainError,
     EmptyGrid,
     InvariantViolation,
+    TableRangeError,
     ZeroInfimum,
 )
 from fejerquant.iteration import (
@@ -39,6 +39,7 @@ from fejerquant.regularity import (
     validate_regularity_ball,
     verify_regularity_on_grid,
 )
+from records import replace
 
 ZEROS_1D = (np.array([-1.0]), np.array([0.0]), np.array([1.0]))
 
@@ -230,10 +231,10 @@ def test_generic_modulus_guards():
         theta_generic(Fraction(0), stub_gh(), phi)
     with pytest.raises(DomainError):
         theta_generic(Fraction(1, 2), stub_gh(), linear_phi(radius=Fraction(1, 2)))
-    degenerate = dataclasses.replace(stub_gh(), beta_h=lambda e: Fraction(0))
+    degenerate = replace(stub_gh(), beta_h=lambda e: Fraction(0))
     with pytest.raises(DomainError):
         theta_generic(Fraction(1, 2), degenerate, phi)
-    backwards = dataclasses.replace(stub_gh(), tau=lambda d, n: -1)
+    backwards = replace(stub_gh(), tau=lambda d, n: -1)
     with pytest.raises(InvariantViolation):
         theta_generic(Fraction(1, 2), backwards, phi)
 
@@ -312,7 +313,7 @@ def calibrated_box():
         varpi=ModulusFn.identity(),
         varpi_hat=ModulusFn.identity(),
     )
-    return dataclasses.replace(inst, x0=np.array([0.5, 0.5]), schedule=sched, quant=q)
+    return replace(inst, x0=np.array([0.5, 0.5]), schedule=sched, quant=q)
 
 
 def test_iteration_modulus_on_the_calibrated_box():
@@ -348,7 +349,7 @@ def slow_lambda_instance():
         varpi=ModulusFn.identity(),
         varpi_hat=ModulusFn.identity(),
     )
-    return dataclasses.replace(inst, schedule=sched, quant=q)
+    return replace(inst, schedule=sched, quant=q)
 
 
 def test_regularity_ball_certificate():
@@ -379,6 +380,67 @@ def test_regularity_ball_is_the_least_candidate_over_every_k(k_max):
     least = min(sums[inst.quant.xi(k)] + Fraction(1, k + 1) for k in range(k_max + 1))
     e_a = fq.exp_upper(inst.quant.A)
     assert validate_regularity_ball(inst, phi, Fraction(1, 2), k_max) == e_a / 2 + least
+
+
+def reference_regularity_ball(inst, phi_reg, b, k_max=1000):
+    """validate_regularity_ball as a loop over every k, which evaluates xi at
+    each: the candidate of a run of equal values is made when the run ends."""
+    b = Fraction(b)
+    if float(np.linalg.norm(inst.x0 - phi_reg.center)) > float(b) + 1e-12:
+        raise DomainError("b must bound the distance from x0 to the ball center")
+    run_ends = []
+    partial = Fraction(0)
+    upto = 0
+    for k in range(k_max + 1):
+        n_k = inst.quant.xi(k)
+        if k and upto < n_k:
+            run_ends.append(partial + Fraction(1, k))
+        while upto < n_k:
+            partial += inst.schedule.mu_fraction(upto)
+            upto += 1
+    return fq.exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
+
+
+XI_KINDS = [
+    ModulusFn.identity(),
+    ModulusFn.affine(0, 5),
+    ModulusFn.affine(2, 3),
+    ModulusFn.polynomial([3]),
+    ModulusFn.polynomial([1, 2]),
+    ModulusFn.power_rate(1, 1),
+    ModulusFn.power_rate(Fraction(1, 2), 1),
+    ModulusFn.power_rate(3, 2),
+    ModulusFn.power_rate(Fraction(5, 2), 5),
+    ModulusFn.power_sum_rate(1, 2),
+    ModulusFn.power_sum_rate(1, 4),
+    ModulusFn.power_sum_rate(Fraction(7, 3), 3),
+    ModulusFn.table([0, 0, 2, 2, 2, 5, 9]),
+    ModulusFn.table([4, 1, 6, 2, 6, 3, 8]),  # not monotone: the loop over every k
+]
+
+
+@pytest.mark.parametrize("xi", XI_KINDS, ids=[str(x.to_json()) for x in XI_KINDS])
+@pytest.mark.parametrize("mu_p", [0, 2])
+def test_regularity_ball_run_ends_match_the_loop_over_every_k(xi, mu_p):
+    # mu = 1/(8 (n+1)^p): with p = 0 the least candidate comes at a small k,
+    # with p = 2 the partial sums level off and it moves out
+    inst = slow_lambda_instance()
+    sched = ParameterSchedule(PowerRule(Fraction(1), 2), PowerRule(Fraction(1, 8), mu_p), 5000)
+    inst = replace(inst, schedule=sched, quant=replace(inst.quant, xi=xi))
+    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "analytic")
+    for k_max in (0, 1, 2, 6) if xi.kind == "table" else (0, 1, 2, 1000):
+        want = reference_regularity_ball(inst, phi, Fraction(1, 2), k_max)
+        assert validate_regularity_ball(inst, phi, Fraction(1, 2), k_max) == want
+
+
+def test_a_table_xi_is_refused_at_its_first_k_out_of_range():
+    # a table is read at every k in order, monotone or not
+    inst = slow_lambda_instance()
+    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "analytic")
+    for values in ([1, 2, 2, 3], [3, 1, 2, 2]):
+        short = replace(inst, quant=replace(inst.quant, xi=ModulusFn.table(values)))
+        with pytest.raises(TableRangeError, match=r"^table modulus evaluated at 4, valid range"):
+            validate_regularity_ball(short, phi, Fraction(1, 2), 1000)
 
 
 # --------------------------------------------------------------------------
@@ -446,8 +508,8 @@ def test_grid_oracle_structural_guards():
 def wide_instance():
     # L = 9/2 makes the search region cover all of [-4, 4] from x0 = 1/2
     inst = dc()
-    return dataclasses.replace(
-        inst, quant=dataclasses.replace(inst.quant, L=Fraction(9, 2))
+    return replace(
+        inst, quant=replace(inst.quant, L=Fraction(9, 2))
     )
 
 

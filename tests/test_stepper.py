@@ -9,7 +9,6 @@ on floats through the operators' scalar forms, any other through the
 one-row cases of the row forms.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from fejerquant.operators import (
     ZeroOperator,
     as_point,
 )
+from records import replace
 
 
 def reference_resolvent(op, lam, x):
@@ -357,15 +357,15 @@ def test_signed_zero_iterates_match():
     # x0 = -0.5 is soft-thresholded to -0.0 at stage 0, and sign(-0.0) is +0.0
     inst = fq.preset("dc-abs-1d")
     for x0 in (-0.5, -0.0, 0.0, -2.0):
-        one = dataclasses.replace(inst, x0=np.array([x0]))
+        one = replace(inst, x0=np.array([x0]))
         assert_same_trace(run(one, 200), reference_run(one, 200))
-    neg = run(dataclasses.replace(inst, x0=np.array([-0.5])), 1)
+    neg = run(replace(inst, x0=np.array([-0.5])), 1)
     assert np.signbit(neg.points[1, 0])
 
 
 def test_trace_matches_past_the_int64_powers():
     # (n+1)^5 leaves int64 at stage 6208; the trace covers both sides
-    inst = dataclasses.replace(
+    inst = replace(
         fq.preset("dc-abs-1d"),
         schedule=ParameterSchedule(PowerRule(Fraction(1), 2), PowerRule(Fraction(1), 5), 7000),
         x0=np.array([0.75]),
@@ -401,7 +401,7 @@ def count_checks(monkeypatch):
     "x0,steps", [(X0_1D[0], 100_000)] + [(x0, 20_000) for x0 in X0_1D[1:]]
 )
 def test_captured_paths_match_the_reference_loop(x0, steps):
-    inst = dataclasses.replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
+    inst = replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
     assert_same_trace(run(inst, steps), reference_run_1d(inst, steps))
 
 
@@ -425,9 +425,9 @@ def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
     # captured at 0 after about 5,000 distinct points
     preset = fq.preset("dc-abs-1d")
     xi = ModulusFn.power_sum_rate(Fraction(1, 10), 3)
-    quant = dataclasses.replace(preset.quant, Bprime=4, xi=xi)
-    schedule = dataclasses.replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
-    inst = dataclasses.replace(
+    quant = replace(preset.quant, Bprime=4, xi=xi)
+    schedule = replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
+    inst = replace(
         preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant
     )
     skips = count_checks(monkeypatch)
@@ -674,8 +674,8 @@ def test_non_finite_last_iterate_raises(d):
 
 def test_step_past_the_horizon_raises():
     inst = fq.preset("dc-abs-1d")
-    short = dataclasses.replace(
-        inst, schedule=dataclasses.replace(inst.schedule, horizon=10)
+    short = replace(
+        inst, schedule=replace(inst.schedule, horizon=10)
     )
     run(short, 10)
     with pytest.raises(HorizonExceeded):

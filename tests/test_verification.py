@@ -6,7 +6,6 @@ deliberately wrong modulus must flip the certificate to unsound, otherwise
 the checks prove nothing.
 """
 
-import dataclasses
 import json
 import math
 import time
@@ -42,13 +41,14 @@ from fejerquant.verification import (
     check_quasi_fejer,
     find_metastable,
 )
+from records import replace
 
 G_LINEAR = ModulusFn.affine(1, 1)  # g(n) = n + 1
 
 
 def dc(**overrides):
     inst = fq.preset("dc-abs-1d")
-    return dataclasses.replace(inst, **overrides) if overrides else inst
+    return replace(inst, **overrides) if overrides else inst
 
 
 def from_two():
@@ -100,12 +100,12 @@ def test_quasi_fejer_catches_an_injected_fault():
 def test_quasi_fejer_rejects_fake_solutions():
     inst = from_two()
     tr = run(inst, 50)
-    fake = dataclasses.replace(inst, known_solutions=(np.array([0.5]),))
+    fake = replace(inst, known_solutions=(np.array([0.5]),))
     cert = check_quasi_fejer(tr, fake, 10, 10)
     assert not cert.sound
     assert cert.violations[0]["form"] == "premise"
     with pytest.raises(MissingSolutions):
-        check_quasi_fejer(tr, dataclasses.replace(inst, known_solutions=()), 10, 10)
+        check_quasi_fejer(tr, replace(inst, known_solutions=()), 10, 10)
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_approx_error_with_constant_steps():
     # mu constant makes the cross-stage term vanish: lhs must equal the
     # single-step displacement up to slack
     inst = dc(
-        schedule=dataclasses.replace(
+        schedule=replace(
             fq.preset("dc-abs-1d").schedule,
             mu_rule=fq.iteration.TableRule((0.5,) * 61),
             horizon=60,
@@ -199,7 +199,7 @@ def reference_approx_error(trace, inst, max_n, max_i):
 def test_approx_error_rows_match_the_per_point_loop(name, x0, steps, max_n, max_i):
     inst = dense_abs_2d() if name == "dense-abs-2d" else fq.preset(name)
     if x0 is not None:
-        inst = dataclasses.replace(inst, x0=np.array(x0))
+        inst = replace(inst, x0=np.array(x0))
     tr = run(inst, steps, validate_l=False)
     got = check_approx_error(tr, inst, max_n, max_i).to_json()
     want = reference_approx_error(tr, inst, max_n, max_i).to_json()
