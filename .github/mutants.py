@@ -58,9 +58,21 @@ MUTANTS = [
     # build_empirical_phi: a constant tail is stationary only when the stage
     # maps provably fix it; a rounding stall is not convergence
     (VERIFICATION,
-     "        if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):",
-     "        if first < steps and inst is not None:",
+     "    if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):",
+     "    if first < steps and inst is not None:",
      ["tests/test_cli.py"]),
+    # build_empirical_phi: the search stops before the constant tail, whose
+    # 0.0 residuals at a rounding stall would answer phi there
+    (VERIFICATION,
+     "    return EmpiricalPhi(trace.residuals[:first], steps, stationary_from, provenance)",
+     "    return EmpiricalPhi(trace.residuals, steps, stationary_from, provenance)",
+     ["tests/test_verification.py"]),
+    # EmpiricalPhi: a query answers the qualifying index, not its start; an
+    # answer too small makes psi too small, which can give a wrong sound=True
+    (VERIFICATION,
+     "                return n + hit",
+     "                return n",
+     ["tests/test_verification.py"]),
     # _verified_stage_fixed_point: a diagonal T needs the lambda = B endpoint too
     (VERIFICATION,
      "        return in_box(s_lo, s_hi, limit) and in_box(s_lo, s_hi, at_b)",
@@ -71,13 +83,6 @@ MUTANTS = [
      "        return sha256(blob.encode()).hexdigest()",
      '        return __import__("hashlib").sha256(blob.encode()).hexdigest()',
      ["tests/test_cli.py"]),
-    # build_empirical_phi: a row holds only for the levels its residuals
-    # qualify at; copied to every finer level it makes phi, and so psi, too
-    # small, which can give a wrong sound=True
-    (VERIFICATION,
-     "        end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))",
-     "        end = k_max + 1",
-     ["tests/test_verification.py"]),
     # check_quasi_fejer: a row is decided only when no distance from n on
     # exceeds fl(dist[n] + slack); a wider test skips a row that violates
     (VERIFICATION,

@@ -156,10 +156,14 @@ EXTRA = [
                          "x0": [0.5, 0.5]},
              "schedule": SCHEDULE, "quant": {**QUANT_1D, "d": 2, "M": 4, "L": "3"},
              "params": {"steps": 40}}, [], 0),
-    # a residual table that cannot be built: no step of a moving path
-    # qualifies at level 1, and the task exits 2
+    # a phi query past a moving trace, which only a verified stationary tail
+    # could answer: the task exits 2; k_max is read and ignored
     ("certify-metastability", {"problem": ID_ZERO, "schedule": SCHEDULE, "quant": QUANT_1D,
                                "params": {"steps": 40, "k_max": 1}}, [], 2),
+    # a phi query inside a moving trace that no later residual answers: the
+    # path of affine-affine-nd stays above 1/106 from step 1,165 on (exit 2)
+    ("certify-metastability", {"problem": "affine-affine-nd", "params": {"k": 0, "steps": 2000}},
+     [], 2),
 ]
 
 

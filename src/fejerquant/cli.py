@@ -109,30 +109,19 @@ def _steps(params: dict, horizon: int | None, default: int) -> int:
     return field(params, "steps", natural, default)
 
 
-# The residual table of the empirical modulus has (k_max + 1) x (n + 1) int64
-# entries, n = min(n_max, steps - 1): at most 2**24 entries (128 MiB). A
-# larger k_max is refused before anything is allocated; n_max is clamped to
-# the trace.
-_PHI_CELLS = 2**24
+# the bounds of the residual table that phi's query over the trace replaced:
+# configs of the tasks that query phi may still carry them, and each is read
+# as a natural and ignored
+_TABLE_BOUNDS = ("k_max", "n_max")
 
 
-def _phi_range(params: dict, steps: int) -> tuple:
-    """The (k_max, n_max) rectangle of the empirical residual modulus."""
-    k_max = field(params, "k_max", natural, 25)
-    n_max = field(params, "n_max", natural, 200)
-    if (k_max + 1) * (min(n_max, steps - 1) + 1) > _PHI_CELLS:
-        raise ConfigError(
-            f"k_max: {k_max} makes a residual table of more than {_PHI_CELLS} "
-            f"entries for n_max {n_max} on {steps} steps"
-        )
-    return k_max, n_max
-
-
-def _params(cfg: dict, allowed: set) -> dict:
+def _params(cfg: dict, allowed: set, ignored: tuple = ()) -> dict:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-    only(params, allowed, "params")
+    only(params, allowed.union(ignored), "params")
+    for key in ignored:
+        field(params, key, natural, 0)
     return params
 
 
@@ -200,17 +189,14 @@ def _task_check_lemmas(
 def _task_certify_metastability(
     cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None, cap: int
 ):
-    params = _params(
-        cfg, {"k", "g", "steps", "k_max", "n_max", "use_psi_prime", "check_gamma"}
-    )
+    params = _params(cfg, {"k", "g", "steps", "use_psi_prime", "check_gamma"}, _TABLE_BOUNDS)
     use_psi_prime = field(params, "use_psi_prime", boolean, False)
     check_gamma = field(params, "check_gamma", boolean, False)
     k = field(params, "k", natural, 0)
     g = field(params, "g", ModulusFn.from_json, ModulusFn.affine(1, 1))
     steps = _steps(params, horizon, 1000)
-    k_max, n_max = _phi_range(params, steps)
     trace = _cli.run(inst, steps)
-    phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
+    phi = _cli.build_empirical_phi(trace, inst)
     cert = _cli.certify_metastability(
         inst,
         k,
@@ -234,15 +220,12 @@ def _task_certify_metastability(
 def _task_cauchy_modulus(
     cfg: dict, inst: ProblemInstance, out_dir: str, horizon: int | None, cap: int
 ):
-    params = _params(
-        cfg, {"eps", "steps", "k_max", "n_max", "use_kappa_hat", "phi_reg", "b"}
-    )
+    params = _params(cfg, {"eps", "steps", "use_kappa_hat", "phi_reg", "b"}, _TABLE_BOUNDS)
     use_hat = field(params, "use_kappa_hat", boolean, False)
     eps_list = field(params, "eps", list_of(rational), [Fraction(1, 4)])
     if not eps_list:  # theta(eps) checks the ball radius, so each task needs one
         raise ConfigError("eps: needs at least one target")
     steps = _steps(params, horizon, 1000)
-    k_max, n_max = _phi_range(params, steps)
     if "phi_reg" not in params:
         raise ConfigError("cauchy-modulus needs a phi_reg regularity modulus")
     from .regularity import RegularityModulus
@@ -251,7 +234,7 @@ def _task_cauchy_modulus(
     b = constant("b", field(params, "b", rational, Fraction(1)))
     radius = _cli.validate_regularity_ball(inst, phi_reg, b)
     trace = _cli.run(inst, steps)
-    phi = _cli.build_empirical_phi(trace, k_max, n_max, inst)
+    phi = _cli.build_empirical_phi(trace, inst)
 
     def theta_eval(eps: Fraction):
         return _cli.theta_moudafi(eps, inst.quant, phi, phi_reg, radius, use_hat, cap)

@@ -52,8 +52,9 @@ class MissingSolutions(FejerQuantError):
 class ResidualFloor(FejerQuantError):
     """Trace residuals never drop below a required threshold.
 
-    Raised by the empirical residual-modulus builder; carries the first
-    precision level k for which no qualifying index exists.
+    Raised by a query of the empirical residual modulus on a trace that moves
+    to its last step; carries the precision level k and the start n of the
+    search that found no qualifying index, and the least residual from n on.
     """
 
     def __init__(self, k: int, n: int, floor: float):

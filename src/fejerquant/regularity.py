@@ -274,16 +274,16 @@ def theta_moudafi(
 
 
 def validate_regularity_ball(
-    inst: ProblemInstance, phi_reg: RegularityModulus, b: Fraction, k_max: int = 1000
+    inst: ProblemInstance, phi_reg: RegularityModulus, b: Fraction, k_top: int = 1000
 ) -> Fraction:
     """The radius e^A*b + D of the ball about phi_reg's center z that the
     trajectory stays in, which ``theta_moudafi`` compares with phi_reg's.
 
     b >= ||x0 - z|| is checked; D bounds the total accumulated step sizes and
-    is certified from the Cauchy rate xi as min over k of (partial sum below
-    xi(k)) + 1/(k+1), all exact rationals. The partial sum only grows, so a
-    candidate is made only at the last k of each run of equal values of xi's
-    running maximum.
+    is certified from the Cauchy rate xi as min over k <= k_top of (partial
+    sum below xi(k)) + 1/(k+1), all exact rationals. The partial sum only
+    grows, so a candidate is made only at the last k of each run of equal
+    values of xi's running maximum.
     A closed-form xi is monotone and total, so the end of each run is found
     by bisection over k: power_sum_rate(1, 4) takes 7 values at k <= 1000. A
     table is read at every k, in order, so an error names the first k out of
@@ -296,7 +296,7 @@ def validate_regularity_ball(
     run_ends = []
     partial = Fraction(0)
     upto = k = 0
-    while k <= k_max:
+    while k <= k_top:
         n_k = xi(k)
         if k and upto < n_k:
             run_ends.append(partial + Fraction(1, k))
@@ -304,8 +304,8 @@ def validate_regularity_ball(
             partial += inst.schedule.mu_fraction(upto)
             upto += 1
         # the next k whose value may exceed the largest so far
-        k = k + 1 if xi.kind == "table" else bisect_right(range(k_max + 1), upto, lo=k + 1, key=xi)
-    return exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_max + 1)])
+        k = k + 1 if xi.kind == "table" else bisect_right(range(k_top + 1), upto, lo=k + 1, key=xi)
+    return exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_top + 1)])
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ reason, and provenance distinguishes analytic moduli from empirical ones.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -486,38 +485,50 @@ def certify_metastability(
 
 
 class EmpiricalPhi(Record):
-    """Residual-search modulus built from a trace.
+    """Residual-search modulus of a trace, computed when queried.
 
-    ``table[k, n]`` is the first index N >= n whose step residual is below
-    1/(k+1), monotone in both arguments. Queries beyond the tested rectangle
-    are answered as max(n, stationary_from) when the trace tail was verified
-    stationary at a point every stage map fixes; otherwise they raise, since
-    an empirical modulus must not extrapolate.
+    phi(k, n) is the first index N >= n whose step residual is below 1/(k+1).
+    The search reads ``residuals``, the trace's residuals before its
+    bit-constant tail: the tail's 0.0 residuals stand for convergence only
+    when the tail point is verified fixed by every stage map, and then
+    ``stationary_from`` is set and phi answers max(n, stationary_from) past
+    the search. Otherwise phi raises where the search ends, since an
+    empirical modulus must not extrapolate: ResidualFloor on a trace that
+    moves to its last step, TableRangeError past the trace or at its
+    unverified tail. Every answer is at least n, and the answers are
+    monotone in both arguments.
     """
 
-    table: np.ndarray
-    k_max: int
-    n_max: int
+    residuals: np.ndarray
+    steps: int
     stationary_from: Optional[int]
     provenance: str
 
     def __call__(self, k: int, n: int) -> int:
         if k < 0 or n < 0:
             raise ValueError("modulus arguments are naturals")
-        if k <= self.k_max and n <= self.n_max:
-            return int(self.table[k, n])
+        moving = self.residuals
+        if n < moving.shape[0]:
+            below = moving[n:] < 1 / (k + 1)  # exact int division: no OverflowError for a huge k
+            hit = int(np.argmax(below))
+            if below[hit]:
+                return n + hit
         if self.stationary_from is not None:
             return max(n, self.stationary_from)
+        if n < moving.shape[0] == self.steps:
+            raise ResidualFloor(k, n, float(np.min(moving[n:])))
+        where = f"past the trace's {self.steps} steps"
+        if n < self.steps:
+            where = f"finds no residual below 1/{k + 1} up to the constant tail at {len(moving)}"
         raise TableRangeError(
-            f"empirical residual modulus queried at (k={k}, n={n}) outside "
-            f"the tested rectangle [0,{self.k_max}]x[0,{self.n_max}] "
+            f"empirical residual modulus queried at (k={k}, n={n}) {where}, "
             "and the trace tail is not verified stationary"
         )
 
     @property
     def answers_every_query(self) -> bool:
-        """Whether the stationary completion answers every query beyond the
-        rectangle. Every answer is then at least n, and phi is monotone."""
+        """Whether the stationary completion answers every query past the
+        search. Every answer is then at least n, and phi is monotone."""
         return self.stationary_from is not None
 
 
@@ -543,64 +554,25 @@ def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> boo
     return False
 
 
-def build_empirical_phi(
-    trace: Trace,
-    k_max: int,
-    n_max: Optional[int] = None,
-    inst: Optional[ProblemInstance] = None,
-) -> EmpiricalPhi:
-    """Tabulate the residual-search modulus phi(k, n) from a trace.
+def build_empirical_phi(trace: Trace, inst: Optional[ProblemInstance] = None) -> EmpiricalPhi:
+    """The residual-search modulus phi(k, n) of a trace (see ``EmpiricalPhi``).
 
-    Raises ResidualFloor at the first (k, n) for which no trace index
-    qualifies. When the trace tail is bit-constant and ``inst`` certifies the
-    tail point as a universal stage fixed point, the modulus additionally
-    answers out-of-rectangle queries via the stationary completion.
-
-    The table is monotone in both arguments as built: each row is a running
-    minimum from the end, so it never decreases in n, and a finer level has
-    fewer qualifying residuals, so no row is below the one above it.
+    The search stops before the trace's bit-constant tail, the run of rows
+    equal to the last one. When ``inst`` certifies the tail point as a
+    universal stage fixed point, the tail is stationary and phi answers
+    every query past the search by the stationary completion.
     """
-    res = trace.residuals
     steps = trace.steps
-    if steps < 1:
-        raise ResidualFloor(0, 0, float("inf"))
-    if n_max is None:
-        n_max = steps - 1
-    n_max = min(n_max, steps - 1)
-    table = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
-    head = np.arange(n_max + 1, dtype=np.int64)
-    k = 0
-    while k <= k_max:
-        # the first index at or after n whose residual qualifies, `steps` if
-        # none: a reversed running minimum over n <= n_max, seeded with the
-        # first qualifying index beyond n_max
-        below = res < 1.0 / (k + 1)
-        beyond = below[n_max + 1 :]
-        after = n_max + 1 + int(np.argmax(beyond)) if beyond.any() else steps
-        qualifying = np.where(below[: n_max + 1], head, after)
-        next_qual = np.minimum.accumulate(qualifying[::-1])[::-1]
-        missing = np.flatnonzero(next_qual == steps)
-        if missing.size:
-            n = int(missing[0])
-            raise ResidualFloor(k, n, float(np.min(res[n:])))
-        # A residual qualifies at a prefix of the levels, so the row holds
-        # until the largest qualifying residual drops out: at most one row is
-        # computed per distinct residual, the levels between get copies.
-        top = float(np.max(res, where=below, initial=-np.inf))
-        end = bisect_left(range(k_max + 1), True, lo=k + 1, key=lambda j: not top < 1.0 / (j + 1))
-        table[k:end] = next_qual
-        k = end
-    stationary_from: Optional[int] = None
     tail = trace.points[-1]
-    same = np.all(trace.points == tail[None, :], axis=1)
-    if bool(same[-1]):
-        # the constant tail starts after the last row that differs from it
-        differ = np.flatnonzero(~same)
-        first = int(differ[-1]) + 1 if differ.size else 0
-        if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):
-            stationary_from = first
+    # the constant tail starts after the last row that differs from it; a
+    # last row with a NaN differs from itself, and the search reads every step
+    differ = np.flatnonzero(~np.all(trace.points == tail[None, :], axis=1))
+    first = int(differ[-1]) + 1 if differ.size else 0
+    stationary_from: Optional[int] = None
+    if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):
+        stationary_from = first
     provenance = "empirical+stationary" if stationary_from is not None else "empirical"
-    return EmpiricalPhi(table, k_max, n_max, stationary_from, provenance)
+    return EmpiricalPhi(trace.residuals[:first], steps, stationary_from, provenance)
 
 
 # --------------------------------------------------------------------------

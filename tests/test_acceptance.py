@@ -88,7 +88,7 @@ def standard_pilot():
     """dc-abs-1d from the catalog start, full 10^5-stage pilot."""
     inst = fq.preset("dc-abs-1d")
     trace = run(inst, 100_000)
-    phi = build_empirical_phi(trace, k_max=3, n_max=200, inst=inst)
+    phi = build_empirical_phi(trace, inst=inst)
     return inst, trace, phi
 
 
@@ -114,7 +114,7 @@ def calibrated_pilot():
     inst = replace(base, schedule=sched, quant=quant)
     inst.quant.validate_against(inst.schedule)
     trace = run(inst, 100_000)
-    phi = build_empirical_phi(trace, k_max=25, n_max=200, inst=inst)
+    phi = build_empirical_phi(trace, inst=inst)
     return inst, trace, phi
 
 

@@ -46,7 +46,7 @@ MAKERS = {
     "RegularityModulus": lambda: RegularityModulus("linear", [0.0], 1, "analytic"),
     "GHModuli": lambda: GHModuli(_identity, _identity, 1, max, _identity),
     "Certificate": lambda: Certificate("k", {"a": 1}, {}, None, True),
-    "EmpiricalPhi": lambda: EmpiricalPhi(np.zeros((1, 1), dtype=np.int64), 0, 0, None, "empirical"),
+    "EmpiricalPhi": lambda: EmpiricalPhi(np.zeros(1), 1, None, "empirical"),
 }
 # the classes declared with value equality, as they always were
 VALUE_EQUAL = {"Field", "PowerRule", "ParameterSchedule", "QuantitativeData", "NaturalBound",

@@ -321,7 +321,7 @@ def test_iteration_modulus_on_the_calibrated_box():
     phi_reg = RegularityModulus("linear", np.array([0.0, 1.0]), Fraction(8), "analytic")
     radius = validate_regularity_ball(inst, phi_reg, Fraction(3, 4))
     trace = fq.run(inst, 12_000)
-    phi = fq.build_empirical_phi(trace, 25, 200, inst)
+    phi = fq.build_empirical_phi(trace, inst)
     thetas = [int(theta_moudafi(e, inst.quant, phi, phi_reg, radius))
               for e in (Fraction(1, 4), Fraction(1, 16))]
     assert thetas == [2598, 10246]

@@ -8,7 +8,6 @@ the checks prove nothing.
 
 import json
 import math
-import time
 import tracemalloc
 from fractions import Fraction
 from typing import Optional
@@ -335,7 +334,7 @@ def test_find_metastable_agrees_with_brute_force():
 
 def pilot_phi(inst, steps=300):
     tr = run(inst, steps)
-    return tr, build_empirical_phi(tr, k_max=3, n_max=250, inst=inst)
+    return tr, build_empirical_phi(tr, inst=inst)
 
 
 def test_metastability_certificate_on_the_catalog():
@@ -360,10 +359,10 @@ def test_metastability_certificate_names_the_phi_provenance():
     # argument to say so; any other phi_search is an analytic input
     inst = dc()
     trace = run(inst, 1000)
-    phi = build_empirical_phi(trace, k_max=3, n_max=200, inst=inst)
+    phi = build_empirical_phi(trace, inst=inst)
     cert = certify_metastability(inst, 0, G_LINEAR, phi, horizon=1000, trace=trace)
     assert cert.provenance == {"phi_search": "empirical+stationary"}
-    empirical = EmpiricalPhi(phi.table, phi.k_max, phi.n_max, phi.stationary_from, "empirical")
+    empirical = EmpiricalPhi(phi.residuals, phi.steps, phi.stationary_from, "empirical")
     cert = certify_metastability(inst, 0, G_LINEAR, empirical, horizon=1000, trace=trace)
     assert cert.provenance == {"phi_search": "empirical"}
     cert = certify_metastability(inst, 0, G_LINEAR, lambda k, n: n + k, 1000, trace=trace)
@@ -401,7 +400,7 @@ def test_metastability_rate_ends_at_a_fixed_point_of_its_stages():
                   "varpi": {"kind": "identity"}},
     })
     tr = run(inst, 2000)
-    phi = build_empirical_phi(tr, k_max=25, n_max=200, inst=inst)
+    phi = build_empirical_phi(tr, inst=inst)
     assert phi.answers_every_query
     cert = certify_metastability(inst, 10, G_LINEAR, phi, 2000, trace=tr)
     assert cert.witness["P"] == "8231162"
@@ -480,8 +479,7 @@ def test_certificate_json_is_reproducible():
 def monotonize_table(table: np.ndarray) -> np.ndarray:
     """Cumulative max along both axes: the smallest pointwise-dominating
     table that is monotone nondecreasing in k (axis 0) and n (axis 1).
-    build_empirical_phi's table is monotone as built, so it is its own
-    closure."""
+    A table of phi's answers is monotone, so it is its own closure."""
     out = np.array(table, dtype=np.int64, copy=True)
     np.maximum.accumulate(out, axis=0, out=out)
     np.maximum.accumulate(out, axis=1, out=out)
@@ -498,7 +496,7 @@ def test_empirical_phi_small_example():
     pts = np.array([[0.0], [2.0], [2.4], [2.44]])
     diffs = np.abs(pts[:-1, 0] - pts[1:, 0])
     tr = Trace(pts, np.ones(3), np.ones(3), diffs)
-    phi = build_empirical_phi(tr, 2)
+    phi = build_empirical_phi(tr)
     assert phi(0, 0) == 1 and phi(0, 2) == 2
     assert phi(1, 0) == 1 and phi(2, 0) == 2
     assert phi.provenance == "empirical" and phi.stationary_from is None
@@ -511,7 +509,7 @@ def test_empirical_phi_small_example():
 def test_empirical_phi_stationary_completion():
     inst = dc()
     tr = run(inst, 200)
-    phi = build_empirical_phi(tr, k_max=2, n_max=150, inst=inst)
+    phi = build_empirical_phi(tr, inst=inst)
     assert phi.provenance == "empirical+stationary"
     assert phi.stationary_from == 1
     assert phi(50, 10_000) == 10_000  # completion: max(n, stationary index)
@@ -523,13 +521,14 @@ def test_a_diagonal_t_must_fix_the_tail_at_lambda_b_too():
     # T x = x and S x = 2x - 1 agree at 1, so T(1) = 1 lies in S(1) = {1}: the
     # lambda -> 0 endpoint holds. The Yosida value at lambda = B = 1 is 1/2,
     # not in S(1), so no stage map fixes 1 and a constant trace there is not
-    # a stationary tail
+    # a stationary tail: its 0.0 residuals answer no query
     inst = dc(S=AffinePSD([[2.0]], [-1.0]), x0=np.array([1.0]), known_solutions=())
     assert not _verified_stage_fixed_point(inst, np.array([1.0]))
-    phi = build_empirical_phi(hand_trace([1.0] * 6), k_max=2, inst=inst)
+    phi = build_empirical_phi(hand_trace([1.0] * 6), inst=inst)
     assert phi.stationary_from is None and phi.provenance == "empirical"
-    with pytest.raises(TableRangeError):
-        phi(3, 0)
+    for n in (0, 3, 6):
+        with pytest.raises(TableRangeError, match="the trace tail is not verified stationary$"):
+            phi(0, n)
 
 
 def reference_stationary_from(points: np.ndarray) -> int:
@@ -557,142 +556,172 @@ def test_stationary_from_matches_the_row_loop(moving, want):
     pts[moving, 0] = 0.25 / (1 + np.arange(len(moving)))
     diffs = np.abs(pts[:-1, 0] - pts[1:, 0])
     tr = Trace(pts, np.ones(steps), np.ones(steps), diffs)
-    phi = build_empirical_phi(tr, 0, inst=dc())
+    phi = build_empirical_phi(tr, inst=dc())
     first = reference_stationary_from(pts)
     assert phi.stationary_from == (first if first < steps else None) == want
 
 
 def test_empirical_phi_without_instance_does_not_extrapolate():
+    # the trace stays at 0 from step 1, but no instance certifies 0 as fixed:
+    # past the first residual, inside the tail and past the trace, phi raises
     tr = run(dc(), 200)
-    phi = build_empirical_phi(tr, k_max=2, n_max=150)  # no fixed-point certificate
+    phi = build_empirical_phi(tr)  # no fixed-point certificate
     assert phi.stationary_from is None and not phi.answers_every_query
-    with pytest.raises(TableRangeError):
-        phi(0, 151)
+    assert phi(0, 0) == 0
+    for k, n in ((1, 0), (0, 1), (0, 151), (0, 200), (0, 201)):
+        with pytest.raises(TableRangeError, match="the trace tail is not verified stationary$"):
+            phi(k, n)
 
 
 def test_empirical_phi_reports_residual_floors():
-    # from x0 = 2 the residuals settle above 1: no index qualifies even at k=0
+    # from x0 = 2 the residuals settle above 1: no index from 50 on qualifies
+    # even at k = 0
     tr = run(from_two(), 100)
-    with pytest.raises(ResidualFloor):
-        build_empirical_phi(tr, 1)
+    phi = build_empirical_phi(tr)
+    with pytest.raises(ResidualFloor) as floor:
+        phi(0, 50)
+    assert (floor.value.k, floor.value.n) == (0, 50)
+    assert floor.value.floor == float(np.min(tr.residuals[50:])) > 1
 
 
-def reference_phi_table(res, k_max, n_max):
-    """The per-index scan build_empirical_phi replaced: for each k, walk
-    back from the end carrying the next index whose residual is below 1/(k+1)."""
+def test_a_rounding_stall_answers_no_phi_query():
+    # T = Id, S = 0 (the CLI's rounding-stall config): from step 249,647 the
+    # iterate stays at 0.8637 with residual 0.0, far from the only zero 0. A
+    # search that read that residual would answer phi(105, 105) = 249,647
+    inst = fq.ProblemInstance.from_json({
+        "problem": {"T": {"kind": "affine_psd", "matrix": [[1.0]], "offset": [0.0]},
+                    "S": {"kind": "zero", "dim": 1}, "x0": [0.5]},
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 300_000},
+        "quant": dc().quant.to_json(),
+    })
+    tr = run(inst, 300_000)
+    assert tr.residuals[249_647] == 0.0 and tr.residuals[249_646] > 1
+    phi = build_empirical_phi(tr, inst=inst)
+    with pytest.raises(TableRangeError) as err:
+        phi(105, 105)
+    assert str(err.value) == (
+        "empirical residual modulus queried at (k=105, n=105) finds no residual below 1/106 "
+        "up to the constant tail at 249647, and the trace tail is not verified stationary"
+    )
+    assert phi.stationary_from is None and phi.residuals.shape == (249_647,)
+
+
+def test_phi_thresholds_are_int_divisions():
+    # 1 / (k + 1) is correctly rounded: at k = 2**53 it is the float below
+    # 2**-53, where 1.0 / (k + 1) rounds k + 1 first and gives 2**-53 itself
+    k = 2**53
+    thr = 1 / (k + 1)
+    assert thr == np.nextafter(2.0**-53, 0) and 1.0 / (k + 1) == 2.0**-53
+    res = np.array([1.0, thr, np.nextafter(thr, 0), 0.0])
+    tr = Trace(np.arange(5.0).reshape(-1, 1), np.ones(4), np.ones(4), res)
+    phi = build_empirical_phi(tr)
+    assert [phi(k, n) for n in range(4)] == [2, 2, 2, 3]
+    # at k = 10**400, 1.0 / (k + 1) raises OverflowError; 1 / (k + 1) is 0.0,
+    # which no residual is below: a moving trace reaches its floor, and a
+    # verified stationary tail answers by the completion
+    k = 10**400
+    with pytest.raises(ResidualFloor) as floor:
+        phi(k, 1)
+    assert (floor.value.k, floor.value.n, floor.value.floor) == (k, 1, 0.0)
+    inst = dc()
+    stationary = build_empirical_phi(run(inst, 50), inst=inst)
+    assert stationary.stationary_from == 1
+    assert [stationary(k, n) for n in (0, 1, 7, 10**400)] == [1, 1, 7, 10**400]
+
+
+def reference_phi_table(res, k_max):
+    """The per-index scan: for each k <= k_max, walk back from the end
+    carrying the next index whose residual is below 1/(k+1), -1 where no
+    index from n on qualifies."""
     steps = res.shape[0]
-    raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
+    raw = np.empty((k_max + 1, steps), dtype=np.int64)
     for k in range(k_max + 1):
         thr = 1.0 / (k + 1)
-        next_qual = np.full(steps + 1, -1, dtype=np.int64)
+        nxt = -1
         for n in range(steps - 1, -1, -1):
-            next_qual[n] = n if res[n] < thr else next_qual[n + 1]
-        for n in range(n_max + 1):
-            if next_qual[n] < 0:
-                raise ResidualFloor(k, n, float(np.min(res[n:])))
-            raw[k, n] = next_qual[n]
-    return monotonize_table(raw)
+            if res[n] < thr:
+                nxt = n
+            raw[k, n] = nxt
+    return raw
+
+
+# zeros, ties, NaN, inf, values that qualify at no level, and each threshold
+# 1/(k+1), k <= 6, with the floats either side of it
+PHI_POOL = [0.0, 0.0, 2.0, 1.0, 0.5, 0.25, 1 / 3, 1 / 7, 1 / 40, 0.01, 1e-300, np.inf, np.nan]
+PHI_POOL += [v for k in range(7) for v in (np.nextafter(1 / (k + 1), 0), np.nextafter(1 / (k + 1), 2))]
+RAISES = np.iinfo(np.int64).max  # an answer table's mark for a query that raises
 
 
 def test_empirical_phi_matches_the_reference_scan():
     rng = np.random.default_rng(11)
-    outcomes = {"table": 0, "floor": 0}
-    for trial in range(300):
-        steps = int(rng.integers(1, 60))
-        # residuals on the thresholds 1/(k+1) themselves, and a tail that
-        # stays high in some trials so the floor is hit at varied (k, n)
-        res = rng.choice([2.0, 1.0, 0.5, 0.4, 1 / 3, 0.2, 0.05, 0.0], size=steps)
-        if trial % 3 == 0:
-            res[int(rng.integers(0, steps)) :] = rng.choice([0.6, 0.3, 0.21])
-        tr = Trace(np.zeros((steps + 1, 1)), np.ones(steps), np.ones(steps), res)
-        k_max = int(rng.integers(0, 6))
-        n_max = int(rng.integers(0, steps))
-        try:
-            expected = reference_phi_table(res, k_max, n_max)
-        except ResidualFloor as want:
-            with pytest.raises(ResidualFloor) as got:
-                build_empirical_phi(tr, k_max, n_max)
-            assert (got.value.k, got.value.n, got.value.floor) == (want.k, want.n, want.floor)
-            outcomes["floor"] += 1
-            continue
-        table = build_empirical_phi(tr, k_max, n_max).table
-        assert table.dtype == expected.dtype and np.array_equal(table, expected)
-        assert np.array_equal(monotonize_table(table), table)
-        outcomes["table"] += 1
-    assert min(outcomes.values()) > 50
+    outcomes = {"answer": 0, "floor": 0}
+    for trial in range(150):
+        steps = int(rng.integers(1, 40))
+        res = rng.choice(PHI_POOL, size=steps)
+        if trial % 3 == 0:  # a floor the tail never drops below
+            res[int(rng.integers(0, steps)) :] = rng.choice([0.6, 0.3, 0.21, 1 / 11])
+        # a moving trace: no two rows alike, so every residual is searched
+        tr = Trace(np.arange(steps + 1.0).reshape(-1, 1), np.ones(steps), np.ones(steps), res)
+        phi = build_empirical_phi(tr, inst=dc())
+        assert phi.stationary_from is None and phi.residuals.shape == (steps,)
+        want = reference_phi_table(res, 6)
+        got = np.full_like(want, RAISES)
+        for k in range(7):
+            for n in range(steps):
+                if want[k, n] >= 0:
+                    got[k, n] = phi(k, n)
+                    outcomes["answer"] += 1
+                    continue
+                with pytest.raises(ResidualFloor) as floor:
+                    phi(k, n)
+                assert (floor.value.k, floor.value.n) == (k, n)
+                assert np.array_equal(floor.value.floor, np.min(res[n:]), equal_nan=True)
+                outcomes["floor"] += 1
+            with pytest.raises(TableRangeError, match="past the trace's"):
+                phi(k, steps)
+        assert np.array_equal(got, np.where(want >= 0, want, RAISES))
+        assert np.array_equal(monotonize_table(got), got)  # monotone in k and in n
+    assert min(outcomes.values()) > 500
 
 
-def reference_empirical_phi(trace, k_max, n_max, inst=None):
-    """The per-level loop build_empirical_phi replaced: one full residual pass
-    for every k, with the stationary tail found row by row."""
-    res, steps = trace.residuals, trace.steps
-    n_max = min(n_max, steps - 1)
-    raw = np.empty((k_max + 1, n_max + 1), dtype=np.int64)
-    head = np.arange(n_max + 1, dtype=np.int64)
-    for k in range(k_max + 1):
-        below = res < 1.0 / (k + 1)
-        beyond = below[n_max + 1 :]
-        after = n_max + 1 + int(np.argmax(beyond)) if beyond.any() else steps
-        qualifying = np.where(below[: n_max + 1], head, after)
-        next_qual = np.minimum.accumulate(qualifying[::-1])[::-1]
-        missing = np.flatnonzero(next_qual == steps)
-        if missing.size:
-            n = int(missing[0])
-            raise ResidualFloor(k, n, float(np.min(res[n:])))
-        raw[k] = next_qual
-    first = reference_stationary_from(trace.points)
-    stationary = first < steps and inst is not None and _verified_stage_fixed_point(inst, trace.points[-1])
-    return monotonize_table(raw), first if stationary else None
-
-
-def test_empirical_phi_matches_the_per_level_loop():
+def test_empirical_phi_reads_a_constant_tail_only_when_verified():
     rng = np.random.default_rng(23)
-    # zeros, ties, residuals on the thresholds 1/(k+1) and one float either
-    # side of them, NaN, and values that qualify at no level
-    pool = [0.0, 0.0, 2.0, 1.0, 0.5, 0.25, 1 / 3, 1 / 7, 1 / 40, 0.01, 1e-300, np.inf, np.nan]
-    pool += [np.nextafter(1 / 9, 0), np.nextafter(1 / 9, 1)]
-    outcomes = {"table": 0, "floor": 0, "stationary": 0}
-    for trial in range(400):
-        steps = int(rng.integers(1, 50))
-        res = rng.choice(pool, size=steps)
-        if trial % 4 == 0:  # a floor the tail never drops below
-            res[int(rng.integers(0, steps)) :] = rng.choice([0.6, 0.3, 0.05, 1 / 11])
+    outcomes = {"answer": 0, "completion": 0, "raise": 0}
+    for trial in range(200):
+        steps = int(rng.integers(1, 40))
+        res = rng.choice(PHI_POOL, size=steps)
+        # rows off the tail point before the tail: at 0, which every stage map
+        # of dc-abs-1d fixes, or at 1/2, which none does
+        first = int(rng.integers(0, steps + 1))
         pts = np.zeros((steps + 1, 1))
-        if trial % 5:  # some rows off the fixed point 0 of dc-abs-1d
-            moving = int(rng.integers(0, steps + 1))
-            pts[:moving, 0] = 0.25 / (1 + np.arange(moving))
+        pts[:first, 0] = 0.25 / (1 + np.arange(first))
+        verified = trial % 2 == 0
+        if not verified:
+            pts[:, 0] += 0.5
         tr = Trace(pts, np.ones(steps), np.ones(steps), res)
-        k_max = int(rng.integers(0, 120))
-        n_max = int(rng.integers(0, steps + 2))
-        try:
-            table, stationary_from = reference_empirical_phi(tr, k_max, n_max, dc())
-        except ResidualFloor as want:
-            with pytest.raises(ResidualFloor) as got:
-                build_empirical_phi(tr, k_max, n_max, dc())
-            assert (got.value.k, got.value.n) == (want.k, want.n)
-            assert np.array_equal(got.value.floor, want.floor, equal_nan=True)
-            outcomes["floor"] += 1
-            continue
-        phi = build_empirical_phi(tr, k_max, n_max, dc())
-        assert phi.table.dtype == table.dtype and np.array_equal(phi.table, table)
-        assert np.array_equal(monotonize_table(phi.table), phi.table)
-        assert phi.stationary_from == stationary_from
-        outcomes["table"] += 1
-        outcomes["stationary"] += stationary_from is not None
-    assert min(outcomes.values()) > 40
-
-
-def test_empirical_phi_cost_does_not_grow_with_k_max():
-    # one residual pass per level took about 4 s at k_max = 2**18; now a row
-    # is computed once per distinct residual and copied across the levels
-    inst = dc()
-    tr = run(inst, 50)
-    start = time.perf_counter()
-    phi = build_empirical_phi(tr, 2**18, 7, inst)
-    assert time.perf_counter() - start < 1.0
-    table, _ = reference_empirical_phi(tr, 2**10, 7, inst)
-    assert np.array_equal(phi.table[: 2**10 + 1], table)
-    assert (phi.table[2**10 :] == phi.table[-1]).all()
+        phi = build_empirical_phi(tr, inst=dc())
+        assert first == reference_stationary_from(pts)
+        assert phi.stationary_from == (first if verified and first < steps else None)
+        want = reference_phi_table(res[:first], 6)
+        got = np.full((7, steps + 2), RAISES)
+        for k in range(7):
+            for n in range(steps + 2):
+                if n < first and want[k, n] >= 0:
+                    got[k, n] = want[k, n]
+                    outcomes["answer"] += 1
+                elif phi.stationary_from is not None:
+                    got[k, n] = max(n, first)
+                    outcomes["completion"] += 1
+                else:
+                    error = ResidualFloor if n < first == steps else TableRangeError
+                    with pytest.raises(error):
+                        phi(k, n)
+                    outcomes["raise"] += 1
+                    continue
+                assert phi(k, n) == got[k, n]
+        assert np.array_equal(monotonize_table(got), got)
+    assert min(outcomes.values()) > 500
 
 
 # --------------------------------------------------------------------------
