@@ -66,7 +66,7 @@ MUTANTS = [
     (VERIFICATION,
      "    return EmpiricalPhi(trace.residuals[:first], steps, stationary_from, provenance)",
      "    return EmpiricalPhi(trace.residuals, steps, stationary_from, provenance)",
-     ["tests/test_verification.py"]),
+     ["tests/test_verification.py", "tests/test_cli.py"]),
     # EmpiricalPhi: a query answers the qualifying index, not its start; an
     # answer too small makes psi too small, which can give a wrong sound=True
     (VERIFICATION,
@@ -83,17 +83,23 @@ MUTANTS = [
      "        return sha256(blob.encode()).hexdigest()",
      '        return __import__("hashlib").sha256(blob.encode()).hexdigest()',
      ["tests/test_cli.py"]),
-    # check_quasi_fejer: a row is decided only when no distance from n on
-    # exceeds fl(dist[n] + slack); a wider test skips a row that violates
+    # check_quasi_fejer: a row retires only when both right-hand sides reach
+    # every later distance; a wider test retires a row that violates
     (VERIFICATION,
-     "    decided = top[:, :cols] <= dist[:, :cols] + _SLACK",
-     "    decided = top[:, :cols] <= dist[:, :cols] + 10 * _SLACK",
+     "            retired = (rhs_prod[:, j] >= later) & (rhs_exp[:, j] >= later)",
+     "            retired = (rhs_prod[:, j] + 10 * _SLACK >= later) & (rhs_exp[:, j] >= later)",
      ["tests/test_quasi_fejer.py"]),
-    # the decision needs every rho >= 1 and mu >= 0: a hand-built trace with a
-    # negative mu is swept in full
+    # a row retiring at offset l must still meet the distance at n + l + 1:
+    # one offset too late, the next rise goes unchecked
     (VERIFICATION,
-     "    if not (np.all(rho >= 1.0) and np.all(mus >= 0.0)):",
-     "    if False:",
+     "            later = top[:, a + l + 1 : b + l + 1]",
+     "            later = top[:, a + l + 2 : b + l + 2]",
+     ["tests/test_quasi_fejer.py"]),
+    # retirement needs every rho >= 1 and mu >= 0: a hand-built trace with a
+    # negative mu retires no row
+    (VERIFICATION,
+     "        if np.all(rho >= 1.0) and np.all(mus >= 0.0):",
+     "        if True:",
      ["tests/test_quasi_fejer.py"]),
     # ProblemInstance: dom S lies in dom T on the hi side of each coordinate too
     (ITERATION,

@@ -601,7 +601,7 @@ def _diameter_scan_order(w: np.ndarray) -> tuple:
 # --------------------------------------------------------------------------
 
 
-def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
+def run(inst: ProblemInstance, n_steps: int) -> Trace:
     """Run the iteration for n_steps stages and record the trace.
 
     A separable instance, where T and S act on each coordinate on its own
@@ -611,7 +611,8 @@ def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
     ``yosida``. So does a d > 1 run whose coordinate loops stop on an error,
     since the first error of one coordinate need not be the run's first, or
     on a signed-zero solve (``SignedZeroSolve``). The residuals are computed
-    after the loop, by the kernel of the per-step ``np.linalg.norm``.
+    after the loop, by the kernel of the per-step ``np.linalg.norm``. A
+    trace whose diameter exceeds the certified L raises InvariantViolation.
     """
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
@@ -635,7 +636,7 @@ def run(inst: ProblemInstance, n_steps: int, validate_l: bool = True) -> Trace:
         )
     res = row_norms(pts[:-1] - pts[1:])
     trace = Trace(pts, lams, mus, np.divide(res, mus, out=res))
-    if validate_l and n_steps > 0:
+    if n_steps > 0:
         _check_diameter(inst, trace)
     return trace
 

@@ -157,14 +157,15 @@ def check_quasi_fejer(
     sides are the ones of a loop over (n, l) bit for bit. Violations are
     listed in (solution, n, l, form) order, the first 50 of them.
 
-    Rows where the sequence is Fejer monotone are decided without the sweep.
-    Every running product and e^A is >= 1 and every added term is >= 0 when
-    each rho >= 1 and each mu >= 0, as in every trace that ``run`` makes.
-    Rounding is monotone, so each computed right-hand side of row n is then
-    >= fl(dist[n] + 1e-9), and a row none of whose distances from n on
-    exceeds that holds no violation (a NaN right-hand side reports none
-    either). The sweep runs over the rows from the first one left to the
-    last. The argument needs only a slack >= 0 and added terms >= 0, so it
+    A row retires once it is decided. When every rho >= 1 and every mu >= 0,
+    as in every trace that ``run`` makes, each running product and e^A is
+    >= 1 and every added term is >= 0, so by monotone rounding the computed
+    right-hand sides of a row do not decrease in l. At the end of each tile
+    at offset l, a row whose two right-hand sides at l are, for every
+    solution, >= the largest distance from step n + l + 1 on can hold no
+    violation at a later offset (a NaN retires nothing). The sweep runs over
+    the rows from the first one not retired to the last, and stops when none
+    is left. The argument needs only a slack >= 0 and added terms >= 0, so it
     still holds when a series of rounding errors replaces the slack.
     """
     if not inst.known_solutions:
@@ -188,26 +189,27 @@ def check_quasi_fejer(
     n_top = min(max_n, steps)
     l_top = min(max_l, steps)
     checked = 0
-    left = np.arange(0)  # the rows n that the sweep checks
     if kept and n_top >= 0 and l_top >= 0:
         cols = n_top + 1
         # the last offset checked from row n is min(max_l, steps - n)
         checked = len(kept) * sum(min(l_top, steps - n) + 1 for n in range(cols))
         reach = n_top + l_top  # the last step to offset l_top reads rho[reach - 1]
         live = min(reach, steps)
-        dist = np.full((len(kept), reach + 1), -np.inf)
+        # one column past reach: a row retiring at l_top reads top[:, reach + 1]
+        dist = np.full((len(kept), reach + 2), -np.inf)
         dist[:, : live + 1] = np.stack(dists)[:, : live + 1]
         # past the trace a row keeps its last values: finite, never compared
         rho = np.ones(reach)
         rho[:live] = 1.0 + trace.mus[:live] / trace.lambdas[:live]
         mus = np.zeros(reach)
         mus[:live] = trace.mus[:live]
-        left = _undecided_rows(dist, rho, mus, cols)
-    if left.size:
-        lo, cols = int(left[0]), int(left[-1]) + 1 - int(left[0])
-        dist, rho, mus = dist[:, lo:], rho[lo:], mus[lo:]
+        if np.all(rho >= 1.0) and np.all(mus >= 0.0):
+            # the largest distance from each step on, padding included
+            top = np.maximum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
+        else:  # right-hand sides that may decrease retire no row
+            top = np.full_like(dist, np.nan)
         sol = np.array(kept)
-        lhs_of = sliding_window_view(dist, cols, axis=1)  # [s, l, n] = dist[s, lo + n + l]
+        lhs_of = sliding_window_view(dist, cols, axis=1)  # [s, l, n] = dist[s, n + l]
         base = dist[:, None, :cols]
         e_base = e_a * base
         t2 = np.array(t2)[:, None, None]
@@ -216,14 +218,15 @@ def check_quasi_fejer(
         acc = np.empty((height, cols))
         musum = np.empty((height, cols))
         prod[0], acc[0], musum[0] = 1.0, 0.0, 0.0
-        # the buffer rows, each view made once: on a narrow sweep a view per
-        # offset costs more than the arithmetic
+        a, b = 0, cols  # the rows from the first one not retired to the last
+        # the buffer rows over [a, b), each view made once: on a narrow sweep a
+        # view per offset costs more than the arithmetic
         rows = list(zip(prod, acc, musum))
         for l in range(l_top + 1):
             j = l % height  # the buffer row of offset l
             if l:
                 (prod_p, acc_p, musum_p), (prod_j, acc_j, musum_j) = rows[j - 1], rows[j]
-                step_rho, step_mu = rho[l - 1 : l - 1 + cols], mus[l - 1 : l - 1 + cols]
+                step_rho, step_mu = rho[a + l - 1 : b + l - 1], mus[a + l - 1 : b + l - 1]
                 np.multiply(prod_p, step_rho, out=prod_j)
                 np.multiply(acc_p, step_rho, out=acc_j)
                 np.add(acc_j, step_mu, out=acc_j)
@@ -231,11 +234,11 @@ def check_quasi_fejer(
             if j < height - 1 and l < l_top:
                 continue
             first = l - j  # the buffer holds offsets first..l
-            lhs = lhs_of[:, first : l + 1]
-            rhs_prod = prod[: j + 1] * base
-            rhs_prod += t2 * acc[: j + 1]
+            lhs = lhs_of[:, first : l + 1, a:b]
+            rhs_prod = prod[: j + 1, a:b] * base[:, :, a:b]
+            rhs_prod += t2 * acc[: j + 1, a:b]
             rhs_prod += _SLACK
-            rhs_exp = e_base + coef * musum[: j + 1]
+            rhs_exp = e_base[:, :, a:b] + coef * musum[: j + 1, a:b]
             rhs_exp += _SLACK
             for form, rhs in enumerate((rhs_prod, rhs_exp)):
                 above = lhs > rhs
@@ -243,8 +246,17 @@ def check_quasi_fejer(
                     s, at, n = np.nonzero(above)
                     of_form = np.full(s.size, form)
                     found.append(
-                        (sol[s], lo + n, first + at, of_form, lhs[s, at, n], rhs[s, at, n])
+                        (sol[s], a + n, first + at, of_form, lhs[s, at, n], rhs[s, at, n])
                     )
+            later = top[:, a + l + 1 : b + l + 1]
+            retired = (rhs_prod[:, j] >= later) & (rhs_exp[:, j] >= later)
+            left = np.flatnonzero(~retired.all(axis=0))
+            if not left.size:
+                break
+            span = a + int(left[0]), a + int(left[-1]) + 1
+            if span != (a, b):
+                a, b = span
+                rows = list(zip(prod[:, a:b], acc[:, a:b], musum[:, a:b]))
     violations = []
     if found:
         sols, ns, ls, forms, lhss, rhss = (np.concatenate(c) for c in zip(*found))
@@ -283,22 +295,6 @@ def check_quasi_fejer(
         violations=tuple(violations),
         provenance={"slack": _SLACK, "witnesses": "exact minimal selections"},
     )
-
-
-def _undecided_rows(dist: np.ndarray, rho: np.ndarray, mus: np.ndarray, cols: int) -> np.ndarray:
-    """The rows n < cols that some solution's distances do not decide.
-
-    A row is decided when no distance from n on exceeds fl(dist[n] + _SLACK):
-    with every rho >= 1 and every mu >= 0, no right-hand side of the row is
-    below that (see ``check_quasi_fejer``). A NaN decides nothing, and
-    neither does any row when a rho or a mu breaks the premise.
-    """
-    if not (np.all(rho >= 1.0) and np.all(mus >= 0.0)):
-        return np.arange(cols)
-    # the largest distance from each row on, padding included
-    top = np.maximum.accumulate(dist[:, ::-1], axis=1)[:, ::-1]
-    decided = top[:, :cols] <= dist[:, :cols] + _SLACK
-    return np.flatnonzero(~np.all(decided, axis=0))
 
 
 def check_approx_error(

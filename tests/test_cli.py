@@ -479,6 +479,26 @@ def test_a_rounding_stall_is_not_read_as_convergence(tmp_path, capsys):
     assert not list(tmp_path.glob("metastability_k*.json"))
 
 
+def test_a_rounding_stall_does_not_answer_the_cauchy_rate(tmp_path, capsys):
+    # the stall above, through cauchy-modulus: phi's search stops before the
+    # unverified constant tail, whose 0.0 residuals would answer phi there
+    # and certify the stall as within eps of its limit
+    cfg = write_config(tmp_path, {
+        **_inline_dc(S={"kind": "zero", "dim": 1}),
+        "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1},
+                     "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 300_000},
+        "params": {"eps": ["1/2"], "b": "1", "steps": 300_000,
+                   "phi_reg": {**PHI_REG, "radius": "100", "scale": "100"}},
+    })
+    assert main(["cauchy-modulus", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config/problem error: empirical residual modulus queried at (k=1175, n=1175) finds "
+        "no residual below 1/1176 up to the constant tail at 249647, and the trace tail is "
+        "not verified stationary"
+    )
+    assert not (tmp_path / "cauchy_modulus.json").exists()
+
+
 def test_the_affine_preset_path_never_nears_its_zero(tmp_path, capsys):
     # T = 2I, S = I: the path from (1, 1) settles at (0.855, 0.855), not at the
     # zero (0, 0), so no residual drops below 1/(k+1) even at k = 0, and the

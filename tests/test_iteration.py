@@ -343,7 +343,6 @@ def test_run_guards():
     tight = dc_instance(x0=np.array([2.0]), quant=quant(L=Fraction(1, 100)))
     with pytest.raises(InvariantViolation, match="diameter"):
         run(tight, 10)
-    run(tight, 10, validate_l=False)  # opt-out for diagnostics
 
 
 def arch_instance(L, steps=20_001):

@@ -8,6 +8,7 @@ violations and the ``checked`` count must all agree exactly.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from test_value_sets import evaluate, minimal_selection
 import fejerquant as fq
 from fejerquant import verification
 from fejerquant.errors import MissingSolutions
-from fejerquant.iteration import Trace, run
-from fejerquant.moduli import exp_upper
+from fejerquant.iteration import PowerRule, Trace, run
+from fejerquant.moduli import ModulusFn, exp_upper
 from fejerquant.verification import (
     _SLACK,
     _TILE,
@@ -120,6 +121,15 @@ def dc(x0):
     return replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
 
 
+def late_capture():
+    """dc-abs-1d with a small mu, from a start just inside the distance the
+    path can travel: captured at 0 after 5,000 distinct points."""
+    preset = fq.preset("dc-abs-1d")
+    quant = replace(preset.quant, Bprime=4, xi=ModulusFn.power_sum_rate(Fraction(1, 10), 3))
+    schedule = replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
+    return replace(preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant)
+
+
 def _cases():
     rng = np.random.default_rng(20261018)
     cases = []
@@ -182,11 +192,40 @@ def _cases():
     # rows below 90 see the rise only past their max_l
     cases.append(("rise past max_l", calm, nudged(held, 100, 5e-9), 95, 10))
     cases.append(("NaN point", calm, nudged(held, 60, np.nan), 80, 80))
+    # row 0's product-form right-hand side at the solution 0 (T°0 = 0) at
+    # l = 32, the end of the first tile of 33 offsets, is reached exactly by
+    # the distance at step 60: the row retires there on equality, and rows
+    # 1..60 meet the rise as violations
+    prod = 1.0
+    for k in range(32):
+        prod *= 1.0 + held.mus[k] / held.lambdas[k]
+    edge = prod * 0.5 + _SLACK
+    at_edge = nudged(held, 60, edge - held.points[60, 0])
+    assert at_edge.points[60, 0] == edge and held.points[0, 0] == 0.5
+    cases.append(("late rise to row 0's right-hand side at a tile end", calm, at_edge, 80, 80))
+    # only row 80 meets the rise at 100, at its last offset l = max_l = 20;
+    # in one-offset tiles only rows 2895..2899 meet the rise at 2900, row
+    # 2895 at l = max_l = 5, and a row retiring at l reads top[n + l + 1]
+    cases.append(("rise at the last offset of max_l", calm, nudged(held, 100, 5e-9), 80, 20))
+    long_calm = run(calm, 3005)
+    cases.append(("one-offset tiles, rise at the last offset of max_l", calm,
+                  nudged(long_calm, 2900, 5e-9), 3000, 5))
+    # a path captured late (5,000 distinct points): rows retire over many tiles
+    late = late_capture()
+    late_tr = run(late, 5600)
+    cases.append(("late capture, 800/800", late, late_tr, 800, 800))
+    cases.append(("late capture, 3/5000", late, late_tr, 3, 5000))
     # a negative mu (rho < 1) voids the argument: every row is swept
     mus = np.array(held.mus)
     mus[50] = -mus[50]
     cases.append(("a negative mu", calm, Trace(held.points, held.lambdas, mus, held.residuals),
                   80, 80))
+    # in one-offset tiles a row would retire at l = 0, before the negative mu
+    # of its own step takes its right-hand sides below its distances at l = 1
+    mus = np.array(long_calm.mus)
+    mus[2950] = -mus[2950]
+    cases.append(("one-offset tiles, a negative mu", calm,
+                  Trace(long_calm.points, long_calm.lambdas, mus, long_calm.residuals), 3000, 5))
     zero = run(inst, 0)
     for max_n, max_l in ((0, 0), (5, 5), (-1, 0)):
         cases.append((f"zero steps, max_n={max_n} max_l={max_l}", inst, zero, max_n, max_l))
@@ -250,24 +289,35 @@ def test_negative_ranges_check_nothing():
         assert cert.sound and cert.witness["checked"] == 0
 
 
-def test_fejer_monotone_rows_skip_the_sweep(monkeypatch):
-    """On lemmas-1d's trace, dc-abs-1d from 0.5 at max_n = max_l = 800, only
-    row 0 can rise: the sweep runs over that one row."""
-    widths = []
-    window = verification.sliding_window_view
+class CountingNumpy:
+    """numpy with its ``multiply`` calls counted: the sweep makes two for
+    each offset l >= 1 it advances to."""
 
-    def spy(array, width, axis=-1):
-        widths.append(width)
-        return window(array, width, axis=axis)
+    def __init__(self):
+        self.multiplies = 0
 
-    monkeypatch.setattr(verification, "sliding_window_view", spy)
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.multiplies += 1
+        return np.multiply(*args, **kwargs)
+
+
+def test_the_sweep_ends_once_every_row_retires(monkeypatch):
+    """On lemmas-1d's trace, dc-abs-1d from 0.5 at max_n = max_l = 800, every
+    row retires at the end of the first tile (offsets 0..2 of 801)."""
+    counting = CountingNumpy()
+    monkeypatch.setattr(verification, "np", counting)
     inst = dc(0.5)
     tr = run(inst, 1600)
     cert = check_quasi_fejer(tr, inst, 800, 800)
     assert cert.sound and cert.witness["checked"] == 3 * 801 * 801
-    assert set(widths) == {1}
-    # a point 5e-9 off the zero 0 takes rows 0..499 back (solution 0), and
-    # row 500 too: from there the distance to the solution 1 rises again
-    widths.clear()
-    assert not check_quasi_fejer(nudged(tr, 500, 5e-9), inst, 800, 800).sound
-    assert set(widths) == {501}
+    assert counting.multiplies == 2 * 2
+    # a point 5e-9 off the zero 0 keeps rows 1..499 in the sweep (solution
+    # 0) until the offset 500 - n where each one meets it; row 1 at 499 is
+    # the last, and the sweep ends with the tile of offsets 498..500
+    counting.multiplies = 0
+    cert = check_quasi_fejer(nudged(tr, 500, 5e-9), inst, 800, 800)
+    assert not cert.sound and cert.violations[0]["n"] == 1 and cert.violations[0]["l"] == 499
+    assert counting.multiplies == 2 * 500

@@ -168,7 +168,12 @@ def assert_same_trace(a, b):
         assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
 
 
-def quant(d, L=Fraction(10**9)):
+# the largest L a config accepts: the paths below that stay finite stay
+# within it, so each run's diameter check passes
+WIDE_L = Fraction(10**300)
+
+
+def quant(d, L=WIDE_L):
     return QuantitativeData(
         A=Fraction(2),
         B=1,
@@ -183,7 +188,7 @@ def quant(d, L=Fraction(10**9)):
     )
 
 
-def instance(T, S, x0, schedule, L=Fraction(10**9)):
+def instance(T, S, x0, schedule, L=WIDE_L):
     x0 = np.asarray(x0, dtype=float)
     return ProblemInstance(T=T, S=S, x0=x0, schedule=schedule, quant=quant(x0.shape[0], L))
 
@@ -289,7 +294,7 @@ def test_run_matches_reference_loop(t_kind, s_kind, d):
     @settings(max_examples=30, deadline=None)
     @given(problems(t_kind, s_kind, d), st.integers(0, STEPS))
     def check(inst, n_steps):
-        assert_same_trace(run(inst, n_steps, validate_l=False), reference_run(inst, n_steps))
+        assert_same_trace(run(inst, n_steps), reference_run(inst, n_steps))
 
     check()
 
@@ -301,7 +306,7 @@ def test_separable_run_matches_reference_loop(t_kind, s_kind, d):
     @given(problems(t_kind, s_kind, d), st.integers(0, STEPS))
     def check(inst, n_steps):
         want = outcome(reference_run, inst, n_steps)
-        got = outcome(run, inst, n_steps, False)
+        got = outcome(run, inst, n_steps)
         if isinstance(want, type):
             assert got is want
         else:
@@ -336,7 +341,7 @@ def test_a_negative_zero_numerator_leaves_the_coordinate_loop():
     assert one.coordinate(0) is one and np.signbit(one.resolvent1(0.5, -0.0))
     schedule = ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), STEPS)
     inst = instance(T, AffinePSD(np.diag([1.0, 2.0]), np.zeros(2)), [-1.0, -0.0], schedule)
-    assert_same_trace(run(inst, 5, validate_l=False), reference_run(inst, 5))
+    assert_same_trace(run(inst, 5), reference_run(inst, 5))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -350,7 +355,7 @@ def test_the_first_error_of_a_separable_run_is_the_reference_loops():
     with pytest.raises(SingularSystem):
         reference_run(inst, 2)
     with pytest.raises(SingularSystem):
-        run(inst, 2, validate_l=False)
+        run(inst, 2)
 
 
 def test_signed_zero_iterates_match():
@@ -498,7 +503,7 @@ def test_a_negative_zero_numerator_inside_a_fixed_run():
     )
     with pytest.raises(SignedZeroSolve):
         inst.S.coordinate(0).resolvent_rows(np.array([0.25]), np.array([[-0.0]]))
-    got = run(inst, 1200, validate_l=False)
+    got = run(inst, 1200)
     assert_same_trace(got, reference_run(inst, 1200))
     assert np.all(np.signbit(got.points[:1001, 0])) and not np.signbit(got.points[1001, 0])
 
@@ -644,16 +649,17 @@ def test_lambda_underflow_raises_at_its_stage():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("d", [1, 2])
 def test_non_finite_shifted_point_raises(d):
-    # the Yosida value of T is about 1e308, so the second stage overflows
+    # the Yosida value of T is 1e150, so the first stage lands at 1e150, a
+    # diameter within L, and the second, with mu = 1e160, overflows
     inst = instance(
-        AffinePSD(np.zeros((d, d)), np.full(d, 1e308)),
+        AffinePSD(np.zeros((d, d)), np.full(d, 1e150)),
         ZeroOperator(d),
         np.zeros(d),
-        ParameterSchedule(PowerRule(Fraction(1), 0), PowerRule(Fraction(1), 0), 5),
+        ParameterSchedule(PowerRule(Fraction(1), 0), TableRule((1.0, 1e160) + (1.0,) * 4), 5),
     )
-    run(inst, 1, validate_l=False)
+    assert run(inst, 1).points[1].tolist() == [1e150] * d
     with pytest.raises(DomainError):
-        run(inst, 2, validate_l=False)
+        run(inst, 2)
     with pytest.raises(DomainError):
         reference_run(inst, 2)
 
@@ -669,7 +675,7 @@ def test_non_finite_last_iterate_raises(d):
         ParameterSchedule(PowerRule(Fraction(1), 0), PowerRule(Fraction(1), 0), 5),
     )
     with pytest.raises(DomainError, match="stage 1"):
-        run(inst, 1, validate_l=False)
+        run(inst, 1)
 
 
 def test_step_past_the_horizon_raises():

@@ -199,7 +199,7 @@ def test_approx_error_rows_match_the_per_point_loop(name, x0, steps, max_n, max_
     inst = dense_abs_2d() if name == "dense-abs-2d" else fq.preset(name)
     if x0 is not None:
         inst = replace(inst, x0=np.array(x0))
-    tr = run(inst, steps, validate_l=False)
+    tr = run(inst, steps)
     got = check_approx_error(tr, inst, max_n, max_i).to_json()
     want = reference_approx_error(tr, inst, max_n, max_i).to_json()
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -210,7 +210,7 @@ def test_approx_error_rows_match_the_per_point_loop_in_violations(monkeypatch):
     # stages show in the recorded right-hand sides; on this curved path
     # np.linalg.norm(..., axis=1) would round stages 18 and 36 differently
     inst = dense_abs_2d()
-    tr = run(inst, 200, validate_l=False)
+    tr = run(inst, 200)
     real = fq.verification.resolvent_rows
     monkeypatch.setattr(
         fq.verification, "resolvent_rows", lambda op, lams, pts: real(op, lams, pts) + 1.0
@@ -225,7 +225,7 @@ def test_approx_error_cut_at_50_crosses_a_tile_edge(monkeypatch):
     # one broken stage: each row n has one violation, and the 50 kept come
     # from rows 0..49, over tiles of 40 rows x 101 stages x d = 2
     inst = dense_abs_2d()
-    tr = run(inst, 200, validate_l=False)
+    tr = run(inst, 200)
     broken = inst.schedule.mus(0, 101)[7]
     real = fq.verification.resolvent_rows
     monkeypatch.setattr(
