@@ -106,6 +106,18 @@ MUTANTS = [
      "        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):",
      "        if not np.all(s_lo >= t_lo):",
      ["tests/test_iteration.py"]),
+    # _fixed_stages: a stage is fixed only when it returns every coordinate;
+    # read at coordinate 0 alone, a d = 2 run that moves in coordinate 1 is
+    # filled with the captured point
+    (ITERATION,
+     "            same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)",
+     "            same = ((moved == x) & (np.signbit(moved) == sign))[:, 0]",
+     ["tests/test_stepper.py"]),
+    # ... bit for bit: a stage that returns -0.0 for 0.0 does not fix it
+    (ITERATION,
+     "            same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)",
+     "            same = (moved == x).all(axis=1)",
+     ["tests/test_stepper.py"]),
     # psi's growth exit counts the stages left after this one, not one more:
     # with the cap at psi's value, the last stage must still be built
     (MODULI,

@@ -149,13 +149,12 @@ EXTRA = [
     ("check-lemmas", {"problem": {**ID_ZERO, "known_solutions": [[0.0]]}, "schedule": SCHEDULE,
                       "quant": QUANT_1D,
                       "params": {"max_n": 10, "max_l": 10, "max_i": 10, "steps": 20}}, [], 0),
-    # a dense affine T is not separable: it steps on one-row arrays
-    ("run", {"problem": {"T": {"kind": "affine_psd", "matrix": [[2.0, 1.0], [1.0, 2.0]],
-                               "offset": [-1.0, 0.5]},
-                         "S": {"kind": "normal_cone_box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
-                         "x0": [0.5, 0.5]},
-             "schedule": SCHEDULE, "quant": {**QUANT_1D, "d": 2, "M": 4, "L": "3"},
-             "params": {"steps": 40}}, [], 0),
+    # a box S in d = 1, stepped by its scalar clamp: T x = x - 2 takes the
+    # path to the end 0 of [0, 1]
+    ("run", {"problem": {"T": {"kind": "affine_psd", "matrix": [[1.0]], "offset": [-2.0]},
+                         "S": {"kind": "normal_cone_box", "lo": [0.0], "hi": [1.0]},
+                         "x0": [0.5]},
+             "schedule": SCHEDULE, "quant": QUANT_1D, "params": {"steps": 40}}, [], 0),
     # a phi query past a moving trace, which only a verified stationary tail
     # could answer: the task exits 2; k_max is read and ignored
     ("certify-metastability", {"problem": ID_ZERO, "schedule": SCHEDULE, "quant": QUANT_1D,

@@ -10,7 +10,6 @@ certificates are built from.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from typing import Optional
 
@@ -20,7 +19,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DomainError,
-    FejerQuantError,
     HorizonExceeded,
     InvariantViolation,
     NonPositiveParameter,
@@ -32,7 +30,6 @@ from .fields import FLOATS, INTEGER, RATIONAL, Field, Record, field, list_of, nu
 from .fields import json_of, read_form, string, tolist, write_form
 from .moduli import ModulusFn, constant
 from .operators import (
-    SignedZeroSolve,
     as_point,
     dist_sq_rows,
     domain_contains,
@@ -56,7 +53,8 @@ _JSONL_BLOCK_ROWS = 4096
 # the pruned scan bounds distances by the boxes of chunks of consecutive rows
 _CHUNK_ROWS = 64
 # ``_fixed_stages``: its first tile of stages, also the skip below which the
-# next check waits for twice as many repeats, and its largest tile
+# next check waits for twice as many repeats, and its largest tile in d = 1
+# (8,192 // d^2 stages in d dimensions)
 _FIXED_BACKOFF = 64
 _FIXED_TILE_CAP = 8192
 # the JSON forms of the catalog operators and moduli in a config
@@ -604,15 +602,13 @@ def _diameter_scan_order(w: np.ndarray) -> tuple:
 def run(inst: ProblemInstance, n_steps: int) -> Trace:
     """Run the iteration for n_steps stages and record the trace.
 
-    A separable instance, where T and S act on each coordinate on its own
-    (see ``coordinate`` in operators), steps one coordinate at a time on
-    floats through the scalar forms, which round exactly like the row forms.
-    Every other instance steps on one-row arrays through ``resolvent`` and
-    ``yosida``. So does a d > 1 run whose coordinate loops stop on an error,
-    since the first error of one coordinate need not be the run's first, or
-    on a signed-zero solve (``SignedZeroSolve``). The residuals are computed
-    after the loop, by the kernel of the per-step ``np.linalg.norm``. A
-    trace whose diameter exceeds the certified L raises InvariantViolation.
+    A d = 1 instance steps on floats through the scalar forms of T and S
+    (``_run_1d``), every other one on one-row arrays through ``resolvent``
+    and ``yosida`` (``_run_rows``). Both fast-forward a repeated iterate
+    through the stages that fix it (``_stepped``). The residuals are
+    computed after the loop, by the kernel of the per-step
+    ``np.linalg.norm``. A trace whose diameter exceeds the certified L
+    raises InvariantViolation.
     """
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
@@ -626,7 +622,8 @@ def run(inst: ProblemInstance, n_steps: int) -> Trace:
     # underflowed) and raises there, after any error of the earlier stages
     positive = (lams > 0) & (mus > 0)
     stop = n_steps if positive.all() else int(np.argmin(positive))
-    pts = _run_points(inst, lams[:stop], mus[:stop])
+    stepper = _run_1d if inst.dim == 1 else _run_rows
+    pts = stepper(inst.T, inst.S, inst.x0, memoryview(lams[:stop]), memoryview(mus[:stop]))
     if not np.all(np.isfinite(pts[-1])):
         raise DomainError(f"iterate at stage {stop} is not finite")
     if stop < n_steps:
@@ -641,93 +638,108 @@ def run(inst: ProblemInstance, n_steps: int) -> Trace:
     return trace
 
 
-def _run_points(inst: ProblemInstance, lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """The iterates x_0..x_N, by coordinate where the instance is separable."""
-    coords = [(inst.T.coordinate(j), inst.S.coordinate(j)) for j in range(inst.dim)]
-    if all(t is not None and s is not None for t, s in coords):
-        steps = memoryview(lams), memoryview(mus)
-        try:
-            cols = [_run_1d(t, s, float(x), *steps) for (t, s), x in zip(coords, inst.x0)]
-            return np.stack(cols, axis=1)
-        except (FejerQuantError, SignedZeroSolve):
-            if inst.dim == 1:
-                raise
-    return _run_rows(inst, lams, mus)
-
-
-def _run_1d(T, S, x: float, lams, mus) -> np.ndarray:
-    """The iterates x_0..x_N of one coordinate, stepped on floats through
-    the 1-D operators T and S. A repeated iterate is fast-forwarded through
-    the stages that fix it (``_fixed_stages``)."""
-    yosida_t = T.yosida1
-    resolvent_s = S.resolvent1
+def _run_1d(T, S, x0: np.ndarray, lams, mus) -> np.ndarray:
+    """The iterates x_0..x_N of a d = 1 instance, stepped on floats through
+    the scalar forms ``yosida1`` and ``resolvent1``."""
+    yosida_t, resolvent_s = T.yosida1, S.resolvent1
     isfinite = math.isfinite
-    pts = array("d", [x])
-    append = pts.append
-    n, repeats, need = 0, 0, 1
-    while True:
-        for lam, mu in zip(lams[n:], mus[n:]):
+
+    def steps(pts, n, need):
+        out = memoryview(pts.reshape(-1))
+        x, repeats = out[n], 0
+        for n, lam, mu in zip(range(n + 1, len(out)), lams[n:], mus[n:]):
             shifted = x + mu * yosida_t(lam, x)
             if not isfinite(shifted):
                 raise DomainError("points must have finite coordinates")
             prev, x = x, resolvent_s(mu, shifted)
-            append(x)
+            out[n] = x
             if x == prev:
                 repeats += 1
                 if repeats == need:
-                    break
-        else:
-            return np.frombuffer(pts)
-        n = len(pts) - 1
-        skip = _fixed_stages(T, S, x, lams[n:], mus[n:])
-        pts.extend(array("d", [x]) * skip)
+                    return n
+        return len(lams)
+
+    return _stepped(T, S, x0, lams, mus, steps)
+
+
+def _run_rows(T, S, x0: np.ndarray, lams, mus) -> np.ndarray:
+    """The iterates x_0..x_N of a d > 1 instance, stepped on one-row arrays."""
+
+    def steps(pts, n, need):
+        x, repeats = pts[n], 0
+        for n, lam, mu in zip(range(n + 1, len(pts)), lams[n:], mus[n:]):
+            prev, x = x, resolvent(S, mu, x + mu * yosida(T, lam, x))
+            pts[n] = x
+            if (x == prev).all():
+                repeats += 1
+                if repeats == need:
+                    return n
+        return len(lams)
+
+    return _stepped(T, S, x0, lams, mus, steps)
+
+
+def _stepped(T, S, x0: np.ndarray, lams, mus, steps) -> np.ndarray:
+    """The iterates x_0..x_N from x0 through the stages of lams and mus.
+
+    ``steps(pts, n, need)`` steps on from iterate n, writing each iterate
+    into ``pts``, and returns the index of the iterate that makes the
+    ``need``-th repeat x_{m+1} = x_m of its call, or N at the end. At such a
+    repeat the stages that fix the iterate (``_fixed_stages``) are filled
+    with it, and stepping goes on from the first stage that does not. A
+    check that fixes fewer than 64 stages makes the next one wait for twice
+    as many repeats.
+    """
+    pts = np.empty((len(lams) + 1, x0.shape[0]))
+    pts[0] = x0
+    n, need = 0, 1
+    while True:
+        n = steps(pts, n, need)
+        if n == len(lams):
+            return pts
+        skip = _fixed_stages(T, S, pts[n], lams[n:], mus[n:])
+        pts[n + 1 : n + 1 + skip] = pts[n]
         n += skip
-        repeats = 0
         if skip < _FIXED_BACKOFF:
             need *= 2
 
 
-def _run_rows(inst: ProblemInstance, lams: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """The iterates x_0..x_N, stepped on one-row arrays."""
-    pts = np.empty((len(lams) + 1, inst.dim))
-    x = pts[0] = inst.x0
-    for n, (lam, mu) in enumerate(zip(lams.tolist(), mus.tolist())):
-        x = pts[n + 1] = resolvent(inst.S, mu, x + mu * yosida(inst.T, lam, x))
-    return pts
-
-
-def _fixed_stages(T, S, x: float, lams, mus) -> int:
-    """How many of the leading stages fix the float x bit for bit.
+def _fixed_stages(T, S, x: np.ndarray, lams, mus) -> int:
+    """How many of the leading stages fix the point x bit for bit.
 
     Stage m fixes x when x + mu_m T_{lam_m}(x) is finite and its resolvent
-    under S at mu_m is x, signed zeros included. The stage maps of the 1-D
-    operators T and S are evaluated in one row-form call per tile of
-    stages; row i of a row form equals the scalar form bit for bit, so by
-    induction the iterates through the counted stages all equal x. A tile
-    whose row forms raise (a singular solve, a -0.0 numerator of a
-    coordinate solve) ends the count at its first stage: the stepper then
-    meets the error itself. Tiles start at 64 stages and double up to 8,192.
+    under S at mu_m is x in every coordinate, signed zeros included. The
+    stage maps are evaluated on stacked (tile, d) rows, one row-form call
+    per tile of stages; row i of a row form equals the scalar form and the
+    one-row case bit for bit, so by induction the iterates through the
+    counted stages all equal x. A tile whose row forms raise (a singular
+    solve) ends the count at its first stage: the stepper then meets the
+    error itself. Tiles start at 64 stages and double up to 8,192 // d^2, so
+    each temporary, a dense solve's (tile, d, d) stack included, stays
+    within 64 KB; past d = 90 a tile is one stage.
     """
     lams, mus = np.asarray(lams), np.asarray(mus)
+    d = x.shape[0]
     sign = np.signbit(x)
-    done, tile = 0, _FIXED_BACKOFF
+    cap = max(1, _FIXED_TILE_CAP // (d * d))
+    done, tile = 0, min(_FIXED_BACKOFF, cap)
     with np.errstate(all="ignore"):  # an overflow ends the run, it is not reported
         while done < len(lams):
             lam, mu = lams[done : done + tile], mus[done : done + tile]
-            xs = np.broadcast_to(x, (len(lam), 1))
+            xs = np.broadcast_to(x, (len(lam), d))
             try:
                 shifted = xs + mu[:, None] * T.yosida_rows(lam, xs)
-                finite = np.isfinite(shifted[:, 0])
+                finite = np.isfinite(shifted).all(axis=1)
                 end = len(lam) if finite.all() else int(np.argmin(finite))
-                moved = S.resolvent_rows(mu[:end], shifted[:end])[:, 0]
-            except (SingularSystem, SignedZeroSolve):
+                moved = S.resolvent_rows(mu[:end], shifted[:end])
+            except SingularSystem:
                 return done
-            same = (moved == x) & (np.signbit(moved) == sign)
+            same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)
             run = end if same.all() else int(np.argmin(same))
             done += run
             if run < len(lam):
                 return done
-            tile = min(2 * tile, _FIXED_TILE_CAP)
+            tile = min(2 * tile, cap)
     return done
 
 

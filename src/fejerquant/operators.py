@@ -16,16 +16,13 @@ Each catalog class owns its forms over an (N, d) array of points: its value
 sets as bound rows (``value_rows``), its domain as a box (``domain()``) and
 a row mask (``domain_rows``), its resolvent and Yosida approximant with one
 parameter per row (``resolvent_rows``, ``yosida_rows``), the scalar forms
-the stepper runs on each coordinate (``resolvent1``, ``yosida1``), its
-restriction to one coordinate (``coordinate``) and its JSON form (``kind``
-and ``json_fields``). The per-point ``evaluate``, ``domain_contains``,
-``resolvent`` and ``yosida`` are one-row cases of the row forms, so each of
-these is decided in one place.
+the d = 1 stepper runs on floats (``resolvent1``, ``yosida1``) and its JSON
+form (``kind`` and ``json_fields``). The per-point ``evaluate``,
+``domain_contains``, ``resolvent`` and ``yosida`` are one-row cases of the
+row forms, so each of these is decided in one place.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -138,10 +135,9 @@ class _Operator(Record):
 
     A subclass names its JSON ``kind`` and declares its JSON form
     (``json_fields``: each record field to its ``fields.Field``), and defines
-    ``resolvent_rows``, ``value_rows``, the scalar ``resolvent1`` and
-    ``coordinate(j)``: the 1-D operator whose scalar forms step coordinate j
-    exactly as the row forms do, or None when the operator couples
-    coordinates. A subclass with a smaller domain than R^d overrides
+    ``resolvent_rows``, ``value_rows`` and the scalar ``resolvent1``, which
+    serves d = 1 only and equals row 0 of a one-row ``resolvent_rows`` bit
+    for bit. A subclass with a smaller domain than R^d overrides
     ``domain()``.
     """
 
@@ -228,41 +224,6 @@ class AffinePSD(_Operator):
     def is_diagonal(self) -> bool:
         return bool(np.all(self.matrix == np.diag(np.diagonal(self.matrix))))
 
-    def coordinate(self, j: int):
-        if self.dim == 1:
-            return self
-        if not self.is_diagonal:
-            return None
-        return _SolveCoordinate(self.matrix[j : j + 1, j : j + 1], self.offset[j : j + 1])
-
-
-class SignedZeroSolve(Exception):
-    """A coordinate of a d > 1 diagonal solve met a -0.0 numerator."""
-
-
-class _SolveCoordinate(AffinePSD):
-    """Coordinate j of a diagonal d > 1 ``AffinePSD``, as a 1-D operator.
-
-    LAPACK solves the diagonal system I + lam*A by elimination, which adds
-    +-0*y_i terms to each numerator. Such a term leaves a nonzero or +0.0
-    numerator as it is, so the quotient is the scalar (x - lam*b) / (1 +
-    lam*a); a -0.0 numerator may turn into +0.0, so the scalar form raises
-    SignedZeroSolve there and the stepper takes the d-dimensional row forms
-    instead. The 1x1 row form raises wherever the scalar form does.
-    """
-
-    def resolvent1(self, lam: float, x: float) -> float:
-        num = x - lam * self._ab[1]
-        if num == 0.0 and math.copysign(1.0, num) < 0.0:
-            raise SignedZeroSolve("a -0.0 numerator in a d > 1 solve")
-        return AffinePSD.resolvent1(self, lam, x)
-
-    def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        num = xs - lams[:, None] * self.offset
-        if np.any((num == 0.0) & np.signbit(num)):
-            raise SignedZeroSolve("a -0.0 numerator in a d > 1 solve")
-        return AffinePSD.resolvent_rows(self, lams, xs)
-
 
 class SubdiffAbsSum(_Operator, eq=True):
     """Subdifferential of x -> sum_i |x_i| (coordinatewise sign intervals)."""
@@ -301,9 +262,6 @@ class SubdiffAbsSum(_Operator, eq=True):
         # saturated coordinates give exactly +-1; the generic difference
         # quotient would round x - soft(x, lam) and magnify that by 1/lam
         return np.sign(xs) * np.minimum(np.abs(xs) / lams[:, None], 1.0)
-
-    def coordinate(self, j: int):
-        return SubdiffAbsSum(1)
 
 
 class NormalConeBox(_Operator):
@@ -351,9 +309,6 @@ class NormalConeBox(_Operator):
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return np.minimum(np.maximum(xs, self.lo), self.hi)
 
-    def coordinate(self, j: int):
-        return NormalConeBox(self.lo[j : j + 1], self.hi[j : j + 1])
-
 
 class ZeroOperator(_Operator, eq=True):
     """x -> {0}."""
@@ -372,9 +327,6 @@ class ZeroOperator(_Operator, eq=True):
 
     def resolvent_rows(self, lams: np.ndarray, xs: np.ndarray) -> np.ndarray:
         return xs.copy()
-
-    def coordinate(self, j: int):
-        return ZeroOperator(1)
 
 
 def domain_contains(op, x, tol: float = 0.0) -> bool:

@@ -4,9 +4,9 @@
 ``reference_yosida``, the per-point closed forms as they were written before
 the row forms, with per-index schedule lookups. ``run`` must reproduce it
 byte for byte for every admissible operator pair, and raise the same error
-type where it raises: a separable instance steps one coordinate at a time
-on floats through the operators' scalar forms, any other through the
-one-row cases of the row forms.
+type where it raises: a d = 1 instance steps on floats through the
+operators' scalar forms, any other through the one-row cases of the row
+forms, and both fast-forward a captured iterate with stacked row forms.
 """
 
 import math
@@ -40,7 +40,6 @@ from fejerquant.moduli import ModulusFn
 from fejerquant.operators import (
     AffinePSD,
     NormalConeBox,
-    SignedZeroSolve,
     SubdiffAbsSum,
     ZeroOperator,
     as_point,
@@ -200,7 +199,8 @@ def instance(T, S, x0, schedule, L=WIDE_L):
 KINDS = ("affine", "subdiff", "zero", "box")
 # a normal cone T needs S to be a box inside its own
 PAIRS = [(t, s) for t in KINDS for s in KINDS if t != "box" or s == "box"]
-# pairs with a diagonal affine operator, which the stepper splits by coordinate
+# pairs with a diagonal affine operator, with signed zeros on and off its
+# diagonal: LAPACK's elimination adds +-0 y_i terms to each numerator
 SEPARABLE = ("diag", "subdiff", "zero", "box")
 DIAG_PAIRS = [
     (t, s) for t in SEPARABLE for s in SEPARABLE
@@ -330,15 +330,10 @@ def test_the_float_reference_is_the_reference_loop(t_kind, s_kind):
     check()
 
 
-def test_a_negative_zero_numerator_leaves_the_coordinate_loop():
+def test_a_negative_zero_numerator_of_a_diagonal_solve():
     # LAPACK's elimination may turn the -0.0 numerator of coordinate 1 into
     # +0.0, depending on the other coordinates; the row forms decide it
     T = AffinePSD(np.eye(2), np.array([0.0, -0.0]))
-    with pytest.raises(SignedZeroSolve):
-        T.coordinate(0).resolvent1(0.5, -0.0)  # -0.0 - 0.5 * 0.0
-    assert not np.signbit(T.coordinate(1).resolvent1(0.5, -0.0))  # -0.0 - 0.5 * -0.0
-    one = AffinePSD(np.eye(1), np.zeros(1))
-    assert one.coordinate(0) is one and np.signbit(one.resolvent1(0.5, -0.0))
     schedule = ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), STEPS)
     inst = instance(T, AffinePSD(np.diag([1.0, 2.0]), np.zeros(2)), [-1.0, -0.0], schedule)
     assert_same_trace(run(inst, 5), reference_run(inst, 5))
@@ -346,9 +341,9 @@ def test_a_negative_zero_numerator_leaves_the_coordinate_loop():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_the_first_error_of_a_separable_run_is_the_reference_loops():
-    # the coordinate loops would meet coordinate 0's overflow at stage 1
-    # first; the reference loop stops at stage 0 on coordinate 1's
-    # singular solve, 1 + 2^30 * -2^-30 = 0
+    # one coordinate at a time, coordinate 0's overflow at stage 1 would come
+    # first; the reference loop stops at stage 0 on coordinate 1's singular
+    # solve, 1 + 2^30 * -2^-30 = 0
     S = AffinePSD(np.diag([0.0, -(2.0**-30)]), np.array([-1e308, 0.0]))
     mu = TableRule((2.0**30,) * (STEPS + 1))
     inst = instance(ZeroOperator(2), S, [1e308, 0.0], ParameterSchedule(mu, mu, STEPS))
@@ -455,6 +450,76 @@ def test_a_fixed_run_that_ends_partway():
     assert not np.any(got.points[:1001]) and got.points[1001, 0] > 0.0
 
 
+def test_a_fixed_run_that_ends_partway_in_one_coordinate():
+    # the case above in coordinate 1 of a d = 2 instance; coordinate 0, with
+    # T x = x + 1/2, stays at 0 at every stage. A stage counts as fixed only
+    # when it fixes every coordinate
+    inst = instance(
+        AffinePSD(np.eye(2), np.array([0.5, 1.001])),
+        SubdiffAbsSum(2),
+        [0.0, 0.0],
+        ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), 5000),
+    )
+    got = run(inst, 5000)
+    assert_same_trace(got, reference_run(inst, 5000))
+    assert not np.any(got.points[:, 0]) and not np.any(got.points[:1001, 1])
+    assert got.points[1001, 1] > 0.0
+
+
+# a dense T, so the instance steps on one-row arrays: from (1/2, 1/2) the path
+# lands on the corner (0, 1) of the unit box at step 2, which every later
+# stage fixes
+DENSE_T = AffinePSD(np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([-2.0, 1.0]))
+
+
+def test_a_dense_path_captured_at_a_box_corner(monkeypatch):
+    schedule = ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), 20_000)
+    inst = instance(DENSE_T, NormalConeBox(np.zeros(2), np.ones(2)), [0.5, 0.5], schedule)
+    skips = count_checks(monkeypatch)
+    got = run(inst, 20_000)
+    assert_same_trace(got, reference_run(inst, 20_000))
+    assert got.points[2].tolist() == [0.0, 1.0] and skips == [19_997]
+
+
+@pytest.mark.parametrize(
+    "d,steps,tiles",
+    [(2, 5000, [64, 128, 256, 512, 1024, 2048, 965]), (8, 2000, [64] + [128] * 15 + [14])],
+)
+def test_fixed_stage_tiles_keep_each_temporary_within_64_kb(monkeypatch, d, steps, tiles):
+    # tiles of 64 stages double up to 8,192 // d^2 stages (2,048 in d = 2,
+    # 128 in d = 8), so a dense solve's (tile, d, d) stack stays within
+    # 64 KB; the d = 8 path lands on a corner of the box at step 1
+    if d == 2:
+        T = DENSE_T
+    else:
+        T = AffinePSD(np.eye(d) + 0.1, np.where(np.arange(d) % 2 == 0, -2.0, 2.0))
+    box = NormalConeBox(np.zeros(d), np.ones(d))
+    schedule = ParameterSchedule(PowerRule(Fraction(1), 1), PowerRule(Fraction(1), 3), steps)
+    inst = instance(T, box, np.full(d, 0.5), schedule)
+    rows, largest = [], []
+
+    def spy(owner, name, record):
+        real = getattr(owner, name)
+
+        def call(*args):
+            out = real(*args)
+            arrays = [a for a in (*args, out) if isinstance(a, np.ndarray)]
+            largest.append(max(a.nbytes for a in arrays))
+            if record:
+                rows.append(len(args[1]))
+            return out
+
+        monkeypatch.setattr(owner, name, call)
+
+    spy(np.linalg, "solve", False)
+    spy(AffinePSD, "resolvent_rows", False)
+    spy(NormalConeBox, "resolvent_rows", True)
+    got = run(inst, steps)
+    assert_same_trace(got, reference_run(inst, steps))
+    # the one-row calls of the stepper, then the tiles of the fast-forward
+    assert [n for n in rows if n > 1] == tiles and max(largest) <= 64 * 1024
+
+
 def test_a_stage_that_returns_the_other_zero_ends_the_fixed_run():
     # T_lam(0) = -2^-1074: the shift underflows to -0.0 for mu = 1/4 and 0.0
     # stays, but at mu = 1 it is -2^-1074, which the soft threshold takes to
@@ -490,22 +555,23 @@ def test_an_overflow_inside_a_fixed_run_raises_at_its_stage():
         run(inst, 2000)
 
 
-def test_a_negative_zero_numerator_inside_a_fixed_run():
+def test_a_negative_zero_numerator_inside_a_fixed_run(monkeypatch):
     # coordinate 0 stays at -0.0 while mu = 1: S's numerator -0.0 - mu 2^-1074
     # is not zero. At stage 1000, mu = 1/4 makes it -0.0, and LAPACK's 2x2
-    # solve gives +0.0 there, so the coordinate loop must not fill that stage
+    # solve gives +0.0 there, so the fast-forward must not count that stage.
+    # Coordinate 1 sits at -1, a zero of T and of S, which every stage fixes
     mu = TableRule((1.0,) * 1000 + (0.25,) + (1.0,) * 200)
     inst = instance(
-        AffinePSD(np.eye(2), np.array([-5e-324, 0.0])),
-        AffinePSD(np.eye(2), np.array([5e-324, 0.0])),
+        AffinePSD(np.eye(2), np.array([-5e-324, 1.0])),
+        AffinePSD(np.eye(2), np.array([5e-324, 1.0])),
         [-0.0, -1.0],
         ParameterSchedule(TableRule((1.0,) * 1201), mu, 1200),
     )
-    with pytest.raises(SignedZeroSolve):
-        inst.S.coordinate(0).resolvent_rows(np.array([0.25]), np.array([[-0.0]]))
+    skips = count_checks(monkeypatch)
     got = run(inst, 1200)
     assert_same_trace(got, reference_run(inst, 1200))
     assert np.all(np.signbit(got.points[:1001, 0])) and not np.signbit(got.points[1001, 0])
+    assert np.all(got.points[:, 1] == -1.0) and skips[0] == 999
 
 
 def test_repeats_that_are_not_fixed_back_off(monkeypatch):
