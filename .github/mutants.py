@@ -118,6 +118,24 @@ MUTANTS = [
      "            same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)",
      "            same = (moved == x).all(axis=1)",
      ["tests/test_stepper.py"]),
+    # _stage_rows: a stage whose shifted point is not finite has no image; a
+    # box S would clamp -inf back onto its end
+    (ITERATION,
+     "    if np.count_nonzero(finite) < finite.size:",
+     "    if False:",
+     ["tests/test_stepper.py"]),
+    # _run_rows: the d > 1 loop raises where a stage has no image
+    (ITERATION,
+     "            if not len(x):",
+     "            if False:",
+     ["tests/test_stepper.py"]),
+    # ... and steps on an infinite iterate without a warning: T's NaN from it
+    # has no image either
+    (ITERATION,
+     '    with np.errstate(invalid="ignore"):'
+     "  # T's NaN from a non-finite iterate is not reported",
+     "    with np.errstate():",
+     ["tests/test_stepper.py"]),
     # psi's growth exit counts the stages left after this one, not one more:
     # with the cap at psi's value, the last stage must still be built
     (MODULI,

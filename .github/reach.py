@@ -44,6 +44,8 @@ ALLOWED = {
     "moduli.ModulusFn.power_rate": "library constructor of a modulus kind",
     "moduli.ModulusFn.power_sum_rate": "library constructor of a modulus kind",
     "regularity.eval_gap": "perfbench/replay.py times it per call (--trace 1)",
+    "operators.resolvent": "the public one-row resolvent, checked, for library callers; "
+    "tests/test_operators.py and tests/test_iteration.py use it as their reference",
     "iteration.ParameterSchedule.lam": "perfbench/replay.py reads the stage-0 lambda "
     "(--trace 1); a membership check reads it at the last point of a trace",
     "fields.Record.__setattr__": "keeps a record frozen; no task assigns to one "

@@ -37,10 +37,8 @@ from .operators import (
     least_norm,
     operator_from_json,
     operator_to_json,
-    resolvent,
     resolvent_rows,
     row_norms,
-    yosida,
 )
 
 _MU_FLOOR = 1e-300
@@ -602,13 +600,11 @@ def _diameter_scan_order(w: np.ndarray) -> tuple:
 def run(inst: ProblemInstance, n_steps: int) -> Trace:
     """Run the iteration for n_steps stages and record the trace.
 
-    A d = 1 instance steps on floats through the scalar forms of T and S
-    (``_run_1d``), every other one on one-row arrays through ``resolvent``
-    and ``yosida`` (``_run_rows``). Both fast-forward a repeated iterate
-    through the stages that fix it (``_stepped``). The residuals are
-    computed after the loop, by the kernel of the per-step
-    ``np.linalg.norm``. A trace whose diameter exceeds the certified L
-    raises InvariantViolation.
+    A d = 1 instance steps on floats (``_run_1d``), any other on one-row
+    arrays (``_run_rows``), both through the stage map ``_stage_rows`` or
+    its scalar case, and both fast-forward a repeated iterate (``_stepped``).
+    The residuals take the kernel of the per-step ``np.linalg.norm``. A trace
+    whose diameter exceeds the certified L raises InvariantViolation.
     """
     if n_steps < 0:
         raise ValueError("step count must be >= 0")
@@ -616,8 +612,7 @@ def run(inst: ProblemInstance, n_steps: int) -> Trace:
         raise HorizonExceeded(
             f"{n_steps} steps requested beyond horizon {inst.schedule.horizon}"
         )
-    lams = inst.schedule.lams(0, n_steps)
-    mus = inst.schedule.mus(0, n_steps)
+    lams, mus = inst.schedule.lams(0, n_steps), inst.schedule.mus(0, n_steps)
     # stepping stops before the first non-positive parameter (a lambda that
     # underflowed) and raises there, after any error of the earlier stages
     positive = (lams > 0) & (mus > 0)
@@ -638,9 +633,20 @@ def run(inst: ProblemInstance, n_steps: int) -> Trace:
     return trace
 
 
+def _stage_rows(T, S, lams, mus, xs: np.ndarray) -> np.ndarray:
+    """Stage i, x -> J^S_mu(x + mu T_lam(x)) at lams[i] and mus[i], on row i of
+    xs, unchecked: the images of the leading rows whose shifted point is finite,
+    and none for the rest, which a box S would clamp back to finite points."""
+    shifted = xs + mus[:, None] * T.yosida_rows(lams, xs)
+    finite = np.isfinite(shifted)
+    if np.count_nonzero(finite) < finite.size:
+        shifted = shifted[: np.argmin(finite.all(axis=1))]
+    return S.resolvent_rows(mus[: len(shifted)], shifted)
+
+
 def _run_1d(T, S, x0: np.ndarray, lams, mus) -> np.ndarray:
     """The iterates x_0..x_N of a d = 1 instance, stepped on floats through
-    the scalar forms ``yosida1`` and ``resolvent1``."""
+    ``yosida1`` and ``resolvent1``: the scalar case of ``_stage_rows``, its row 0."""
     yosida_t, resolvent_s = T.yosida1, S.resolvent1
     isfinite = math.isfinite
 
@@ -663,32 +669,35 @@ def _run_1d(T, S, x0: np.ndarray, lams, mus) -> np.ndarray:
 
 
 def _run_rows(T, S, x0: np.ndarray, lams, mus) -> np.ndarray:
-    """The iterates x_0..x_N of a d > 1 instance, stepped on one-row arrays."""
+    """The iterates x_0..x_N of a d > 1 instance: ``_stage_rows`` on one row,
+    unchecked. A non-finite iterate has a non-finite shifted point, no image."""
+    lam_rows, mu_rows = np.reshape(lams, (-1, 1)), np.reshape(mus, (-1, 1))
 
     def steps(pts, n, need):
-        x, repeats = pts[n], 0
-        for n, lam, mu in zip(range(n + 1, len(pts)), lams[n:], mus[n:]):
-            prev, x = x, resolvent(S, mu, x + mu * yosida(T, lam, x))
+        x, repeats = pts[n : n + 1], 0
+        for n, lam, mu in zip(range(n + 1, len(pts)), lam_rows[n:], mu_rows[n:]):
+            prev, x = x, _stage_rows(T, S, lam, mu, x)
+            if not len(x):
+                raise DomainError("points must have finite coordinates")
             pts[n] = x
-            if (x == prev).all():
+            if not np.count_nonzero(x != prev):  # cheaper than (x == prev).all()
                 repeats += 1
                 if repeats == need:
                     return n
         return len(lams)
 
-    return _stepped(T, S, x0, lams, mus, steps)
+    with np.errstate(invalid="ignore"):  # T's NaN from a non-finite iterate is not reported
+        return _stepped(T, S, x0, lams, mus, steps)
 
 
 def _stepped(T, S, x0: np.ndarray, lams, mus, steps) -> np.ndarray:
     """The iterates x_0..x_N from x0 through the stages of lams and mus.
 
-    ``steps(pts, n, need)`` steps on from iterate n, writing each iterate
-    into ``pts``, and returns the index of the iterate that makes the
-    ``need``-th repeat x_{m+1} = x_m of its call, or N at the end. At such a
-    repeat the stages that fix the iterate (``_fixed_stages``) are filled
-    with it, and stepping goes on from the first stage that does not. A
-    check that fixes fewer than 64 stages makes the next one wait for twice
-    as many repeats.
+    ``steps(pts, n, need)`` steps on from iterate n into ``pts`` and returns
+    the index of its ``need``-th repeat x_{m+1} = x_m, or N at the end. The
+    stages that fix a repeat (``_fixed_stages``) are filled with it, and
+    stepping goes on from the first that does not. A check that fixes fewer
+    than 64 stages makes the next one wait for twice as many repeats.
     """
     pts = np.empty((len(lams) + 1, x0.shape[0]))
     pts[0] = x0
@@ -707,16 +716,13 @@ def _stepped(T, S, x0: np.ndarray, lams, mus, steps) -> np.ndarray:
 def _fixed_stages(T, S, x: np.ndarray, lams, mus) -> int:
     """How many of the leading stages fix the point x bit for bit.
 
-    Stage m fixes x when x + mu_m T_{lam_m}(x) is finite and its resolvent
-    under S at mu_m is x in every coordinate, signed zeros included. The
-    stage maps are evaluated on stacked (tile, d) rows, one row-form call
-    per tile of stages; row i of a row form equals the scalar form and the
-    one-row case bit for bit, so by induction the iterates through the
-    counted stages all equal x. A tile whose row forms raise (a singular
-    solve) ends the count at its first stage: the stepper then meets the
-    error itself. Tiles start at 64 stages and double up to 8,192 // d^2, so
-    each temporary, a dense solve's (tile, d, d) stack included, stays
-    within 64 KB; past d = 90 a tile is one stage.
+    Stage m fixes x when ``_stage_rows``, called once per tile of stages,
+    maps x to x in every coordinate and sign bit. Its row i is the one-row
+    and the scalar step bit for bit, so by induction every counted stage
+    gives x. A tile that raises (a singular solve) ends the count at its
+    first stage, where the stepper meets the error itself. Tiles double
+    from 64 stages up to 8,192 // d^2, so each temporary, a dense solve's
+    (tile, d, d) stack included, stays within 64 KB (one stage past d = 90).
     """
     lams, mus = np.asarray(lams), np.asarray(mus)
     d = x.shape[0]
@@ -726,16 +732,12 @@ def _fixed_stages(T, S, x: np.ndarray, lams, mus) -> int:
     with np.errstate(all="ignore"):  # an overflow ends the run, it is not reported
         while done < len(lams):
             lam, mu = lams[done : done + tile], mus[done : done + tile]
-            xs = np.broadcast_to(x, (len(lam), d))
             try:
-                shifted = xs + mu[:, None] * T.yosida_rows(lam, xs)
-                finite = np.isfinite(shifted).all(axis=1)
-                end = len(lam) if finite.all() else int(np.argmin(finite))
-                moved = S.resolvent_rows(mu[:end], shifted[:end])
+                moved = _stage_rows(T, S, lam, mu, np.broadcast_to(x, (len(lam), d)))
             except SingularSystem:
                 return done
             same = ((moved == x) & (np.signbit(moved) == sign)).all(axis=1)
-            run = end if same.all() else int(np.argmin(same))
+            run = len(moved) if same.all() else int(np.argmin(same))
             done += run
             if run < len(lam):
                 return done

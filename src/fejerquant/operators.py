@@ -15,11 +15,11 @@ squared distance from a point, each in one place.
 Each catalog class owns its forms over an (N, d) array of points: its value
 sets as bound rows (``value_rows``), its domain as a box (``domain()``) and
 a row mask (``domain_rows``), its resolvent and Yosida approximant with one
-parameter per row (``resolvent_rows``, ``yosida_rows``), the scalar forms
-the d = 1 stepper runs on floats (``resolvent1``, ``yosida1``) and its JSON
-form (``kind`` and ``json_fields``). The per-point ``evaluate``,
-``domain_contains``, ``resolvent`` and ``yosida`` are one-row cases of the
-row forms, so each of these is decided in one place.
+parameter per row (``resolvent_rows``, ``yosida_rows``; the stepper calls
+these unchecked), their scalar forms for d = 1 (``resolvent1``, ``yosida1``)
+and its JSON form (``kind``, ``json_fields``). The checked per-point
+``evaluate``, ``domain_contains``, ``resolvent`` and ``yosida`` for library
+callers are one-row cases of the row forms: each is decided in one place.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ def as_rows(xs, dim: int) -> np.ndarray:
     v = np.asarray(xs, dtype=float)
     if v.ndim != 2:
         raise DimensionMismatch(f"point rows are 2-D, got shape {v.shape}")
-    # count_nonzero is the cheapest full check on the one-row calls of the
-    # d > 1 stepper, two per step
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise DomainError("points must have finite coordinates")
     if v.shape[1] != dim:

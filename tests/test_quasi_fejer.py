@@ -8,17 +8,17 @@ violations and the ``checked`` count must all agree exactly.
 """
 
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_stepper import late_capture
 from test_value_sets import evaluate, minimal_selection
 
 import fejerquant as fq
 from fejerquant import verification
 from fejerquant.errors import MissingSolutions
-from fejerquant.iteration import PowerRule, Trace, run
-from fejerquant.moduli import ModulusFn, exp_upper
+from fejerquant.iteration import Trace, run
+from fejerquant.moduli import exp_upper
 from fejerquant.verification import (
     _SLACK,
     _TILE,
@@ -119,15 +119,6 @@ def nudged(trace, index, by):
 
 def dc(x0):
     return replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
-
-
-def late_capture():
-    """dc-abs-1d with a small mu, from a start just inside the distance the
-    path can travel: captured at 0 after 5,000 distinct points."""
-    preset = fq.preset("dc-abs-1d")
-    quant = replace(preset.quant, Bprime=4, xi=ModulusFn.power_sum_rate(Fraction(1, 10), 3))
-    schedule = replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
-    return replace(preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant)
 
 
 def _cases():

@@ -45,6 +45,7 @@ from fejerquant.operators import (
     as_point,
 )
 from records import replace
+from test_regularity import calibrated_box
 
 
 def reference_resolvent(op, lam, x):
@@ -420,16 +421,17 @@ def test_fixed_stages_are_checked_in_tiles_up_to_the_cap(monkeypatch):
     assert rows == [64 << k for k in range(8)] + [8192, 8192, 7294]
 
 
-def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
-    # a small mu and a start just inside the distance the path can travel:
-    # captured at 0 after about 5,000 distinct points
+def late_capture():
+    """dc-abs-1d with a small mu, from a start just inside the distance the
+    path can travel: captured at 0 after 5,000 distinct points."""
     preset = fq.preset("dc-abs-1d")
-    xi = ModulusFn.power_sum_rate(Fraction(1, 10), 3)
-    quant = replace(preset.quant, Bprime=4, xi=xi)
+    quant = replace(preset.quant, Bprime=4, xi=ModulusFn.power_sum_rate(Fraction(1, 10), 3))
     schedule = replace(preset.schedule, mu_rule=PowerRule(Fraction(1, 10), 3))
-    inst = replace(
-        preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant
-    )
+    return replace(preset, x0=np.array([0.11429491397324083]), schedule=schedule, quant=quant)
+
+
+def test_a_path_captured_late_matches_the_reference_loop(monkeypatch):
+    inst = late_capture()
     skips = count_checks(monkeypatch)
     got = run(inst, 100_000)
     assert_same_trace(got, reference_run_1d(inst, 100_000))
@@ -589,6 +591,36 @@ def test_repeats_that_are_not_fixed_back_off(monkeypatch):
     assert skips == [0] * 13
 
 
+def stage_images(inst, trace):
+    """Stage n at x_n for every stage of the trace at once, through the
+    stepper's stage map on stacked rows, in tiles of 8,192 // d^2 stages:
+    each temporary, a dense solve's (tile, d, d) stack included, stays
+    within 64 KB."""
+    tile = 8192 // trace.dim**2
+    tiles = [slice(a, a + tile) for a in range(0, trace.steps, tile)]
+    lams, mus, xs = trace.lambdas, trace.mus, trace.points[:-1]
+    images = [iteration._stage_rows(inst.T, inst.S, lams[t], mus[t], xs[t]) for t in tiles]
+    return np.concatenate(images)
+
+
+def test_the_stage_map_on_all_stages_at_once_is_the_orbit():
+    # a row of a stacked row form equals the one-row step and, in d = 1, the
+    # scalar step: every iterate is its stage's image of the one before, in
+    # every coordinate and sign bit. affine-affine-nd keeps moving, so its
+    # check covers a stacked dense solve on distinct points
+    orbits = [
+        (fq.preset("dc-abs-1d"), 1600),
+        (late_capture(), 5600),
+        (calibrated_box(), 12_000),
+        (fq.preset("affine-affine-nd"), 2000),
+    ]
+    for inst, steps in orbits:
+        trace = run(inst, steps)
+        got = stage_images(inst, trace)
+        assert (got.shape, got.tobytes()) == (trace.points[1:].shape, trace.points[1:].tobytes())
+    assert len(np.unique(trace.points, axis=0)) >= 1000
+
+
 # --------------------------------------------------------------------------
 # schedule arrays
 # --------------------------------------------------------------------------
@@ -727,6 +759,41 @@ def test_non_finite_shifted_point_raises(d):
     with pytest.raises(DomainError):
         run(inst, 2)
     with pytest.raises(DomainError):
+        reference_run(inst, 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_non_finite_shifted_point_is_not_clamped_back_into_the_box(d):
+    # T_lam = -1e300 takes the first stage to the box end 0; at the second,
+    # mu = 1e10 shifts 0 to -inf, which the clamp would take back to 0
+    inst = instance(
+        AffinePSD(np.zeros((d, d)), np.full(d, -1e300)),
+        NormalConeBox(np.zeros(d), np.ones(d)),
+        np.full(d, 0.5),
+        ParameterSchedule(PowerRule(Fraction(1), 0), TableRule((1.0, 1e10) + (1.0,) * 4), 5),
+    )
+    assert run(inst, 1).points.tolist() == [[0.5] * d, [0.0] * d]
+    with pytest.raises(DomainError):
+        run(inst, 2)
+
+
+def test_an_infinite_iterate_has_no_image_and_no_warning():
+    # LAPACK's elimination of S's 2x2 solve overflows: stage 0 maps the
+    # finite x0 to (inf, -inf). At stage 1 the zero operator's Yosida value
+    # is inf - inf, whose NaN numpy would report as an invalid value, and
+    # the shifted point is not finite: DomainError, as the reference raises
+    inst = instance(
+        ZeroOperator(2),
+        AffinePSD(np.ones((2, 2)), np.zeros(2)),
+        [1.7e308, -1.7e308],
+        ParameterSchedule(PowerRule(Fraction(1), 0), PowerRule(Fraction(1), 0), 5),
+    )
+    with pytest.raises(DomainError, match="stage 1 is not finite"):
+        run(inst, 1)
+    with pytest.raises(DomainError, match="finite coordinates"):
+        run(inst, 2)
+    with pytest.raises(DomainError, match="finite coordinates"):
         reference_run(inst, 2)
 
 
