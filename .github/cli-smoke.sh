@@ -9,6 +9,24 @@ set -u
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
+cli="import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs "code args..." under -X dev -W error and fails when the run's peak RSS
+# (ru_maxrss of the children, KiB on Linux) is above the cap in MB
+rss_capped='import resource, subprocess, sys
+cap_mb, code, *args = sys.argv[1:]
+status = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *args]).returncode
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+if peak_mb > float(cap_mb):
+    sys.exit(f"peak RSS {peak_mb:.0f} MB is above {cap_mb} MB")
+sys.exit(status)'
+
+# check NAME COMMAND...: a nonzero exit code or any output on stderr fails
+check() {
+  name=$1
+  shift
+  "$@" 2> "$dir/stderr" || { status=$?; echo "$name exited $status"; cat "$dir/stderr"; exit 1; }
+  if [ -s "$dir/stderr" ]; then echo "$name wrote to stderr:"; cat "$dir/stderr"; exit 1; fi
+}
 
 quant_1d='{"A": "2", "B": 1, "Bprime": 0, "C": "1", "M": 2, "L": "4", "d": 1,
   "theta": {"kind": "power_rate", "c": "1", "p": 1},
@@ -51,6 +69,15 @@ cat > "$dir/run-dense-corner.json" <<EOF
              "S": {"kind": "normal_cone_box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "x0": [0.5, 0.5]},
  "schedule": $schedule, "horizon": 12000}, "quant": $quant_2d, "params": {"steps": 12000}}
 EOF
+cat > "$dir/run-long-horizon.json" <<EOF
+{"problem": "dc-abs-1d",
+ "schedule": {"lambda": {"rule": "power", "c": 1, "p": 1}, "mu": {"rule": "power", "c": 1, "p": 2},
+              "horizon": 16777216},
+ "quant": {"A": "18", "B": 1, "Bprime": 0, "C": "1", "M": 2, "L": "4", "d": 1,
+           "theta": {"kind": "power_rate", "c": "1", "p": 1},
+           "xi": {"kind": "power_sum_rate", "c": "1", "p": 2}, "varpi": {"kind": "identity"}},
+ "params": {"steps": 10}}
+EOF
 
 # each entry is task:config, or task:config:cap
 for entry in run:run check-lemmas:check-lemmas certify-metastability:certify-metastability \
@@ -59,9 +86,12 @@ for entry in run:run check-lemmas:check-lemmas certify-metastability:certify-met
     cauchy-modulus:cauchy-modulus moduli-eval:moduli-eval run:run-fixed-partway \
     run:run-dense-corner; do
   IFS=: read -r task config cap <<< "$entry"
-  python -X dev -W error -c "import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))" \
-    "$task" --config "$dir/$config.json" --out "$dir/out" ${cap:+--cap "$cap"} 2> "$dir/stderr" \
-    || { status=$?; echo "$config exited $status"; cat "$dir/stderr"; exit 1; }
-  if [ -s "$dir/stderr" ]; then echo "$config wrote to stderr:"; cat "$dir/stderr"; exit 1; fi
+  check "$config" python -X dev -W error -c "$cli" \
+    "$task" --config "$dir/$config.json" --out "$dir/out" ${cap:+--cap "$cap"}
 done
+# 10 steps of a 2^24-stage schedule: validate_against reads the stages in
+# 64 KB pieces, so the run stays within 64 MB (whole float64 arrays over the
+# stages took 542 MB)
+check run-long-horizon python -c "$rss_capped" 64 "$cli" \
+  run --config "$dir/run-long-horizon.json" --out "$dir/out"
 echo "CLI smoke: all tasks passed"

@@ -136,6 +136,17 @@ MUTANTS = [
      "  # T's NaN from a non-finite iterate is not reported",
      "    with np.errstate():",
      ["tests/test_stepper.py"]),
+    # _SchedulePieces: np.sum splits a range at a multiple of 8; pieces split
+    # elsewhere add the same terms in another order, which can round otherwise
+    (ITERATION,
+     "            half = n // 2 - (n // 2) % 8",
+     "            half = n // 2",
+     ["tests/test_iteration.py"]),
+    # ... and the sum of mu over the stages after a piece carries into it
+    (ITERATION,
+     "        suffix = _from_right(np.add, mus, self.mu_after)",
+     "        suffix = _from_right(np.add, mus, 0.0)",
+     ["tests/test_iteration.py"]),
     # psi's growth exit counts the stages left after this one, not one more:
     # with the cap at psi's value, the last stage must still be built
     (MODULI,

@@ -10,6 +10,7 @@ certificates are built from.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -42,8 +43,12 @@ from .operators import (
 )
 
 _MU_FLOOR = 1e-300
-# a schedule has at most 2**24 stages: its float64 arrays stay within 128 MiB
+# a schedule has at most 2**24 stages: this caps the time validate_against
+# takes to read them and the size of run's arrays (128 MiB per float64 array)
 _MAX_HORIZON = 2**24
+# validate_against reads the schedule in pieces of at most this many stages,
+# so each float64 temporary stays within 64 KB
+_PIECE = 8192
 _CLAUSE_TOL = 1e-12
 # rows per block of the trace writer: few enough that the block's Python
 # floats stay small next to the trace arrays
@@ -198,7 +203,7 @@ class ParameterSchedule(Record, eq=True):
     def __post_init__(self):
         if self.horizon < 1:
             raise ScheduleError("horizon must be >= 1")
-        # validate_against builds arrays over stages 0..horizon
+        # bounds validate_against's reading time and run's arrays
         if self.horizon > _MAX_HORIZON:
             raise ConfigError(f"horizon: must be at most {_MAX_HORIZON}")
         # positivity is checked by the rules; the underflow guard needs the
@@ -243,6 +248,70 @@ class ParameterSchedule(Record, eq=True):
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterSchedule":
         return cls(**read_form(obj, cls.json_fields, "schedule fields"))
+
+
+def _from_right(ufunc, values: np.ndarray, carry: float) -> np.ndarray:
+    """Entry i folds ufunc over the stages from i on, right to left, where the
+    stages of ``values`` are followed by later ones whose fold is ``carry``:
+    these stages' slice of ufunc.accumulate(whole[::-1])[::-1]."""
+    out = values[::-1].copy()
+    out[0] = ufunc(out[0], carry)
+    return ufunc.accumulate(out, out=out)[::-1]
+
+
+class _SchedulePieces:
+    """Stages 0..horizon of a schedule, read once right to left in pieces of
+    at most ``_PIECE`` stages, with the results of whole arrays bit for bit.
+
+    np.sum splits a range of n > 128 elements at n // 2 - (n // 2) % 8, so
+    the pieces are the ranges this split first reaches with at most
+    ``_PIECE`` stages, and ``total`` adds their np.sum up the same tree.
+    Each piece keeps the sum of mu (added right to left, as np.cumsum of the
+    reversed array adds) and the maximum of lambda over the stages after
+    it, so ``suffix`` and ``lam_max`` read only the piece holding the stage.
+    """
+
+    def __init__(self, schedule: ParameterSchedule):
+        self.schedule = schedule
+        self.pieces = []  # (start, end, sum of mu after, max of lambda after)
+        self.mu_after, self.lam_top, self.mu_top, self.mu_low = 0.0, -math.inf, -math.inf, math.inf
+        self.total = self._sum(0, schedule.horizon + 1)
+        self.pieces.reverse()
+        self.starts = [piece[0] for piece in self.pieces]
+
+    def _sum(self, n0: int, n1: int) -> float:
+        """The pairwise sum of mu / lambda over stages n0..n1 - 1, right half first."""
+        n = n1 - n0
+        if n > _PIECE:
+            half = n // 2 - (n // 2) % 8
+            right = self._sum(n0 + half, n1)
+            return self._sum(n0, n0 + half) + right
+        lams, mus = self.schedule.lams(n0, n1), self.schedule.mus(n0, n1)
+        self.pieces.append((n0, n1, self.mu_after, self.lam_top))
+        suffix = _from_right(np.add, mus, self.mu_after)
+        lam_max = _from_right(np.maximum, lams, self.lam_top)
+        # the pass ends on the piece of stage 0, where most queries fall
+        self.kept = {np.add: (n0, suffix), np.maximum: (n0, lam_max)}
+        self.mu_after, self.lam_top = float(suffix[0]), float(lam_max[0])
+        self.mu_top = max(self.mu_top, float(np.max(mus)))
+        self.mu_low = min(self.mu_low, float(np.min(mus)))
+        return float(np.sum(mus / lams))
+
+    def suffix(self, x: int) -> float:
+        """The sum of mu over stages x..horizon: np.cumsum(mus[::-1])[::-1][x]."""
+        return self._at(x, np.add, self.schedule.mus, 0)
+
+    def lam_max(self, x: int) -> float:
+        """The maximum of lambda over stages x..horizon."""
+        return self._at(x, np.maximum, self.schedule.lams, 1)
+
+    def _at(self, x: int, ufunc, values, after: int) -> float:
+        start, kept = self.kept[ufunc]
+        if not 0 <= x - start < len(kept):
+            start, end, *carries = self.pieces[bisect_right(self.starts, x) - 1]
+            kept = _from_right(ufunc, values(start, end), carries[after])
+            self.kept[ufunc] = (start, kept)
+        return kept[x - start]
 
 
 # --------------------------------------------------------------------------
@@ -299,30 +368,29 @@ class QuantitativeData(Record, eq=True):
 
         These are necessary-condition checks on the realized finite schedule;
         certification of the full-sum constants remains the caller's claim.
+        The stages are read in pieces of 64 KB per float64 temporary, with
+        every decision that of whole arrays (``_SchedulePieces``).
         """
         h = schedule.horizon
-        lams = schedule.lams(0, h + 1)
-        mus = schedule.mus(0, h + 1)
-        if float(np.sum(mus / lams)) > float(self.A) + 1e-9:
+        stages = _SchedulePieces(schedule)
+        mu0 = schedule.mu(0)
+        if stages.total > float(self.A) + 1e-9:
             raise InvariantViolation("partial sums of mu/lambda exceed A on the horizon")
-        if float(np.max(lams)) > self.B + 1e-12 or mus[0] > self.B + 1e-12:
+        if stages.lam_top > self.B + 1e-12 or mu0 > self.B + 1e-12:
             raise InvariantViolation("B does not dominate sup lambda and mu_0")
-        if mus[0] < 2.0 ** (-self.Bprime) - 1e-12:
+        if mu0 < 2.0 ** (-self.Bprime) - 1e-12:
             raise InvariantViolation("mu_0 < 2^-Bprime")
-        if float(np.max(mus)) > float(self.C) + 1e-12:
+        if stages.mu_top > float(self.C) + 1e-12:
             raise InvariantViolation("C does not dominate sup mu")
-        if float(np.max(mus) - np.min(mus)) > float(self.C) + 1e-12:
+        if stages.mu_top - stages.mu_low > float(self.C) + 1e-12:
             raise InvariantViolation("C does not dominate the spread of mu")
-        # suffix[x] = sum of mus[x:], read only at x <= h
-        suffix = np.cumsum(mus[::-1])[::-1]
-        running_max = np.maximum.accumulate(lams[::-1])[::-1]
         prev = -1
         for k in range(51):
             t = self.theta(k)
-            if t <= h and running_max[t] > 1.0 / (k + 1) + 1e-12:
+            if t <= h and stages.lam_max(t) > 1.0 / (k + 1) + 1e-12:
                 raise InvariantViolation(f"theta({k}) misses the lambda rate")
             x = self.xi(k)
-            if x <= h and suffix[x] >= 1.0 / (k + 1):
+            if x <= h and stages.suffix(x) >= 1.0 / (k + 1):
                 raise InvariantViolation(f"xi({k}) misses the Cauchy rate on the horizon")
             w = self.varpi(k)
             if w < prev:

@@ -6,6 +6,7 @@ at 1, so 2 -> 2, 0.5 -> 0 and 0 -> 0.
 """
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from fejerquant.iteration import (
     QuantitativeData,
     TableRule,
     Trace,
+    _SchedulePieces,
     gamma_k_check,
     rule_from_json,
     run,
@@ -219,6 +221,92 @@ def test_validate_against_rejects_each_violated_constant():
     with pytest.raises(InvariantViolation, match="varpi"):
         bad = ModulusFn.table(tuple([5, 3] + [3] * 60))
         quant(varpi=bad).validate_against(standard_schedule())
+    # 40,001 stages are read in the pieces [0, 10000), [10000, 20000),
+    # [20000, 30000), [30000, 35000) and [35000, 40001): each case below
+    # queries a stage, or finds an extremum, before the last piece
+    wide = standard_schedule(40_000)
+    with pytest.raises(InvariantViolation, match="theta\\(2\\)"):
+        quant(theta=ModulusFn.power_rate(1, 2)).validate_against(wide)
+    late = ModulusFn.affine(1, 20_000)
+    with pytest.raises(InvariantViolation, match="theta\\(1\\)"):
+        quant(theta=late).validate_against(spiked(wide, lam={30_000: 0.9}))
+    with pytest.raises(InvariantViolation, match="B does not dominate"):
+        quant(A=Fraction(4)).validate_against(spiked(wide, lam={25_000: 2.0}))
+    with pytest.raises(InvariantViolation, match="C does not dominate sup mu"):
+        quant(A=Fraction(4)).validate_against(spiked(wide, lam={25_000: 1.0}, mu={25_000: 2.0}))
+    with pytest.raises(InvariantViolation, match="xi\\(1\\)"):
+        quant(A=Fraction(4), theta=ModulusFn.affine(1, 36_000), xi=late).validate_against(
+            spiked(wide, lam={35_000: 1.0}, mu={35_000: 0.9})
+        )
+    # the same schedules pass where their spikes are not checked
+    quant(theta=ModulusFn.affine(1, 30_001)).validate_against(spiked(wide, lam={30_000: 0.9}))
+    past = quant(A=Fraction(4), theta=ModulusFn.affine(1, 36_000), xi=ModulusFn.affine(1, 35_001))
+    past.validate_against(spiked(wide, lam={35_000: 1.0}, mu={35_000: 0.9}))
+
+
+def spiked(schedule, lam=(), mu=()):
+    """``schedule`` as table rules, with the values at the stages in ``lam``
+    and ``mu`` replaced."""
+    h = schedule.horizon
+    rules = []
+    for values, spikes in ((schedule.lams(0, h + 1), lam), (schedule.mus(0, h + 1), mu)):
+        values = values.tolist()
+        for n, v in dict(spikes).items():
+            values[n] = v
+        rules.append(TableRule(tuple(values)))
+    return ParameterSchedule(*rules, h)
+
+
+def piece_schedules(horizon):
+    """Two power schedules and a table schedule over stages 0..horizon."""
+    rng = np.random.default_rng(horizon)
+    yield standard_schedule(horizon)
+    yield ParameterSchedule(PowerRule(Fraction(7, 3), 0), PowerRule(Fraction(5, 2), 2), horizon)
+    lams, mus = rng.uniform(0.01, 3.0, (2, horizon + 1))
+    yield ParameterSchedule(TableRule(lams.tolist()), TableRule((mus * mus).tolist()), horizon)
+
+
+@pytest.mark.parametrize("horizon", [1, 8191, 8192, 8193, 16385, 100_000, 123_457])
+def test_schedule_pieces_give_the_whole_array_results_bit_for_bit(horizon):
+    # np.sum's pairwise order: the pieced sum relies on numpy splitting a
+    # range of n elements at n // 2 - (n // 2) % 8
+    rng = np.random.default_rng(horizon)
+    for schedule in piece_schedules(horizon):
+        lams, mus = schedule.lams(0, horizon + 1), schedule.mus(0, horizon + 1)
+        stages = _SchedulePieces(schedule)
+        bounds = [(a, b) for a, b, _, _ in stages.pieces]
+        assert bounds[0][0] == 0 and bounds[-1][1] == horizon + 1
+        assert all(b == c for (_, b), (c, _) in zip(bounds, bounds[1:]))
+        assert all(0 < b - a <= 8192 for a, b in bounds)
+        assert stages.total == float(np.sum(mus / lams))
+        assert (stages.lam_top, stages.mu_top, stages.mu_low) == (lams.max(), mus.max(), mus.min())
+        suffix = np.cumsum(mus[::-1])[::-1]
+        lam_max = np.maximum.accumulate(lams[::-1])[::-1]
+        ends = [x for a, b in bounds for x in (a, a + 1, b - 2, b - 1) if 0 <= x <= horizon]
+        for x in sorted(ends) + rng.integers(0, horizon + 1, 20).tolist():
+            assert stages.suffix(x) == suffix[x]
+            assert stages.lam_max(x) == lam_max[x]
+
+
+def test_validate_against_reads_the_schedule_in_64_kb_pieces(monkeypatch):
+    spans = []
+    for name in ("lams", "mus"):
+        def spy(self, n0, n1, read=getattr(ParameterSchedule, name)):
+            spans.append(n1 - n0)
+            return read(self, n0, n1)
+
+        monkeypatch.setattr(ParameterSchedule, name, spy)
+    schedule = standard_schedule(2**20)
+    tracemalloc.start()
+    try:
+        quant().validate_against(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(spans) <= 8192
+    assert sum(spans) >= 2 * (2**20 + 1)
+    # the whole arrays over the 2^20 + 1 stages took 32 MB
+    assert peak <= 2**20
 
 
 def test_quant_json_round_trip():
