@@ -30,6 +30,7 @@ ROOT = os.path.realpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
 VERIFICATION = "src/fejerquant/verification.py"
 ITERATION = "src/fejerquant/iteration.py"
 MODULI = "src/fejerquant/moduli.py"
+FIELDS = "src/fejerquant/fields.py"
 
 # (file, original line, replacement, test files of which one must fail)
 MUTANTS = [
@@ -73,10 +74,10 @@ MUTANTS = [
      "                return n + hit",
      "                return n",
      ["tests/test_verification.py"]),
-    # _verified_stage_fixed_point: a diagonal T needs the lambda = B endpoint too
+    # _verified_stage_fixed_point: a diagonal T needs the lambda = B end too
     (VERIFICATION,
-     "        return in_box(s_lo, s_hi, limit) and in_box(s_lo, s_hi, at_b)",
-     "        return in_box(s_lo, s_hi, limit)",
+     "    return ends is not None and in_box(s_lo, s_hi, ends[0]) and in_box(s_lo, s_hi, ends[1])",
+     "    return ends is not None and in_box(s_lo, s_hi, ends[0])",
      ["tests/test_verification.py"]),
     # Certificate.digest: the builtin SHA-256, not hashlib, which loads OpenSSL
     (VERIFICATION,
@@ -167,14 +168,20 @@ MUTANTS = [
     # power_rate(c, 1) grows at slope c only for c >= 1: power_rate(1/2, 1) is
     # 0 at n = 1
     (MODULI,
-     '        if self.kind == "power_rate" and self.p == 1 and self.c >= 1:',
-     '        if self.kind == "power_rate" and self.p == 1:',
+     "        if p == 1 and c >= 1:  # ceil(c (n + 1)) - 1 >= c n + (c - 1)",
+     "        if p == 1:",
      ["tests/test_moduli.py"]),
     # psi ends at a fixed point of its stages, not at a stage that moves by one
     (MODULI,
      "        if nxt <= val:  # one test on the exact path: a decrease or a fixed point",
      "        if nxt <= val + 1:",
      ["tests/test_moduli.py"]),
+    # Record.to_json writes a tagged form's tag first: without it no operator,
+    # schedule rule or modulus kind reads back
+    (FIELDS,
+     "        return form if self.tag is None else {self.tag: getattr(self, self.tag), **form}",
+     "        return form",
+     ["tests/test_forms.py"]),
 ]
 
 IGNORE = shutil.ignore_patterns(

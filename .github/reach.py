@@ -38,11 +38,6 @@ ALLOWED = {
     "iteration.preset": "the library entry point of the README's quickstart",
     "moduli.NaturalBound.from_json": "parses a certificate's bound; a task that "
     "re-checks written certificates needs it",
-    "moduli.ModulusFn.identity": "library constructor of a modulus kind",
-    "moduli.ModulusFn.polynomial": "library constructor of a modulus kind",
-    "moduli.ModulusFn.table": "library constructor of a modulus kind",
-    "moduli.ModulusFn.power_rate": "library constructor of a modulus kind",
-    "moduli.ModulusFn.power_sum_rate": "library constructor of a modulus kind",
     "regularity.eval_gap": "perfbench/replay.py times it per call (--trace 1)",
     "operators.resolvent": "the public one-row resolvent, checked, for library callers; "
     "tests/test_operators.py and tests/test_iteration.py use it as their reference",
@@ -157,6 +152,19 @@ EXTRA = [
                          "S": {"kind": "normal_cone_box", "lo": [0.0], "hi": [1.0]},
                          "x0": [0.5]},
              "schedule": SCHEDULE, "quant": QUANT_1D, "params": {"steps": 40}}, [], 0),
+    # ... and with a known solution that is none (T°x* is not in Sx*), listed
+    # as a premise violation: the check is unsound (exit 1)
+    ("check-lemmas", {"problem": {**ID_ZERO, "known_solutions": [[0.0], [0.25]]},
+                      "schedule": SCHEDULE, "quant": QUANT_1D,
+                      "params": {"max_n": 10, "max_l": 10, "max_i": 10, "steps": 20}}, [], 1),
+    # a rounding stall: T = 0 and S x = 1e-20 x leave x0 = 1 where it is in
+    # float64, though it is no zero of S, and T = 0 bounds no Yosida values
+    # that could prove it fixed, so phi has no stationary tail (exit 2)
+    ("certify-metastability", {"problem": {"T": {"kind": "zero", "dim": 1},
+                                           "S": {"kind": "affine_psd", "matrix": [[1e-20]],
+                                                 "offset": [0.0]}, "x0": [1.0]},
+                               "schedule": SCHEDULE, "quant": QUANT_1D, "params": {"steps": 40}},
+     [], 2),
     # a phi query past a moving trace, which only a verified stationary tail
     # could answer: the task exits 2; k_max is read and ignored
     ("certify-metastability", {"problem": ID_ZERO, "schedule": SCHEDULE, "quant": QUANT_1D,

@@ -5,9 +5,10 @@ missing field or a value of the wrong type is a ConfigError that names the
 field (exit code 2 in the CLI), never a bare ValueError, a KeyError or a
 silent truncation such as ``int(10.7)``.
 
-A serialized class declares its JSON form once, as a dict from each JSON key
-to a ``Field``; ``read_form`` and ``write_form`` turn that one declaration
-into its parser and its writer.
+A serialized class declares its JSON form once, as a dict ``json_fields``
+from each JSON key to a ``Field``. ``read_form`` reads a form, ``read_kind``
+reads a tagged one (an operator, a schedule rule, a modulus kind) as the
+record of the class its tag names, and ``Record.to_json`` writes every form.
 
 The package's immutable classes are ``Record`` subclasses: frozen records
 whose methods are shared functions that read the field declarations, in
@@ -69,16 +70,19 @@ class Record:
 
     - ``__init__`` takes the fields by position or keyword, fills in the
       defaults, and then calls ``__post_init__``, which may normalize a field
-      with ``object.__setattr__``;
+      or keep a derived value by writing to ``vars(self)``;
     - ``__setattr__`` and ``__delattr__`` raise ``AttributeError``;
     - ``__repr__`` is ``Name(field=value!r, ...)``, the standard library's text;
     - equality is identity, unless the class is declared with ``eq=True``:
       then records of one class are equal when their tuples of fields are,
-      and hash as that tuple. A subclass keeps the equality it inherits.
+      and hash as that tuple. A subclass keeps the equality it inherits;
+    - ``to_json`` writes the form ``json_fields``, after the key ``tag`` (such
+      as ``kind``) valued as the attribute of that name, where there is one.
     """
 
     _fields: tuple = ()
     _defaults: dict = {}
+    json_fields, tag = {}, None  # not annotated: no fields
 
     def __init_subclass__(cls, eq: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -129,6 +133,12 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def to_json(self) -> dict:
+        """The JSON object of the record; an optional field that is None is not written."""
+        form = {key: f.write(v) for key, f in self.json_fields.items()
+                if (v := getattr(self, f.attr or key)) is not None}
+        return form if self.tag is None else {self.tag: getattr(self, self.tag), **form}
+
 
 def _field_values(record: Record) -> tuple:
     return tuple([getattr(record, name) for name in record._fields])
@@ -174,10 +184,15 @@ def read_form(obj, form: dict, what: str, *tags: str) -> dict:
     return values
 
 
-def write_form(x, form: dict) -> dict:
-    """The JSON object of ``x`` under ``form``, in the form's key order."""
-    values = {key: getattr(x, f.attr or key) for key, f in form.items()}
-    return {key: form[key].write(v) for key, v in values.items() if v is not None}
+def read_kind(obj, catalog: dict, what: str, tag: str = "kind", error=ConfigError):
+    """The record of class ``catalog[obj[tag]]`` read through its form. An unknown
+    tag value is ``error("unknown <what> <tag> 'x'")``, and a key outside the form
+    ``unknown <what> fields`` (``unknown <tag> fields`` when the tag is not kind)."""
+    name = field(obj, tag, string)
+    if name not in catalog:
+        raise error(f"unknown {what} {tag} {name!r}")
+    cls = catalog[name]
+    return cls(**read_form(obj, cls.json_fields, f"{what if tag == 'kind' else tag} fields", tag))
 
 
 def only(obj: dict, allowed, what: str) -> None:

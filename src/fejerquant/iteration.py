@@ -27,8 +27,8 @@ from .errors import (
     SingularSystem,
     UnknownPreset,
 )
-from .fields import FLOATS, INTEGER, RATIONAL, Field, Record, field, list_of, number, rational
-from .fields import json_of, read_form, string, tolist, write_form
+from .fields import FLOATS, INTEGER, RATIONAL, Field, Record, field, json_of, list_of, number
+from .fields import rational, read_form, read_kind, tolist
 from .moduli import ModulusFn, constant
 from .operators import (
     TILE,
@@ -38,7 +38,6 @@ from .operators import (
     evaluate,
     least_norm,
     operator_from_json,
-    operator_to_json,
     resolvent_rows,
     row_norms,
 )
@@ -57,7 +56,7 @@ _CHUNK_ROWS = 64
 # next check waits for twice as many repeats
 _FIXED_BACKOFF = 64
 # the JSON forms of the catalog operators and moduli in a config
-_OPERATOR = Field(operator_from_json, operator_to_json)
+_OPERATOR = Field(operator_from_json, json_of)
 _MODULUS = Field(ModulusFn.from_json, json_of)
 
 
@@ -96,6 +95,7 @@ def _check_stages(n0: int, n1: int) -> None:
 class PowerRule(Record, eq=True):
     """n -> c / (n+1)^p with rational c > 0 and integer p >= 0."""
 
+    tag = "rule"
     rule = "power"
     json_fields = {"c": Field(rational, lambda c: int(c) if c.denominator == 1 else str(c)),
                    "p": INTEGER}
@@ -104,7 +104,7 @@ class PowerRule(Record, eq=True):
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "c", Fraction(self.c))
+        vars(self)["c"] = Fraction(self.c)
         if self.c <= 0:
             raise ScheduleError("power rule needs c > 0")
         if self.p < 0:
@@ -141,21 +141,22 @@ class PowerRule(Record, eq=True):
         _check_stages(n, n + 1)
         return self.c / (n + 1) ** self.p
 
-    def to_json(self) -> dict:
-        return {"rule": self.rule, **write_form(self, self.json_fields)}
+    def least_value(self, horizon: int) -> float:
+        """The smallest value over stages 0..horizon: the last one's."""
+        return float(self.value_array(horizon, horizon + 1)[0])
 
 
 class TableRule(Record):
     """Explicit per-stage values; indices beyond the table are errors."""
 
+    tag = "rule"
     rule = "table"
     json_fields = {"values": Field(list_of(number), list)}
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+        vals = vars(self)["values"] = tuple(float(v) for v in self.values)
         if not vals:
             raise ScheduleError("table rule needs at least one value")
         if any(not v > 0 for v in vals):
@@ -171,19 +172,19 @@ class TableRule(Record):
     def value_fraction(self, n: int) -> Fraction:
         return Fraction(self.value_array(n, n + 1)[0])
 
-    def to_json(self) -> dict:
-        return {"rule": self.rule, **write_form(self, self.json_fields)}
+    def least_value(self, horizon: int) -> float:
+        """The smallest value over stages 0..horizon, which the table must hold."""
+        if len(self.values) < horizon + 1:
+            raise ScheduleError("table rule shorter than the horizon")
+        return float(np.min(self.value_array(0, horizon + 1)))
 
 
 _RULES = {cls.rule: cls for cls in (PowerRule, TableRule)}
 
 
 def rule_from_json(obj: dict):
-    kind = field(obj, "rule", string)
-    if kind not in _RULES:
-        raise ScheduleError(f"unknown schedule rule {kind!r}")
-    cls = _RULES[kind]
-    return cls(**read_form(obj, cls.json_fields, "rule fields", "rule"))
+    """The schedule rule of a JSON form, by its ``rule``."""
+    return read_kind(obj, _RULES, "schedule", "rule", ScheduleError)
 
 
 class ParameterSchedule(Record, eq=True):
@@ -202,13 +203,10 @@ class ParameterSchedule(Record, eq=True):
         # bounds validate_against's reading time and run's arrays
         if self.horizon > _MAX_HORIZON:
             raise ConfigError(f"horizon: must be at most {_MAX_HORIZON}")
-        # positivity is checked by the rules; the underflow guard needs the
-        # minimum over stages 0..horizon, which power rules attain at the end
-        for rule in (self.lam_rule, self.mu_rule):
-            if isinstance(rule, TableRule) and len(rule.values) < self.horizon + 1:
-                raise ScheduleError("table rule shorter than the horizon")
-        first = self.horizon if isinstance(self.mu_rule, PowerRule) else 0
-        if np.min(self.mu_rule.value_array(first, self.horizon + 1)) < _MU_FLOOR:
+        # positivity is checked by the rules, and each one's least value
+        # checks that it covers the horizon
+        self.lam_rule.least_value(self.horizon)
+        if self.mu_rule.least_value(self.horizon) < _MU_FLOOR:
             raise ScheduleError("mu underflows 1e-300 within the horizon")
 
     def lam(self, n: int) -> float:
@@ -237,9 +235,6 @@ class ParameterSchedule(Record, eq=True):
         _check_stages(n0, n1)
         if n1 > n0 and n1 - 1 > self.horizon:
             raise HorizonExceeded(f"stage {n1 - 1} beyond horizon {self.horizon}")
-
-    def to_json(self) -> dict:
-        return write_form(self, self.json_fields)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParameterSchedule":
@@ -343,14 +338,12 @@ class QuantitativeData(Record, eq=True):
     varpi_hat: Optional[ModulusFn] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "C", Fraction(self.C))
-        object.__setattr__(self, "L", Fraction(self.L))
+        vars(self).update(A=Fraction(self.A), C=Fraction(self.C), L=Fraction(self.L))
         for name in ("B", "Bprime", "M", "d"):
             v = Fraction(getattr(self, name))
             if v.denominator != 1:
                 raise InvariantViolation(f"{name} must be a natural number, got {v}")
-            object.__setattr__(self, name, int(v))
+            vars(self)[name] = int(v)
         if self.A < 0 or self.C < 1 or self.L < 0:
             raise InvariantViolation("constants A >= 0, C >= 1, L >= 0 required")
         if self.B < 1 or self.M < 1 or self.d < 1 or self.Bprime < 0:
@@ -393,9 +386,6 @@ class QuantitativeData(Record, eq=True):
                 raise InvariantViolation("varpi must be monotone nondecreasing")
             prev = w
 
-    def to_json(self) -> dict:
-        return write_form(self, self.json_fields)
-
     @classmethod
     def from_json(cls, obj: dict) -> "QuantitativeData":
         return cls(**read_form(obj, cls.json_fields, "quantitative-data fields"))
@@ -423,9 +413,8 @@ class ProblemInstance(Record):
 
     def __post_init__(self):
         x0 = as_point(self.x0)
-        object.__setattr__(self, "x0", x0)
         sols = tuple(as_point(s, x0.shape[0]) for s in self.known_solutions)
-        object.__setattr__(self, "known_solutions", sols)
+        vars(self).update(x0=x0, known_solutions=sols)
         d = self.S.dim
         if self.T.dim != d or x0.shape[0] != d or self.quant.d != d:
             raise DimensionMismatch("operators, start point and constants disagree on d")
@@ -463,7 +452,7 @@ class ProblemInstance(Record):
     def to_json(self) -> dict:
         """The config form of the instance: its problem object, schedule and quant."""
         schedule, quant = self.schedule.to_json(), self.quant.to_json()
-        return {"problem": write_form(self, self.json_fields), "schedule": schedule, "quant": quant}
+        return {"problem": super().to_json(), "schedule": schedule, "quant": quant}
 
     def in_search_region(self, x) -> bool:
         """Membership in the ball of radius L around x0 intersected with the
@@ -543,10 +532,9 @@ class Trace(Record):
     residuals: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        for name in ("lambdas", "mus", "residuals"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("points", "lambdas", "mus", "residuals"):
+            vars(self)[name] = np.asarray(getattr(self, name), dtype=float)
+        pts = self.points
         n = pts.shape[0] - 1
         if self.lambdas.shape[0] != n or self.mus.shape[0] != n or self.residuals.shape[0] != n:
             raise DimensionMismatch("trace arrays disagree on the number of steps")

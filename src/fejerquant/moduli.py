@@ -19,7 +19,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .errors import (
     ConfigError,
@@ -27,8 +27,7 @@ from .errors import (
     NegativeExponent,
     TableRangeError,
 )
-from .fields import INTEGER, RATIONAL, Field, Record, field, integer, list_of, read_form, string
-from .fields import write_form
+from .fields import INTEGER, RATIONAL, Field, Record, integer, list_of, read_kind
 
 #: Default cap for symbolic bounds: values above this become Overflow markers.
 DEFAULT_CAP = 10 ** 10000
@@ -232,111 +231,83 @@ def _linear(a: int, b: int) -> Callable[[int], int]:
     return (lambda n: a * n) if b == 0 else lambda n: a * n + b
 
 
-# the JSON form of each kind of modulus
-_NATURALS = Field(list_of(integer), list)
-_POWER = {"c": RATIONAL, "p": INTEGER}
-_KINDS = {"identity": {}, "affine": {"a": INTEGER, "b": INTEGER},
-          "polynomial": {"coeffs": _NATURALS}, "table": {"values": _NATURALS},
-          "power_rate": _POWER, "power_sum_rate": _POWER}
-
-
 class ModulusFn(Record, eq=True):
-    """A represented map N -> N.
-
-    Closed-form kinds (identity, affine, polynomial with natural coefficients,
-    power_rate, power_sum_rate) are total and monotone nondecreasing, and stay
-    exact at arbitrarily large arguments. ``table`` is a finite lookup and
-    raises outside its declared range: a modulus is a certificate, so a table
-    never extrapolates.
-
-    power_rate(c, p) is the convergence rate of c/(n+1)^p -> 0: the value at j
-    is the first index n with c/(n+1)^p <= 1/(j+1).
-
-    power_sum_rate(c, p), p >= 2, is a Cauchy rate for the series of
-    c/(n+1)^p, obtained from the integral tail bound
-    sum_{i>=N} c/(i+1)^p < c * N^(1-p) / (p-1).
+    """A represented map N -> N. Each kind is a subclass with the fields of
+    its JSON form, bound as its constructor: ``ModulusFn.affine(2, 1)``.
+    Closed forms (identity, affine, polynomial with natural coefficients,
+    power_rate, power_sum_rate) are total, monotone nondecreasing and exact at
+    any argument; a ``table`` raises outside its declared range (a modulus is
+    a certificate, so a table never extrapolates). A kind checks its fields
+    and decides once its evaluator ``_at``, its constants read and a factor
+    or a divisor of 1 left out, and its ``slope``: a rational s with
+    f(n) >= s n at every natural n.
     """
 
-    kind: str
-    a: int = 0
-    b: int = 0
-    coeffs: tuple = ()
-    values: tuple = ()
-    c: Fraction = Fraction(1)
-    p: int = 1
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if self.kind == "affine" and (self.a < 0 or self.b < 0):
-            raise ValueError("affine modulus needs natural coefficients")
-        if self.kind == "polynomial" and any(c < 0 for c in self.coeffs):
-            raise ValueError("polynomial modulus needs natural coefficients")
-        if self.kind in ("power_rate", "power_sum_rate"):
-            if self.c <= 0 or self.p < 1:
-                raise ValueError("power rate needs c > 0, p >= 1")
-            if self.kind == "power_sum_rate" and self.p < 2:
-                raise ValueError("a summable power rule needs exponent >= 2")
-        if self.kind == "table" and any(v < 0 for v in self.values):
-            raise ValueError("table values must be naturals")
-        # the kind is decided here, once; a call only checks its argument
-        object.__setattr__(self, "_at", self._evaluator())
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def identity(cls) -> "ModulusFn":
-        return cls("identity")
-
-    @classmethod
-    def affine(cls, a: int, b: int) -> "ModulusFn":
-        return cls("affine", a=a, b=b)
-
-    @classmethod
-    def polynomial(cls, coeffs: Sequence[int]) -> "ModulusFn":
-        return cls("polynomial", coeffs=tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def table(cls, values: Sequence[int]) -> "ModulusFn":
-        return cls("table", values=tuple(int(v) for v in values))
-
-    @classmethod
-    def power_rate(cls, c, p: int) -> "ModulusFn":
-        return cls("power_rate", c=Fraction(c), p=int(p))
-
-    @classmethod
-    def power_sum_rate(cls, c, p: int) -> "ModulusFn":
-        return cls("power_sum_rate", c=Fraction(c), p=int(p))
-
-    # -- evaluation -----------------------------------------------------------
+    tag = "kind"
+    closed_form = True
+    is_monotone = True
+    slope = Fraction(0)
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("modulus arguments are naturals")
         return self._at(n)
 
-    def _evaluator(self) -> Callable[[int], int]:
-        """The map on naturals with its constants read once. A factor or a
-        divisor of 1 is left out, and so is power_rate's floor at 0: the root
-        of c * (n + 1) > 0 is at least 1. So power_rate(1, 1) is n itself."""
-        if self.kind == "identity":
-            return _identity
-        if self.kind == "affine":
-            return _linear(self.a, self.b)
-        if self.kind == "polynomial":
-            coeffs = self.coeffs
-            return lambda n: sum(co * n ** i for i, co in enumerate(coeffs))
-        num, den = self.c.numerator, self.c.denominator
-        if self.kind == "power_rate":
-            if self.p == 1:  # ceil(num (n + 1) / den) - 1 = (num (n + 1) - 1) // den
-                step = _linear(num, num - 1)
-                return step if den == 1 else lambda n: step(n) // den
-            p, scaled = self.p, _linear(num, num)
-            return lambda n: _ceil_root(scaled(n), den, p) - 1
-        if self.kind == "power_sum_rate":
-            p, den, scaled = self.p - 1, den * (self.p - 1), _linear(num, num)
-            return lambda n: _ceil_root(scaled(n), den, p)
-        values = self.values
+    @classmethod
+    def from_json(cls, obj: dict) -> "ModulusFn":
+        try:  # the kinds check ranges: naturals, c > 0, p >= 1 (2 for sums)
+            return read_kind(obj, _KINDS, "modulus")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+class _Identity(ModulusFn):
+    kind = "identity"
+    slope = Fraction(1)
+    _at = staticmethod(_identity)
+
+
+class _Affine(ModulusFn):
+    kind = "affine"
+    json_fields = {"a": INTEGER, "b": INTEGER}
+
+    a: int
+    b: int
+
+    def __post_init__(self):
+        if self.a < 0 or self.b < 0:
+            raise ValueError("affine modulus needs natural coefficients")
+        vars(self).update(_at=_linear(self.a, self.b), slope=Fraction(self.a))
+
+
+_NATURALS = Field(list_of(integer), list)
+
+
+class _Polynomial(ModulusFn):
+    kind = "polynomial"
+    json_fields = {"coeffs": _NATURALS}
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = tuple(int(c) for c in self.coeffs)
+        if any(c < 0 for c in coeffs):
+            raise ValueError("polynomial modulus needs natural coefficients")
+        at = lambda n: sum(co * n ** i for i, co in enumerate(coeffs))  # noqa: E731
+        vars(self).update(coeffs=coeffs, _at=at, slope=Fraction(sum(coeffs[1:])))  # n^i >= n
+
+
+class _Table(ModulusFn):
+    kind = "table"
+    json_fields = {"values": _NATURALS}
+    closed_form = False
+
+    values: tuple
+
+    def __post_init__(self):
+        values = tuple(int(v) for v in self.values)
+        if any(v < 0 for v in values):
+            raise ValueError("table values must be naturals")
 
         def lookup(n: int) -> int:
             if n >= len(values):
@@ -345,42 +316,60 @@ class ModulusFn(Record, eq=True):
                 )
             return values[n]
 
-        return lookup
+        monotone = all(x <= y for x, y in zip(values, values[1:]))
+        vars(self).update(values=values, _at=lookup, is_monotone=monotone)
 
-    # -- structure ------------------------------------------------------------
 
-    @property
-    def slope(self) -> Fraction:
-        """A rational s with f(n) >= s n at every natural n: 0 for tables,
-        power_sum_rate and every power_rate but power_rate(c >= 1, 1)."""
-        if self.kind == "identity":
-            return Fraction(1)
-        if self.kind == "affine":
-            return Fraction(self.a)
-        if self.kind == "polynomial":  # n^i >= n for i >= 1
-            return Fraction(sum(self.coeffs[1:]))
-        if self.kind == "power_rate" and self.p == 1 and self.c >= 1:
-            return self.c  # ceil(c (n + 1)) - 1 >= c n + (c - 1)
-        return Fraction(0)
+class _PowerRate(ModulusFn):
+    """The convergence rate of c/(n+1)^p -> 0: the value at j is the first
+    index n with c/(n+1)^p <= 1/(j+1). Its floor at 0 is left out: the root
+    of c (n + 1) > 0 is at least 1, so power_rate(1, 1) is n itself."""
 
-    @property
-    def is_monotone(self) -> bool:
-        """Closed forms are monotone by construction; tables are inspected."""
-        return self.kind != "table" or all(x <= y for x, y in zip(self.values, self.values[1:]))
+    kind = "power_rate"
+    json_fields = {"c": RATIONAL, "p": INTEGER}
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **write_form(self, _KINDS[self.kind])}
+    c: Fraction
+    p: int
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ModulusFn":
-        kind = field(obj, "kind", string)
-        if kind not in _KINDS:
-            raise ConfigError(f"unknown modulus kind {kind!r}")
-        values = read_form(obj, _KINDS[kind], "modulus fields", "kind")
-        try:  # the constructor checks ranges: naturals, c > 0, p >= 1 (2 for sums)
-            return cls(kind, **values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    def __post_init__(self):
+        c, p = Fraction(self.c), int(self.p)
+        if c <= 0 or p < 1:
+            raise ValueError("power rate needs c > 0, p >= 1")
+        vars(self).update(c=c, p=p, _at=self._evaluator(c.numerator, c.denominator))
+        if p == 1 and c >= 1:  # ceil(c (n + 1)) - 1 >= c n + (c - 1)
+            vars(self)["slope"] = c
+
+    def _evaluator(self, num: int, den: int) -> Callable[[int], int]:
+        if self.p == 1:  # ceil(num (n + 1) / den) - 1 = (num (n + 1) - 1) // den
+            step = _linear(num, num - 1)
+            return step if den == 1 else lambda n: step(n) // den
+        p, scaled = self.p, _linear(num, num)
+        return lambda n: _ceil_root(scaled(n), den, p) - 1
+
+
+class _PowerSumRate(_PowerRate):
+    """A Cauchy rate for the series of c/(n+1)^p, p >= 2, from the integral
+    tail bound sum_{i>=N} c/(i+1)^p < c * N^(1-p) / (p-1)."""
+
+    kind = "power_sum_rate"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.p < 2:
+            raise ValueError("a summable power rule needs exponent >= 2")
+
+    def _evaluator(self, num: int, den: int) -> Callable[[int], int]:
+        p, den, scaled = self.p - 1, den * (self.p - 1), _linear(num, num)
+        return lambda n: _ceil_root(scaled(n), den, p)
+
+
+_KINDS = {cls.kind: cls for cls in (_Identity, _Affine, _Polynomial, _Table, _PowerRate,
+                                     _PowerSumRate)}
+# bound as constructors and named as classes nested in ModulusFn, so that a
+# repr reads as the call that builds it: ModulusFn.affine(a=2, b=1)
+for _kind, _cls in _KINDS.items():
+    setattr(ModulusFn, _kind, _cls)
+    _cls.__name__, _cls.__qualname__ = _kind, f"ModulusFn.{_kind}"
 
 
 #: A counterfunction is just a represented map N -> N used as the window
@@ -494,7 +483,7 @@ def _growth_bits(g: Counterfunction, q, phi_search: PhiSearch, me: int, e_den: i
     M varpi(chi) + M - 1, and phi(k, n) >= n. b = floor(log2 R) counts only
     when no stage can raise: g is a closed form and phi answers every query
     (a table theta or varpi has slope 0)."""
-    if g.kind == "table" or not getattr(phi_search, "answers_every_query", False):
+    if not g.closed_form or not getattr(phi_search, "answers_every_query", False):
         return 0
     rate = q.theta.slope * q.M * q.varpi.slope * Fraction(me, e_den)
     return max(math.floor(rate).bit_length() - 1, 0)

@@ -17,7 +17,8 @@ sets as bound rows (``value_rows``), its domain as a box (``domain()``) and
 a row mask (``domain_rows``), its resolvent and Yosida approximant with one
 parameter per row (``resolvent_rows``, ``yosida_rows``; the stepper calls
 these unchecked), their scalar forms for d = 1 (``resolvent1``, ``yosida1``)
-and its JSON form (``kind``, ``json_fields``). The checked per-point
+and its JSON form (``kind``, ``json_fields``), written by ``to_json`` and
+read by ``operator_from_json``. The checked per-point
 ``evaluate``, ``domain_contains``, ``resolvent`` and ``yosida`` for library
 callers are one-row cases of the row forms: each is decided in one place.
 """
@@ -27,14 +28,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     DomainError,
     InvariantViolation,
     NonPositiveParameter,
     SingularSystem,
 )
-from .fields import FLOATS, INTEGER, Record, field, read_form, string, write_form
+from .fields import FLOATS, INTEGER, Record, read_kind
 
 _SYM_TOL = 1e-9
 _PSD_TOL = 1e-9
@@ -140,8 +140,11 @@ class _Operator(Record):
     ``resolvent_rows``, ``value_rows`` and the scalar ``resolvent1``, which
     serves d = 1 only and equals row 0 of a one-row ``resolvent_rows`` bit
     for bit. A subclass with a smaller domain than R^d overrides
-    ``domain()``.
+    ``domain()``. A subclass whose Yosida values at x are bounded by two
+    computable ones overrides ``yosida_ends``.
     """
+
+    tag = "kind"
 
     def yosida1(self, lam: float, x: float) -> float:
         return (x - self.resolvent1(lam, x)) / lam
@@ -157,6 +160,10 @@ class _Operator(Record):
         lo, hi = self.domain()
         return np.all(xs >= lo - tol, axis=1) & np.all(xs <= hi + tol, axis=1)
 
+    def yosida_ends(self, lam_top: float, x: np.ndarray):
+        """Its limit at 0 and its value at lam_top, which bound the Yosida value
+        at x coordinatewise on (0, lam_top]; None where no such pair is known."""
+
 
 class AffinePSD(_Operator):
     """x -> {A x + b} with A symmetric positive semidefinite."""
@@ -170,8 +177,7 @@ class AffinePSD(_Operator):
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=float)
         b = np.asarray(self.offset, dtype=float)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "offset", b)
+        vars(self).update(matrix=a, offset=b)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("matrix must be square")
         if b.ndim != 1 or b.shape[0] != a.shape[0]:
@@ -184,8 +190,7 @@ class AffinePSD(_Operator):
             raise InvariantViolation("matrix must be positive semidefinite within 1e-9")
         # the d = 1 forms read (a, b) as floats; the row forms reuse one identity
         ab = (float(a[0, 0]), float(b[0])) if b.shape == (1,) else None
-        object.__setattr__(self, "_ab", ab)
-        object.__setattr__(self, "_eye", np.eye(a.shape[0]))
+        vars(self).update(_ab=ab, _eye=np.eye(a.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -225,6 +230,11 @@ class AffinePSD(_Operator):
     @property
     def is_diagonal(self) -> bool:
         return bool(np.all(self.matrix == np.diag(np.diagonal(self.matrix))))
+
+    def yosida_ends(self, lam_top: float, x: np.ndarray):
+        # a diagonal A moves each coordinate (a_i x_i + b_i) / (1 + lam a_i) monotonically
+        if self.is_diagonal:
+            return self.matrix @ x + self.offset, yosida(self, lam_top, x)
 
 
 class SubdiffAbsSum(_Operator, eq=True):
@@ -278,16 +288,14 @@ class NormalConeBox(_Operator):
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        vars(self).update(lo=lo, hi=hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise DimensionMismatch("box needs matching 1-D bounds")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise InvariantViolation("box bounds must be finite")
         if np.any(lo > hi):
             raise InvariantViolation("box needs lo <= hi")
-        lohi = (float(lo[0]), float(hi[0])) if lo.shape == (1,) else None
-        object.__setattr__(self, "_lohi", lohi)
+        vars(self)["_lohi"] = (float(lo[0]), float(hi[0])) if lo.shape == (1,) else None
 
     @property
     def dim(self) -> int:
@@ -397,13 +405,6 @@ def minimal_selection(op, x) -> np.ndarray:
 _CATALOG = {cls.kind: cls for cls in (AffinePSD, SubdiffAbsSum, NormalConeBox, ZeroOperator)}
 
 
-def operator_to_json(op) -> dict:
-    return {"kind": op.kind, **write_form(op, op.json_fields)}
-
-
 def operator_from_json(obj: dict):
-    kind = field(obj, "kind", string)
-    if kind not in _CATALOG:
-        raise ConfigError(f"unknown operator kind {kind!r}")
-    cls = _CATALOG[kind]
-    return cls(**read_form(obj, cls.json_fields, "operator fields", "kind"))
+    """The catalog operator of a JSON form, by its ``kind``."""
+    return read_kind(obj, _CATALOG, "operator")

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
 from .fields import FLOATS, RATIONAL, Field, Record, field, list_of, read_form, string
-from .fields import write_form
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -116,6 +115,8 @@ class RegularityModulus(Record):
     grid only.
     """
 
+    tag = "kind"
+
     kind: str
     center: np.ndarray
     radius: Fraction
@@ -128,20 +129,18 @@ class RegularityModulus(Record):
             raise ConfigError(f"unknown regularity modulus kind {self.kind!r}")
         if self.provenance not in ("analytic", "grid-oracle"):
             raise ConfigError(f"unknown provenance {self.provenance!r}")
-        object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        object.__setattr__(self, "scale", Fraction(self.scale))
+        entries = tuple((Fraction(e), Fraction(p)) for e, p in self.entries)
+        vars(self).update(center=as_point(self.center), radius=Fraction(self.radius),
+                          scale=Fraction(self.scale), entries=entries)
         if self.radius <= 0:
             raise InvariantViolation("regularity ball radius must be positive")
-        if self.kind == "linear" and self.scale <= 0:
-            raise InvariantViolation("linear regularity modulus needs scale > 0")
-        entries = tuple((Fraction(e), Fraction(p)) for e, p in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.kind == "table":
-            if not entries:
-                raise InvariantViolation("table regularity modulus needs entries")
-            if any(p <= 0 for _, p in entries):
-                raise InvariantViolation("regularity modulus values must be positive")
+        if self.kind == "linear":
+            if self.scale <= 0:
+                raise InvariantViolation("linear regularity modulus needs scale > 0")
+        elif not entries:
+            raise InvariantViolation("table regularity modulus needs entries")
+        elif any(p <= 0 for _, p in entries):
+            raise InvariantViolation("regularity modulus values must be positive")
 
     def phi_value(self, eps: Fraction) -> Fraction:
         """phi(eps), exact; tables answer only at certified epsilons."""
@@ -158,8 +157,9 @@ class RegularityModulus(Record):
             f"(certified: {[str(e) for e, _ in self.entries]})"
         )
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **write_form(self, _REGULARITY_KINDS[self.kind])}
+    @property
+    def json_fields(self) -> dict:
+        return _REGULARITY_KINDS[self.kind]
 
     @classmethod
     def from_json(cls, obj: dict) -> "RegularityModulus":
@@ -205,7 +205,7 @@ class GHModuli(Record):
     xi: Callable[[Fraction], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_h_prime_at", Fraction(self.beta_h_prime_at))
+        vars(self)["beta_h_prime_at"] = Fraction(self.beta_h_prime_at)
 
 
 def theta_generic(
@@ -304,7 +304,7 @@ def validate_regularity_ball(
             partial += inst.schedule.mu_fraction(upto)
             upto += 1
         # the next k whose value may exceed the largest so far
-        k = k + 1 if xi.kind == "table" else bisect_right(range(k_top + 1), upto, lo=k + 1, key=xi)
+        k = bisect_right(range(k_top + 1), upto, lo=k + 1, key=xi) if xi.closed_form else k + 1
     return exp_upper(inst.quant.A) * b + min(run_ends + [partial + Fraction(1, k_top + 1)])
 
 

@@ -37,7 +37,6 @@ from .moduli import (
 )
 from .operators import (
     TILE,
-    AffinePSD,
     evaluate,
     in_box,
     minimal_selection,
@@ -129,6 +128,14 @@ _PREMISE = -1
 _FORMS = ("product", "exp")
 
 
+def _first_listed(found: list) -> tuple:
+    """The first 50 violation records of ``found``, a list of record arrays
+    (solution, n, l, form, lhs, rhs), in (solution, n, l, form) order."""
+    columns = [np.concatenate(c) for c in zip(*found)]
+    first = np.lexsort(columns[3::-1])[:50]  # the last key sorts first
+    return tuple(c[first] for c in columns)
+
+
 def check_quasi_fejer(
     trace: Trace, inst: ProblemInstance, max_n: int, max_l: int
 ) -> Certificate:
@@ -151,7 +158,8 @@ def check_quasi_fejer(
     them with the distances at n + l, which are padded with -inf past the
     trace, so a pair with n + l > steps never counts. The right-hand sides
     are the ones of a loop over (n, l) bit for bit. Violations are listed in
-    (solution, n, l, form) order, the first 50 of them.
+    (solution, n, l, form) order, the first 50 of them; after each offset
+    that finds one, only the first 50 found so far are kept.
 
     A row retires once it is decided. When every rho >= 1 and every mu >= 0,
     as in every trace that ``run`` makes, each running product and e^A is
@@ -231,6 +239,8 @@ def check_quasi_fejer(
                     s, n = np.nonzero(above)
                     at = np.full(s.size, l)
                     found.append((sol[s], a + n, at, np.full(s.size, form), lhs[s, n], rhs[s, n]))
+            if len(found) > 1:
+                found = [_first_listed(found)]
             later = top[:, a + l + 1 : b + l + 1]
             retired = (rhs_prod >= later) & (rhs_exp >= later)
             left = np.flatnonzero(~retired.all(axis=0))
@@ -243,8 +253,8 @@ def check_quasi_fejer(
                 base_ab, e_base_ab = base[:, a:b], e_base[:, a:b]
     violations = []
     if found:
-        sols, ns, ls, forms, lhss, rhss = (np.concatenate(c) for c in zip(*found))
-        for j in np.lexsort((forms, ls, ns, sols))[:50]:
+        sols, ns, ls, forms, lhss, rhss = _first_listed(found)
+        for j in range(sols.size):
             solution = [float(v) for v in inst.known_solutions[sols[j]]]
             if forms[j] == _PREMISE:
                 entry = {"form": "premise", "solution": solution,
@@ -506,20 +516,16 @@ def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> boo
     A stage map fixes x_bar iff the Yosida value of T at x_bar lies in the
     value set S(x_bar) (the step-size drops out for the whole catalog). Two
     certifiable cases: the Yosida value is identically zero because 0 is in
-    T(x_bar) exactly, and 0 in S(x_bar); or T is diagonal affine, so each
-    Yosida coordinate varies monotonically with constant sign between its
-    endpoints, and both endpoints (lambda -> 0 and lambda = B) lie in the
-    closed interval S(x_bar).
+    T(x_bar) exactly, and 0 in S(x_bar); or T bounds its Yosida values for
+    lambda in (0, B] coordinatewise by two points (``yosida_ends``: lambda
+    -> 0 and lambda = B), and both lie in the box S(x_bar).
     """
     s_lo, s_hi = evaluate(inst.S, x_bar)
     zero = np.zeros(inst.dim)
     if in_box(*evaluate(inst.T, x_bar), zero) and in_box(s_lo, s_hi, zero):
         return True
-    if isinstance(inst.T, AffinePSD) and inst.T.is_diagonal:
-        limit = inst.T.matrix @ x_bar + inst.T.offset
-        at_b = yosida(inst.T, float(inst.quant.B), x_bar)
-        return in_box(s_lo, s_hi, limit) and in_box(s_lo, s_hi, at_b)
-    return False
+    ends = inst.T.yosida_ends(float(inst.quant.B), x_bar)
+    return ends is not None and in_box(s_lo, s_hi, ends[0]) and in_box(s_lo, s_hi, ends[1])
 
 
 def build_empirical_phi(trace: Trace, inst: Optional[ProblemInstance] = None) -> EmpiricalPhi:

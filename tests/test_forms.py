@@ -2,12 +2,15 @@
 
 Each property writes an object, reads the JSON text back and writes it again:
 the two writes must be equal as values and as ``json.dumps(sort_keys=True)``
-text, which also tells -0.0 from 0.0. The golden hashes pin the bytes of
-``--dump-config`` for the three presets and for one inline config.
+text, which also tells -0.0 from 0.0. The tagged forms (the operators, the
+schedule rules and the modulus kinds) are checked class by class over each
+catalog. The golden hashes pin the bytes of ``--dump-config`` for the three
+presets and for one inline config.
 """
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fejerquant import preset
+from fejerquant import iteration, moduli, operators, preset
 from fejerquant.cli import main
+from fejerquant.errors import ConfigError, ScheduleError
 from fejerquant.iteration import (
     PRESETS,
     ParameterSchedule,
@@ -33,7 +37,6 @@ from fejerquant.operators import (
     SubdiffAbsSum,
     ZeroOperator,
     operator_from_json,
-    operator_to_json,
 )
 from fejerquant.regularity import RegularityModulus
 
@@ -82,14 +85,25 @@ def box(draw, d):
     return NormalConeBox(np.where(a <= b, a, b), np.where(a <= b, b, a))
 
 
-def operators(d):
-    return st.one_of(affine(d), box(d), st.just(SubdiffAbsSum(d)), st.just(ZeroOperator(d)))
+# each catalog operator's kind to its strategy at dimension d
+OPERATOR_FORMS = {
+    "affine_psd": affine,
+    "normal_cone_box": box,
+    "subdiff_abs": lambda d: st.just(SubdiffAbsSum(d)),
+    "zero": lambda d: st.just(ZeroOperator(d)),
+}
 
 
-power_rules = st.builds(PowerRule, positive_fractions, st.integers(0, 6))
-table_rules = st.lists(
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=8
-).map(TableRule)
+def operators_of(d):
+    return st.one_of(*(form(d) for form in OPERATOR_FORMS.values()))
+
+
+RULE_FORMS = {
+    "power": st.builds(PowerRule, positive_fractions, st.integers(0, 6)),
+    "table": st.lists(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=8
+    ).map(TableRule),
+}
 
 
 @st.composite
@@ -106,14 +120,15 @@ def schedules(draw):
     return ParameterSchedule(rule(st.floats(1e-6, 1e6)), rule(st.floats(1e-3, 10.0)), horizon)
 
 
-moduli = st.one_of(
-    st.just(ModulusFn.identity()),
-    st.builds(ModulusFn.affine, naturals, naturals),
-    st.lists(naturals, max_size=4).map(ModulusFn.polynomial),
-    st.lists(naturals, min_size=1, max_size=6).map(ModulusFn.table),
-    st.builds(ModulusFn.power_rate, positive_fractions, st.integers(1, 6)),
-    st.builds(ModulusFn.power_sum_rate, positive_fractions, st.integers(2, 6)),
-)
+MODULUS_FORMS = {
+    "identity": st.just(ModulusFn.identity()),
+    "affine": st.builds(ModulusFn.affine, naturals, naturals),
+    "polynomial": st.lists(naturals, max_size=4).map(ModulusFn.polynomial),
+    "table": st.lists(naturals, min_size=1, max_size=6).map(ModulusFn.table),
+    "power_rate": st.builds(ModulusFn.power_rate, positive_fractions, st.integers(1, 6)),
+    "power_sum_rate": st.builds(ModulusFn.power_sum_rate, positive_fractions, st.integers(2, 6)),
+}
+any_modulus = st.one_of(*MODULUS_FORMS.values())
 
 
 @st.composite
@@ -141,17 +156,17 @@ def quant_data(draw, d=None):
         M=draw(st.integers(1, 50)),
         L=draw(st.one_of(st.just(Fraction(0)), positive_fractions)),
         d=d or draw(dims),
-        theta=draw(moduli),
-        xi=draw(moduli),
-        varpi=draw(moduli),
-        varpi_hat=draw(st.one_of(st.none(), moduli)),
+        theta=draw(any_modulus),
+        xi=draw(any_modulus),
+        varpi=draw(any_modulus),
+        varpi_hat=draw(st.one_of(st.none(), any_modulus)),
     )
 
 
 @st.composite
 def problems(draw):
     d = draw(dims)
-    S = draw(operators(d))
+    S = draw(operators_of(d))
     # a normal-cone T needs S to be the same box; other T take any S
     T = S if isinstance(S, NormalConeBox) and draw(st.booleans()) else draw(
         st.one_of(affine(d), st.just(SubdiffAbsSum(d)), st.just(ZeroOperator(d)))
@@ -169,16 +184,59 @@ def problems(draw):
     )
 
 
-@EXAMPLES
-@given(dims.flatmap(operators))
-def test_operator_form_round_trips(op):
-    assert_round_trip(op, operator_from_json, operator_to_json)
+# each tagged form: its catalog of classes by tag value, its reader, the
+# strategy of each class, and the exception class and message of a tag value
+# outside the catalog
+CATALOGS = {
+    "operator": (operators._CATALOG, operator_from_json,
+                 {kind: dims.flatmap(form) for kind, form in OPERATOR_FORMS.items()},
+                 ConfigError, "unknown operator kind 'mystery'"),
+    "rule": (iteration._RULES, rule_from_json, RULE_FORMS,
+             ScheduleError, "unknown schedule rule 'mystery'"),
+    "modulus": (moduli._KINDS, ModulusFn.from_json, MODULUS_FORMS,
+                ConfigError, "unknown modulus kind 'mystery'"),
+}
+TAGGED = [(name, kind) for name, catalog in CATALOGS.items() for kind in catalog[2]]
 
 
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_every_class_of_a_catalog_has_a_strategy(name):
+    classes, _, strategies, *_ = CATALOGS[name]
+    assert set(strategies) == set(classes)
+
+
+@pytest.mark.parametrize("name,kind", TAGGED, ids=[f"{n}-{k}" for n, k in TAGGED])
 @EXAMPLES
-@given(st.one_of(power_rules, table_rules))
-def test_rule_form_round_trips(rule):
-    assert_round_trip(rule, rule_from_json)
+@given(data=st.data())
+def test_tagged_form_round_trips(name, kind, data):
+    classes, read, strategies, *_ = CATALOGS[name]
+    x = data.draw(strategies[kind])
+    assert type(x) is classes[kind]
+    assert_round_trip(x, read)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGS))
+def test_an_unknown_tag_is_refused_as_it_always_was(name):
+    _, read, _, error, message = CATALOGS[name]
+    tag = "rule" if name == "rule" else "kind"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read({tag: "mystery"})
+
+
+def test_unknown_fields_of_a_tagged_form_are_named_as_they_always_were():
+    cases = [
+        (operator_from_json, {"kind": "zero", "dim": 1}, "unknown operator fields ['extra']"),
+        (rule_from_json, {"rule": "power", "c": 1, "p": 1}, "unknown rule fields ['extra']"),
+        (ModulusFn.from_json, {"kind": "identity"}, "unknown modulus fields ['extra']"),
+        (RegularityModulus.from_json,
+         {"kind": "linear", "center": [0.0], "radius": 1, "provenance": "analytic", "scale": 1},
+         "unknown regularity modulus fields ['extra']"),
+    ]
+    for read, obj, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            read({**obj, "extra": 2})
+    with pytest.raises(ConfigError, match="^unknown regularity modulus kind 'mystery'$"):
+        RegularityModulus.from_json({"kind": "mystery"})
 
 
 def test_power_rule_c_is_an_integer_when_integral():
@@ -190,12 +248,6 @@ def test_power_rule_c_is_an_integer_when_integral():
 @given(schedules())
 def test_schedule_form_round_trips(schedule):
     assert_round_trip(schedule, ParameterSchedule.from_json)
-
-
-@EXAMPLES
-@given(moduli)
-def test_modulus_form_round_trips(g):
-    assert_round_trip(g, ModulusFn.from_json)
 
 
 @EXAMPLES

@@ -414,9 +414,16 @@ def test_modulus_monotonicity_flag():
 
 def test_modulus_rejects_bad_construction():
     with pytest.raises(ValueError):
-        ModulusFn("affine", a=-1, b=0)
+        ModulusFn.affine(a=-1, b=0)
     with pytest.raises(ValueError):
-        ModulusFn("no-such-kind")
+        ModulusFn.polynomial([1, -1])
+    with pytest.raises(ValueError):
+        ModulusFn.table([0, -1])
+    with pytest.raises(ValueError):
+        ModulusFn.power_rate(0, 1)
+    # a kind is built by its own constructor, not by its name
+    with pytest.raises(TypeError):
+        ModulusFn("affine", 1)
     with pytest.raises(ValueError):
         ModulusFn.power_sum_rate(1, 1)
     with pytest.raises(ValueError):
@@ -825,9 +832,11 @@ def test_a_modulus_keeps_its_value_form():
         f, h = make(), make()
         assert f == h and hash(f) == hash(h) and repr(f) == repr(h)
         assert ModulusFn.from_json(f.to_json()) == f
-    assert field_names(ModulusFn) == [
-        "kind", "a", "b", "coeffs", "values", "c", "p",
-    ]
+    # each kind has the fields of its JSON form, and no others
+    assert {kind: field_names(getattr(ModulusFn, kind)) for kind in moduli._KINDS} == {
+        "identity": [], "affine": ["a", "b"], "polynomial": ["coeffs"], "table": ["values"],
+        "power_rate": ["c", "p"], "power_sum_rate": ["c", "p"],
+    }
     assert ModulusFn.power_rate(1, 1) != IDENT
     assert ModulusFn.power_rate(1, 1)(10**40) == 10**40
     assert replace(ModulusFn.affine(1, 1), a=3)(5) == 16

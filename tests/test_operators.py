@@ -39,7 +39,6 @@ from fejerquant.operators import (
     least_norm,
     minimal_selection,
     operator_from_json,
-    operator_to_json,
     resolvent,
     resolvent_rows,
     value_rows,
@@ -426,7 +425,7 @@ def test_normal_cone_box_construction_guards():
 def test_operator_json_round_trip():
     rng = np.random.default_rng(61)
     for op in catalog():
-        again = operator_from_json(operator_to_json(op))
+        again = operator_from_json(op.to_json())
         assert type(again) is type(op)
         x = sample_domain_point(op, rng)
         assert np.allclose(resolvent(again, 0.7, x), resolvent(op, 0.7, x), atol=0)
@@ -447,10 +446,10 @@ def test_operator_json_golden_forms():
         (ZeroOperator(2), {"kind": "zero", "dim": 2}),
     ]
     for op, want in cases:
-        got = operator_to_json(op)
+        got = op.to_json()
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
         assert list(got) == list(want)
-        assert operator_to_json(operator_from_json(want)) == want
+        assert operator_from_json(want).to_json() == want
 
 
 def test_operator_json_rejects_unknown():

@@ -8,6 +8,7 @@ violations and the ``checked`` count must all agree exactly.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ def dc(x0):
     return replace(fq.preset("dc-abs-1d"), x0=np.array([x0]))
 
 
+def rising_line(steps):
+    """A trace that climbs evenly from 0.5 to 1.0 on dc-abs-1d's schedule,
+    away from its zero 0: at that solution every pair (n, l >= 1) violates."""
+    sched = run(fq.preset("dc-abs-1d"), steps)
+    pts = np.linspace(0.5, 1.0, steps + 1)[:, None]
+    diffs = np.linalg.norm(pts[:-1] - pts[1:], axis=1)
+    return Trace(pts, sched.lambdas, sched.mus, diffs / sched.mus)
+
+
 def _cases():
     rng = np.random.default_rng(20261018)
     cases = []
@@ -203,6 +213,8 @@ def _cases():
     late_tr = run(late, 5600)
     cases.append(("late capture, 800/800", late, late_tr, 800, 800))
     cases.append(("late capture, 3/5000", late, late_tr, 3, 5000))
+    # violations at every offset, of which the first 50 are kept
+    cases.append(("rising line, 100/100", dc(0.5), rising_line(200), 100, 100))
     # a negative mu (rho < 1) voids the argument: every row is swept
     mus = np.array(held.mus)
     mus[50] = -mus[50]
@@ -312,3 +324,20 @@ def test_the_sweep_ends_once_every_row_retires(monkeypatch):
     late = late_capture()
     cert = check_quasi_fejer(run(late, 5600), late, 3, 5000)
     assert cert.sound and counting.multiplies == 2 * 1
+
+
+def test_a_violating_sweep_keeps_a_flat_memory_peak():
+    """The 1,601-point rising line at max_n = max_l = 800 violates at every
+    offset, about 1.3 million times; the sweep keeps the first 50 found so
+    far, not every record (126 MB when all of them were sorted at the end)."""
+    inst = dc(0.5)
+    tr = rising_line(1600)
+    check_quasi_fejer(tr, inst, 10, 10)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        cert = check_quasi_fejer(tr, inst, 800, 800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not cert.sound and len(cert.violations) == 50
+    assert peak < 8_000_000  # bytes; the sweep peaks near 0.6 MB

@@ -3,7 +3,9 @@ fields, and the equality, hash and repr that each class has always had.
 
 The classes were frozen data classes of the standard library; the records
 keep their behaviour: value equality and hashing where the class declared it,
-identity elsewhere, and the same repr text.
+identity elsewhere, and the same repr text. The one exception is ModulusFn,
+whose kinds became a class each: their repr is the constructor call
+``ModulusFn.affine(a=2, b=1)``, without the fields of the other kinds.
 """
 
 from fractions import Fraction
@@ -36,7 +38,13 @@ MAKERS = {
     "ProblemInstance": lambda: fq.preset("dc-abs-1d"),
     "Trace": lambda: Trace(np.zeros((2, 1)), [1.0], [1.0], [0.0]),
     "NaturalBound": lambda: NaturalBound(7),
-    "ModulusFn": lambda: ModulusFn.affine(2, 1),
+    # the modulus kinds, named by their constructors ModulusFn.<kind>
+    "identity": lambda: ModulusFn.identity(),
+    "affine": lambda: ModulusFn.affine(2, 1),
+    "polynomial": lambda: ModulusFn.polynomial([1, 0, 2]),
+    "table": lambda: ModulusFn.table([0, 4, 4]),
+    "power_rate": lambda: ModulusFn.power_rate(Fraction(3, 2), 2),
+    "power_sum_rate": lambda: ModulusFn.power_sum_rate(1, 4),
     "AffinePSD": lambda: AffinePSD(np.eye(2), np.zeros(2)),
     "SubdiffAbsSum": lambda: SubdiffAbsSum(2),
     "NormalConeBox": lambda: NormalConeBox(np.zeros(1), np.ones(1)),
@@ -49,7 +57,8 @@ MAKERS = {
 }
 # the classes declared with value equality, as they always were
 VALUE_EQUAL = {"Field", "PowerRule", "ParameterSchedule", "QuantitativeData", "NaturalBound",
-               "ModulusFn", "SubdiffAbsSum", "ZeroOperator", "Certificate"}
+               "identity", "affine", "polynomial", "table", "power_rate", "power_sum_rate",
+               "SubdiffAbsSum", "ZeroOperator", "Certificate"}
 
 
 def record_classes():
@@ -63,8 +72,9 @@ def record_classes():
 
 
 def test_every_record_class_has_a_maker():
-    # _Operator is the operators' shared base, never built itself
-    names = {cls.__name__ for cls in record_classes()} - {"_Operator"}
+    # _Operator and ModulusFn are the shared bases of the operators and of
+    # the modulus kinds, never built themselves
+    names = {cls.__name__ for cls in record_classes()} - {"_Operator", "ModulusFn"}
     assert names == set(MAKERS)
 
 
@@ -107,9 +117,9 @@ def test_value_equality_reads_every_field():
 def test_repr_is_the_text_it_always_was():
     assert repr(NaturalBound(7)) == "NaturalBound(value=7)"
     assert repr(PowerRule(Fraction(1, 3), 2)) == "PowerRule(c=Fraction(1, 3), p=2)"
-    assert repr(ModulusFn.affine(2, 1)) == (
-        "ModulusFn(kind='affine', a=2, b=1, coeffs=(), values=(), c=Fraction(1, 1), p=1)"
-    )
+    # a modulus kind has the fields of its own form, and reads as its constructor
+    assert repr(ModulusFn.affine(2, 1)) == "ModulusFn.affine(a=2, b=1)"
+    assert repr(ModulusFn.identity()) == "ModulusFn.identity()"
     assert repr(ZeroOperator(3)) == "ZeroOperator(dim=3)"
     assert repr(Certificate("k", {"a": 1}, {}, None, True)) == (
         "Certificate(kind='k', params={'a': 1}, witness={}, bound=None, sound=True, "
@@ -132,7 +142,7 @@ def test_fields_by_position_or_keyword_with_defaults():
     # a factory default is made anew for each record, and is no class attribute
     assert a.provenance == {} and a.provenance is not b.provenance
     assert not hasattr(Certificate, "provenance") and Certificate.vacuous is False
-    assert ModulusFn("affine", 1) == ModulusFn.affine(1, 0)
+    assert ModulusFn.affine(b=0, a=1) == ModulusFn.affine(1, 0)
     for bad in (
         lambda: NaturalBound(),
         lambda: NaturalBound(1, 2),

@@ -25,7 +25,14 @@ from fejerquant.errors import (
 )
 from fejerquant.iteration import Trace, gamma_k_check, run
 from fejerquant.moduli import ModulusFn, NaturalBound, delta, omega, phi_liminf
-from fejerquant.operators import AffinePSD, minimal_selection
+from fejerquant.operators import (
+    AffinePSD,
+    NormalConeBox,
+    SubdiffAbsSum,
+    ZeroOperator,
+    minimal_selection,
+    yosida,
+)
 from fejerquant.verification import (
     _SLACK,
     Certificate,
@@ -529,6 +536,19 @@ def test_a_diagonal_t_must_fix_the_tail_at_lambda_b_too():
     for n in (0, 3, 6):
         with pytest.raises(TableRangeError, match="the trace tail is not verified stationary$"):
             phi(0, n)
+
+
+def test_only_a_diagonal_affine_t_bounds_its_yosida_values():
+    # the pair the stationary-tail check reads: the limit at lambda -> 0 and
+    # the value at lambda = B, bit for bit those of T and of its Yosida map
+    x = np.array([1.0, -2.0])
+    diag = AffinePSD(np.diag([2.0, 0.5]), np.array([1.0, -0.0]))
+    limit, at_b = diag.yosida_ends(1.5, x)
+    assert limit.tobytes() == (diag.matrix @ x + diag.offset).tobytes()
+    assert at_b.tobytes() == yosida(diag, 1.5, x).tobytes()
+    dense = AffinePSD(np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros(2))
+    for op in (dense, SubdiffAbsSum(2), NormalConeBox(-np.ones(2), np.ones(2)), ZeroOperator(2)):
+        assert op.yosida_ends(1.5, x) is None
 
 
 def reference_stationary_from(points: np.ndarray) -> int:
