@@ -31,6 +31,7 @@ VERIFICATION = "src/fejerquant/verification.py"
 ITERATION = "src/fejerquant/iteration.py"
 MODULI = "src/fejerquant/moduli.py"
 FIELDS = "src/fejerquant/fields.py"
+REGULARITY = "src/fejerquant/regularity.py"
 
 # (file, original line, replacement, test files of which one must fail)
 MUTANTS = [
@@ -59,14 +60,14 @@ MUTANTS = [
     # build_empirical_phi: a constant tail is stationary only when the stage
     # maps provably fix it; a rounding stall is not convergence
     (VERIFICATION,
-     "    if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):",
-     "    if first < steps and inst is not None:",
+     "    stationary = first < steps and _verified_stage_fixed_point(inst, tail)",
+     "    stationary = first < steps",
      ["tests/test_cli.py"]),
     # build_empirical_phi: the search stops before the constant tail, whose
     # 0.0 residuals at a rounding stall would answer phi there
     (VERIFICATION,
-     "    return EmpiricalPhi(trace.residuals[:first], steps, stationary_from, provenance)",
-     "    return EmpiricalPhi(trace.residuals, steps, stationary_from, provenance)",
+     "    return EmpiricalPhi(trace.residuals[:first], steps, first if stationary else None)",
+     "    return EmpiricalPhi(trace.residuals, steps, first if stationary else None)",
      ["tests/test_verification.py", "tests/test_cli.py"]),
     # EmpiricalPhi: a query answers the qualifying index, not its start; an
     # answer too small makes psi too small, which can give a wrong sound=True
@@ -113,6 +114,12 @@ MUTANTS = [
      "        if np.all(rho >= 1.0) and np.all(mus >= 0.0):",
      "        if True:",
      ["tests/test_quasi_fejer.py"]),
+    # validate_regularity_ball: phi_reg's center has the instance's dimension;
+    # broadcast against x0, one coordinate reads as a point of any dimension
+    (REGULARITY,
+     "    center = as_point(phi_reg.center, inst.dim)",
+     "    center = as_point(phi_reg.center)",
+     ["tests/test_cli.py"]),
     # ProblemInstance: dom S lies in dom T on the hi side of each coordinate too
     (ITERATION,
      "        if not (np.all(s_lo >= t_lo) and np.all(s_hi <= t_hi)):",

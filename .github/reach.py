@@ -36,8 +36,6 @@ CLI = "import sys; from fejerquant.cli import main; sys.exit(main(sys.argv[1:]))
 # entering it
 ALLOWED = {
     "iteration.preset": "the library entry point of the README's quickstart",
-    "moduli.NaturalBound.from_json": "parses a certificate's bound; a task that "
-    "re-checks written certificates needs it",
     "regularity.eval_gap": "perfbench/replay.py times it per call (--trace 1)",
     "operators.resolvent": "the public one-row resolvent, checked, for library callers; "
     "tests/test_operators.py and tests/test_iteration.py use it as their reference",

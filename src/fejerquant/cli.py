@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, FejerQuantError
-from .fields import boolean, field, list_of, natural, only, positive, rational
+from .fields import boolean, field, list_of, natural, only, positive, rational, string
 from .moduli import (
     DEFAULT_CAP,
     ModulusFn,
@@ -198,15 +198,7 @@ def _task_certify_metastability(
     trace = _cli.run(inst, steps)
     phi = _cli.build_empirical_phi(trace, inst)
     cert = _cli.certify_metastability(
-        inst,
-        k,
-        g,
-        phi,
-        steps,
-        trace=trace,
-        use_psi_prime=use_psi_prime,
-        check_gamma=check_gamma,
-        cap=cap,
+        inst, k, g, phi, trace, use_psi_prime=use_psi_prime, check_gamma=check_gamma, cap=cap
     )
     label = str(k)
     if len(label) > 64:  # keep the file name within the usual 255-byte limit
@@ -258,7 +250,7 @@ def _task_moduli_eval(cfg: dict) -> list:
         cfg,
         {"modulus", "k", "r", "n", "m", "M", "B", "Bprime", "A", "L", "d", "varpi", "xi"},
     )
-    name = params.get("modulus")
+    name = field(params, "modulus", string)
     nat = lambda key: constant(key, field(params, key, natural))  # noqa: E731
     pos = lambda key: constant(key, field(params, key, positive))  # noqa: E731
     mod = lambda key: field(params, key, ModulusFn.from_json)  # noqa: E731

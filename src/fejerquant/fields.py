@@ -49,22 +49,12 @@ def field(obj, key: str, convert: Callable, default=_REQUIRED):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-class Factory:
-    """The default of a record field that is made anew for each record, as
-    ``make()``: ``provenance: dict = Factory(dict)``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable):
-        self.make = make
-
-
 class Record:
     """A frozen record.
 
     Its fields are its annotated class attributes, in order, after those of
     the record classes it derives from. An annotated value is the field's
-    default; a ``Factory`` default makes one per record. Each record class
+    default, shared by every record that takes it. Each record class
     has the methods of the standard library's frozen data classes, as shared
     functions that read the class's ``_fields`` and ``_defaults``:
 
@@ -91,9 +81,6 @@ class Record:
         own = vars(cls).get("__annotations__", {})
         cls._fields = (*cls._fields, *(name for name in own if name not in cls._fields))
         cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
-        for name in own:
-            if isinstance(vars(cls).get(name), Factory):
-                delattr(cls, name)  # each record has its own; the class has none
         if eq:
             cls.__eq__, cls.__hash__ = _fields_equal, _fields_hash
 
@@ -114,8 +101,7 @@ class Record:
             if name in values:
                 state[name] = values[name]
             elif name in defaults:
-                default = defaults[name]
-                state[name] = default.make() if isinstance(default, Factory) else default
+                state[name] = defaults[name]
             else:
                 raise TypeError(f"{type(self).__qualname__}() missing field {name!r}")
         self.__post_init__()

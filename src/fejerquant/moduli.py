@@ -206,14 +206,6 @@ class NaturalBound(Record, eq=True):
             return {"overflow": True}
         return str(self.value)
 
-    @classmethod
-    def from_json(cls, obj) -> "NaturalBound":
-        if isinstance(obj, dict):
-            if obj.get("overflow") is True:
-                return cls(None)
-            raise ValueError(f"not a serialized NaturalBound: {obj!r}")
-        return cls(int(obj))
-
 
 # --------------------------------------------------------------------------
 # modulus functions

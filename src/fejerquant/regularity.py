@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, EmptyGrid, InvariantViolation, ZeroInfimum
-from .fields import FLOATS, RATIONAL, Field, Record, field, list_of, read_form, string
+from .fields import FLOATS, RATIONAL, Field, Record, list_of, read_form, read_kind, string
 from .iteration import ProblemInstance
 from .moduli import (
     DEFAULT_CAP,
@@ -105,50 +105,85 @@ def eval_gap(gap: GapFunctional, x) -> float:
 # --------------------------------------------------------------------------
 
 
+# the fields of every regularity modulus, and the table entry (eps, phi) as
+# the JSON object {"eps": ..., "phi": ...}
+_BALL = {"provenance": Field(string), "center": FLOATS, "radius": RATIONAL}
+_ENTRY = {"eps": RATIONAL, "phi": RATIONAL}
+_ENTRIES = Field(
+    list_of(lambda obj: tuple(read_form(obj, _ENTRY, "regularity table entry fields").values())),
+    lambda entries: [dict(zip(_ENTRY, map(str, entry))) for entry in entries],
+)
+
+
 class RegularityModulus(Record):
     """phi with: |F(x)| < phi(eps) implies dist(x, zer F) < eps on B(center; radius).
 
-    ``linear`` is an analytic closed form phi(eps) = scale * eps; ``table``
-    holds exact values at the epsilons it was certified for and refuses to
-    answer anywhere else. Provenance records the epistemic status: analytic
-    moduli are trusted inputs, grid-oracle moduli were checked on a finite
-    grid only.
+    Each kind is a subclass with the fields of its JSON form after the ball's,
+    bound as its constructor: ``RegularityModulus.linear(center, radius,
+    provenance, scale)`` is an analytic closed form phi(eps) = scale * eps;
+    ``RegularityModulus.table(center, radius, provenance, entries)`` holds
+    exact values at the epsilons it was certified for and refuses to answer
+    anywhere else. Provenance records the epistemic status: analytic moduli
+    are trusted inputs, grid-oracle moduli were checked on a finite grid only.
     """
 
     tag = "kind"
 
-    kind: str
     center: np.ndarray
     radius: Fraction
     provenance: str
-    scale: Fraction = Fraction(1)
-    entries: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _REGULARITY_KINDS:
-            raise ConfigError(f"unknown regularity modulus kind {self.kind!r}")
         if self.provenance not in ("analytic", "grid-oracle"):
             raise ConfigError(f"unknown provenance {self.provenance!r}")
-        entries = tuple((Fraction(e), Fraction(p)) for e, p in self.entries)
-        vars(self).update(center=as_point(self.center), radius=Fraction(self.radius),
-                          scale=Fraction(self.scale), entries=entries)
+        vars(self).update(center=as_point(self.center), radius=Fraction(self.radius))
         if self.radius <= 0:
             raise InvariantViolation("regularity ball radius must be positive")
-        if self.kind == "linear":
-            if self.scale <= 0:
-                raise InvariantViolation("linear regularity modulus needs scale > 0")
-        elif not entries:
-            raise InvariantViolation("table regularity modulus needs entries")
-        elif any(p <= 0 for _, p in entries):
-            raise InvariantViolation("regularity modulus values must be positive")
 
     def phi_value(self, eps: Fraction) -> Fraction:
         """phi(eps), exact; tables answer only at certified epsilons."""
         eps = Fraction(eps)
         if eps <= 0:
             raise DomainError("regularity modulus arguments are positive")
-        if self.kind == "linear":
-            return self.scale * eps
+        return self._at(eps)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "RegularityModulus":
+        return read_kind(obj, _REGULARITY_KINDS, "regularity modulus")
+
+
+class _Linear(RegularityModulus):
+    kind = "linear"
+    json_fields = {**_BALL, "scale": RATIONAL}
+
+    scale: Fraction
+
+    def __post_init__(self):
+        super().__post_init__()
+        vars(self)["scale"] = Fraction(self.scale)
+        if self.scale <= 0:
+            raise InvariantViolation("linear regularity modulus needs scale > 0")
+
+    def _at(self, eps: Fraction) -> Fraction:
+        return self.scale * eps
+
+
+class _Table(RegularityModulus):
+    kind = "table"
+    json_fields = {**_BALL, "entries": _ENTRIES}
+
+    entries: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
+        entries = tuple((Fraction(e), Fraction(p)) for e, p in self.entries)
+        vars(self)["entries"] = entries
+        if not entries:
+            raise InvariantViolation("table regularity modulus needs entries")
+        if any(p <= 0 for _, p in entries):
+            raise InvariantViolation("regularity modulus values must be positive")
+
+    def _at(self, eps: Fraction) -> Fraction:
         for e, p in self.entries:
             if e == eps:
                 return p
@@ -157,29 +192,12 @@ class RegularityModulus(Record):
             f"(certified: {[str(e) for e, _ in self.entries]})"
         )
 
-    @property
-    def json_fields(self) -> dict:
-        return _REGULARITY_KINDS[self.kind]
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RegularityModulus":
-        kind = field(obj, "kind", string)
-        if kind not in _REGULARITY_KINDS:
-            raise ConfigError(f"unknown regularity modulus kind {kind!r}")
-        form = _REGULARITY_KINDS[kind]
-        return cls(kind, **read_form(obj, form, "regularity modulus fields", "kind"))
-
-
-# the JSON form of each kind of regularity modulus; a table entry (eps, phi)
-# is the JSON object {"eps": ..., "phi": ...}
-_ENTRY = {"eps": RATIONAL, "phi": RATIONAL}
-_ENTRIES = Field(
-    list_of(lambda obj: tuple(read_form(obj, _ENTRY, "regularity table entry fields").values())),
-    lambda entries: [dict(zip(_ENTRY, map(str, entry))) for entry in entries],
-)
-_BALL = {"provenance": Field(string), "center": FLOATS, "radius": RATIONAL}
-_REGULARITY_KINDS = {"linear": {**_BALL, "scale": RATIONAL},
-                     "table": {**_BALL, "entries": _ENTRIES}}
+_REGULARITY_KINDS = {cls.kind: cls for cls in (_Linear, _Table)}
+# bound as constructors, named as ModulusFn's kinds are
+for _kind, _cls in _REGULARITY_KINDS.items():
+    setattr(RegularityModulus, _kind, _cls)
+    _cls.__name__, _cls.__qualname__ = _kind, f"RegularityModulus.{_kind}"
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +308,8 @@ def validate_regularity_ball(
     its range.
     """
     b = Fraction(b)
-    if float(np.linalg.norm(inst.x0 - phi_reg.center)) > float(b) + 1e-12:
+    center = as_point(phi_reg.center, inst.dim)
+    if float(np.linalg.norm(inst.x0 - center)) > float(b) + 1e-12:
         raise DomainError("b must bound the distance from x0 to the ball center")
     xi = inst.quant.xi
     run_ends = []
@@ -372,9 +391,7 @@ def grid_regularity_oracle(
                 "no positive phi exists at this eps"
             )
         entries.append((eps, Fraction(inf_gap * (1.0 - 1e-6))))
-    return RegularityModulus(
-        "table", z, r, "grid-oracle", entries=tuple(entries)
-    )
+    return RegularityModulus.table(z, r, "grid-oracle", tuple(entries))
 
 
 def verify_regularity_on_grid(

@@ -16,13 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MissingSolutions, ResidualFloor, TableRangeError
-from .fields import Factory, Record
-from .iteration import (
-    ProblemInstance,
-    Trace,
-    gamma_k_check,
-    run,
-)
+from .fields import Record
+from .iteration import ProblemInstance, Trace, gamma_k_check
 from .moduli import (
     DEFAULT_CAP,
     Counterfunction,
@@ -84,7 +79,7 @@ class Certificate(Record, eq=True):
     sound: bool
     vacuous: bool = False
     violations: tuple = ()
-    provenance: dict = Factory(dict)
+    provenance: dict
 
     @property
     def digest(self) -> str:
@@ -380,24 +375,22 @@ def certify_metastability(
     k: int,
     g: Counterfunction,
     phi_search: PhiSearch,
-    horizon: int,
+    trace: Trace,
     *,
-    trace: Optional[Trace] = None,
     use_psi_prime: bool = False,
     check_gamma: bool = False,
     cap: int = DEFAULT_CAP,
 ) -> Certificate:
-    """Certify the metastability bound on a concrete run.
+    """Certify the metastability bound on a recorded run.
 
-    Finds the first metastable window empirically, computes the rate Psi in
+    Finds the first metastable window of the trace, computes the rate Psi in
     exact big-integer arithmetic, and reports N <= Psi. Optionally also
     evaluates the strengthened rate Psi' and checks that the window consists
     of approximate solutions (membership via canonical Yosida witnesses).
     The certificate's ``phi_search`` provenance is the modulus's own
-    ``provenance`` (an ``EmpiricalPhi``), else "analytic".
+    ``provenance`` (an ``EmpiricalPhi``), else "analytic". The trace's step
+    count is written as the ``horizon`` param.
     """
-    if trace is None:
-        trace = run(inst, horizon)
     n_found = find_metastable(trace, k, g)
     bound = psi(k, g, inst.quant, phi_search, cap=cap)
     p_nb = total_boundedness_P(
@@ -443,7 +436,7 @@ def certify_metastability(
         params={
             "k": k,
             "g": g.to_json(),
-            "horizon": horizon,
+            "horizon": trace.steps,
             "use_psi_prime": use_psi_prime,
             "check_gamma": check_gamma,
             **_instance_params(inst),
@@ -480,7 +473,6 @@ class EmpiricalPhi(Record):
     residuals: np.ndarray
     steps: int
     stationary_from: Optional[int]
-    provenance: str
 
     def __call__(self, k: int, n: int) -> int:
         if k < 0 or n < 0:
@@ -509,6 +501,12 @@ class EmpiricalPhi(Record):
         search. Every answer is then at least n, and phi is monotone."""
         return self.stationary_from is not None
 
+    @property
+    def provenance(self) -> str:
+        """The certificate's name for the modulus: "empirical", with
+        "+stationary" when the stationary completion answers past the search."""
+        return "empirical+stationary" if self.answers_every_query else "empirical"
+
 
 def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> bool:
     """True when x_bar is provably fixed by every stage map of the schedule.
@@ -528,8 +526,9 @@ def _verified_stage_fixed_point(inst: ProblemInstance, x_bar: np.ndarray) -> boo
     return ends is not None and in_box(s_lo, s_hi, ends[0]) and in_box(s_lo, s_hi, ends[1])
 
 
-def build_empirical_phi(trace: Trace, inst: Optional[ProblemInstance] = None) -> EmpiricalPhi:
-    """The residual-search modulus phi(k, n) of a trace (see ``EmpiricalPhi``).
+def build_empirical_phi(trace: Trace, inst: ProblemInstance) -> EmpiricalPhi:
+    """The residual-search modulus phi(k, n) of a trace of ``inst`` (see
+    ``EmpiricalPhi``).
 
     The search stops before the trace's bit-constant tail, the run of rows
     equal to the last one. When ``inst`` certifies the tail point as a
@@ -542,11 +541,8 @@ def build_empirical_phi(trace: Trace, inst: Optional[ProblemInstance] = None) ->
     # last row with a NaN differs from itself, and the search reads every step
     differ = np.flatnonzero(~np.all(trace.points == tail[None, :], axis=1))
     first = int(differ[-1]) + 1 if differ.size else 0
-    stationary_from: Optional[int] = None
-    if first < steps and inst is not None and _verified_stage_fixed_point(inst, tail):
-        stationary_from = first
-    provenance = "empirical+stationary" if stationary_from is not None else "empirical"
-    return EmpiricalPhi(trace.residuals[:first], steps, stationary_from, provenance)
+    stationary = first < steps and _verified_stage_fixed_point(inst, tail)
+    return EmpiricalPhi(trace.residuals[:first], steps, first if stationary else None)
 
 
 # --------------------------------------------------------------------------

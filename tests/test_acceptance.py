@@ -203,7 +203,7 @@ def test_criterion_4_generic_cauchy_modulus():
         tau=lambda d, n: max(n, math.ceil(math.log2(1 / d))),
         xi=lambda d: 0,
     )
-    phi = RegularityModulus("linear", np.array([0.0]), Fraction(1), "analytic")
+    phi = RegularityModulus.linear(np.array([0.0]), Fraction(1), "analytic", Fraction(1))
     started = time.time()
     xs = 0.5 ** np.arange(0, 2 ** 14 + 1)
     worst_margin = float("inf")
@@ -236,7 +236,7 @@ def test_criterion_5_metastability(standard_pilot):
     ok = True
     for k in (0, 1, 2):
         started = time.time()
-        cert = certify_metastability(inst, k, G_LINEAR, phi, 100_000, trace=trace)
+        cert = certify_metastability(inst, k, G_LINEAR, phi, trace)
         elapsed = time.time() - started
         n_found = cert.witness["N"]
         within = cert.sound and not cert.vacuous and n_found <= int(cert.bound)
@@ -266,7 +266,7 @@ def test_criterion_6_cauchy_modulus(calibrated_pilot):
     dist = np.min(np.abs(zeros - grid[:, None]), axis=1)
     # eval_gaps equals the single-point eval_gap bit for bit on every row
     violations = int(np.sum(dist > eval_gaps(gap, grid[:, None]) + 1e-12))
-    phi_reg = RegularityModulus("linear", np.array([0.0]), Fraction(4), "grid-oracle")
+    phi_reg = RegularityModulus.linear(np.array([0.0]), Fraction(4), "grid-oracle", Fraction(1))
     needed = validate_regularity_ball(inst, phi_reg, Fraction(1, 2))
 
     def theta_eval(eps):

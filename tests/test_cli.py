@@ -216,7 +216,8 @@ def reference_digest(params: dict) -> str:
 def test_certificate_digest_is_the_sha256_of_the_canonical_params(params):
     from fejerquant.verification import Certificate
 
-    cert = Certificate(kind="metastability", params=params, witness={}, bound=None, sound=True)
+    cert = Certificate(kind="metastability", params=params, witness={}, bound=None, sound=True,
+                       provenance={})
     assert cert.digest == reference_digest(params)
 
 
@@ -461,6 +462,23 @@ def test_a_regularity_ball_smaller_than_the_trajectory_exits_2(tmp_path, capsys)
     assert main(["cauchy-modulus", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert re.search(r"regularity ball radius 3 smaller than .* = 4\.\d+$", err.strip()), err
+    assert not (tmp_path / "cauchy_modulus.json").exists()
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [0.0]], ids=["3 coordinates", "1 coordinate"])
+def test_a_phi_reg_center_of_another_dimension_exits_2_without_a_traceback(tmp_path, center):
+    # box-affine-nd has d = 2. Broadcast against x0, a center of 3 coordinates
+    # raised numpy's ValueError (exit 1, the unsound code) and one of 1
+    # coordinate was read as (0, 0) (exit 0); [0.0, 0.0] exits 0 here
+    phi_reg = {**PHI_REG, "center": center, "radius": "10"}
+    cfg = write_config(tmp_path, {"problem": "box-affine-nd",
+                                  "params": {"steps": 50, "phi_reg": phi_reg}})
+    proc = fresh(
+        "import sys; from fejerquant.cli import main; sys.exit(main())",
+        "cauchy-modulus", "--config", cfg, "--out", str(tmp_path),
+    )
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert proc.stderr == f"config/problem error: expected dimension 2, got {len(center)}\n"
     assert not (tmp_path / "cauchy_modulus.json").exists()
 
 
@@ -1012,7 +1030,18 @@ def test_moduli_eval_golden_values(tmp_path, capsys):
 def test_moduli_eval_rejects_unknown_modulus(tmp_path, capsys):
     cfg = write_config(tmp_path, {"params": {"modulus": "sigma", "k": 0}})
     assert main(["moduli-eval", "--config", cfg]) == 2
-    assert "unknown modulus" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config/problem error: unknown modulus 'sigma'\n"
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"k": 0}, "missing field 'modulus'"),
+    ({"modulus": ["kappa"], "k": 0}, "modulus: expected a string, got ['kappa']"),
+    ({"modulus": None, "k": 0}, "modulus: expected a string, got None"),
+], ids=["missing", "list", "null"])
+def test_moduli_eval_reads_the_modulus_name_as_a_string(tmp_path, capsys, params, message):
+    cfg = write_config(tmp_path, {"params": params})
+    assert main(["moduli-eval", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config/problem error: {message}\n"
 
 
 def test_csv_summary(tmp_path):

@@ -456,16 +456,12 @@ def test_modulus_json_rejects_unknown_fields():
 
 def test_natural_bound_json():
     nb = NaturalBound.of(42)
-    assert nb.to_json() == "42"
-    assert int(NaturalBound.from_json("42")) == 42
+    assert nb.to_json() == "42" and int(nb) == 42
     ov = NaturalBound.overflow()
     assert ov.is_overflow
     assert ov.to_json() == {"overflow": True}
-    assert NaturalBound.from_json({"overflow": True}).is_overflow
     with pytest.raises(ValueError):
         int(ov)
-    with pytest.raises(ValueError):
-        NaturalBound.from_json({"bogus": 1})
     with pytest.raises(ValueError):
         NaturalBound.of(-1)
 

@@ -3,9 +3,10 @@ fields, and the equality, hash and repr that each class has always had.
 
 The classes were frozen data classes of the standard library; the records
 keep their behaviour: value equality and hashing where the class declared it,
-identity elsewhere, and the same repr text. The one exception is ModulusFn,
-whose kinds became a class each: their repr is the constructor call
-``ModulusFn.affine(a=2, b=1)``, without the fields of the other kinds.
+identity elsewhere, and the same repr text. The exceptions are ModulusFn
+and RegularityModulus, whose kinds became a class each: their repr is the
+constructor call ``ModulusFn.affine(a=2, b=1)``, without the fields of the
+other kinds.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 
 import fejerquant as fq
 from fejerquant.errors import ScheduleError
-from fejerquant.fields import INTEGER, Factory, Field, Record, integer
+from fejerquant.fields import INTEGER, Field, Record, integer
 from fejerquant.iteration import ParameterSchedule, PowerRule, TableRule, Trace
 from fejerquant.moduli import ModulusFn, NaturalBound
 from fejerquant.operators import AffinePSD, NormalConeBox, SubdiffAbsSum, ZeroOperator
@@ -38,26 +39,28 @@ MAKERS = {
     "ProblemInstance": lambda: fq.preset("dc-abs-1d"),
     "Trace": lambda: Trace(np.zeros((2, 1)), [1.0], [1.0], [0.0]),
     "NaturalBound": lambda: NaturalBound(7),
-    # the modulus kinds, named by their constructors ModulusFn.<kind>
-    "identity": lambda: ModulusFn.identity(),
-    "affine": lambda: ModulusFn.affine(2, 1),
-    "polynomial": lambda: ModulusFn.polynomial([1, 0, 2]),
-    "table": lambda: ModulusFn.table([0, 4, 4]),
-    "power_rate": lambda: ModulusFn.power_rate(Fraction(3, 2), 2),
-    "power_sum_rate": lambda: ModulusFn.power_sum_rate(1, 4),
+    # the kinds of the two moduli, named by their constructors
+    "ModulusFn.identity": lambda: ModulusFn.identity(),
+    "ModulusFn.affine": lambda: ModulusFn.affine(2, 1),
+    "ModulusFn.polynomial": lambda: ModulusFn.polynomial([1, 0, 2]),
+    "ModulusFn.table": lambda: ModulusFn.table([0, 4, 4]),
+    "ModulusFn.power_rate": lambda: ModulusFn.power_rate(Fraction(3, 2), 2),
+    "ModulusFn.power_sum_rate": lambda: ModulusFn.power_sum_rate(1, 4),
     "AffinePSD": lambda: AffinePSD(np.eye(2), np.zeros(2)),
     "SubdiffAbsSum": lambda: SubdiffAbsSum(2),
     "NormalConeBox": lambda: NormalConeBox(np.zeros(1), np.ones(1)),
     "ZeroOperator": lambda: ZeroOperator(3),
     "GapFunctional": lambda: GapFunctional("F1", fq.preset("dc-abs-1d")),
-    "RegularityModulus": lambda: RegularityModulus("linear", [0.0], 1, "analytic"),
+    "RegularityModulus.linear": lambda: RegularityModulus.linear([0.0], 1, "analytic", 1),
+    "RegularityModulus.table": lambda: RegularityModulus.table([0.0], 1, "analytic", [(1, 1)]),
     "GHModuli": lambda: GHModuli(_identity, _identity, 1, max, _identity),
-    "Certificate": lambda: Certificate("k", {"a": 1}, {}, None, True),
-    "EmpiricalPhi": lambda: EmpiricalPhi(np.zeros(1), 1, None, "empirical"),
+    "Certificate": lambda: Certificate("k", {"a": 1}, {}, None, True, provenance={}),
+    "EmpiricalPhi": lambda: EmpiricalPhi(np.zeros(1), 1, None),
 }
 # the classes declared with value equality, as they always were
 VALUE_EQUAL = {"Field", "PowerRule", "ParameterSchedule", "QuantitativeData", "NaturalBound",
-               "identity", "affine", "polynomial", "table", "power_rate", "power_sum_rate",
+               *(f"ModulusFn.{kind}" for kind in ("identity", "affine", "polynomial", "table",
+                                                  "power_rate", "power_sum_rate")),
                "SubdiffAbsSum", "ZeroOperator", "Certificate"}
 
 
@@ -72,10 +75,10 @@ def record_classes():
 
 
 def test_every_record_class_has_a_maker():
-    # _Operator and ModulusFn are the shared bases of the operators and of
-    # the modulus kinds, never built themselves
-    names = {cls.__name__ for cls in record_classes()} - {"_Operator", "ModulusFn"}
-    assert names == set(MAKERS)
+    # _Operator, ModulusFn and RegularityModulus are the shared bases of the
+    # operators and of the kinds of the two moduli, never built themselves
+    names = {cls.__qualname__ for cls in record_classes()}
+    assert names == {*MAKERS, "_Operator", "ModulusFn", "RegularityModulus"}
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -111,7 +114,8 @@ def test_value_equality_reads_every_field():
     assert NaturalBound(7) != NaturalBound(None)
     assert SubdiffAbsSum(2) != ZeroOperator(2)
     assert Field(integer) != Field(integer, default=0)
-    assert Certificate("k", {}, {}, None, True) != Certificate("k", {}, {}, None, False)
+    assert (Certificate("k", {}, {}, None, True, provenance={})
+            != Certificate("k", {}, {}, None, False, provenance={}))
 
 
 def test_repr_is_the_text_it_always_was():
@@ -120,8 +124,12 @@ def test_repr_is_the_text_it_always_was():
     # a modulus kind has the fields of its own form, and reads as its constructor
     assert repr(ModulusFn.affine(2, 1)) == "ModulusFn.affine(a=2, b=1)"
     assert repr(ModulusFn.identity()) == "ModulusFn.identity()"
+    assert repr(RegularityModulus.linear([0.0], 1, "analytic", 2)) == (
+        "RegularityModulus.linear(center=array([0.]), radius=Fraction(1, 1), "
+        "provenance='analytic', scale=Fraction(2, 1))"
+    )
     assert repr(ZeroOperator(3)) == "ZeroOperator(dim=3)"
-    assert repr(Certificate("k", {"a": 1}, {}, None, True)) == (
+    assert repr(Certificate("k", {"a": 1}, {}, None, True, provenance={})) == (
         "Certificate(kind='k', params={'a': 1}, witness={}, bound=None, sound=True, "
         "vacuous=False, violations=(), provenance={})"
     )
@@ -136,12 +144,13 @@ def test_fields_by_position_or_keyword_with_defaults():
         pass
 
     assert field_names(Sub) == ["matrix", "offset"]
-    a = Certificate("k", {}, {}, None, True)
-    b = Certificate(kind="k", params={}, witness={}, bound=None, sound=True, vacuous=False)
-    assert a == b and a.violations == ()
-    # a factory default is made anew for each record, and is no class attribute
-    assert a.provenance == {} and a.provenance is not b.provenance
-    assert not hasattr(Certificate, "provenance") and Certificate.vacuous is False
+    a = Certificate("k", {}, {}, None, True, provenance={})
+    b = Certificate(kind="k", params={}, witness={}, bound=None, sound=True, vacuous=False,
+                    provenance={})
+    assert a == b and a.violations == () and Certificate.vacuous is False
+    # a field without a default is required, also after fields with one
+    with pytest.raises(TypeError, match="missing field 'provenance'"):
+        Certificate("k", {}, {}, None, True)
     assert ModulusFn.affine(b=0, a=1) == ModulusFn.affine(1, 0)
     for bad in (
         lambda: NaturalBound(),
@@ -168,7 +177,7 @@ def test_a_record_class_of_its_own():
     class Point(Record, eq=True):
         x: int
         y: int = 0
-        tags: list = Factory(list)
+        tags: tuple = ()
 
     class Labelled(Point):
         label: str = ""
@@ -178,10 +187,10 @@ def test_a_record_class_of_its_own():
 
     p = Labelled(1, label="a")
     assert repr(p) == (
-        "test_a_record_class_of_its_own.<locals>.Labelled(x=1, y=0, tags=[], label='A')"
+        "test_a_record_class_of_its_own.<locals>.Labelled(x=1, y=0, tags=(), label='A')"
     )
-    # equality is inherited with the class declaration; the tags differ per record
-    assert p == Labelled(1, 0, [], "a") and p.tags is not Labelled(1).tags
+    # equality is inherited with the class declaration
+    assert p == Labelled(1, 0, (), "a") and hash(p) == hash((1, 0, (), "A"))
     assert Point(1) != Labelled(1)
     with pytest.raises(TypeError):
-        hash(p)  # the list field is unhashable
+        hash(Point(1, 0, []))  # a list field is unhashable

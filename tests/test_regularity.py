@@ -60,7 +60,7 @@ def stub_gh(xi=lambda d: 0):
 
 
 def linear_phi(radius=Fraction(1), scale=Fraction(1)):
-    return RegularityModulus("linear", np.array([0.0]), radius, "analytic", scale=scale)
+    return RegularityModulus.linear(np.array([0.0]), radius, "analytic", scale)
 
 
 def stub_quant():
@@ -144,12 +144,8 @@ def test_linear_modulus_values():
 
 
 def test_table_modulus_answers_only_where_certified():
-    phi = RegularityModulus(
-        "table",
-        np.array([0.0]),
-        Fraction(4),
-        "grid-oracle",
-        entries=((Fraction(1, 4), Fraction(1, 8)),),
+    phi = RegularityModulus.table(
+        np.array([0.0]), Fraction(4), "grid-oracle", ((Fraction(1, 4), Fraction(1, 8)),)
     )
     assert phi.phi_value(Fraction(1, 4)) == Fraction(1, 8)
     with pytest.raises(DomainError):
@@ -157,31 +153,38 @@ def test_table_modulus_answers_only_where_certified():
 
 
 def test_modulus_construction_guards():
-    with pytest.raises(ConfigError):
+    # a kind is a constructor: construction by kind string is gone, and an
+    # unknown kind is refused where it is read, in RegularityModulus.from_json
+    with pytest.raises(TypeError):
         RegularityModulus("cubic", np.array([0.0]), Fraction(1), "analytic")
+    with pytest.raises(ConfigError, match="^unknown regularity modulus kind 'cubic'$"):
+        RegularityModulus.from_json({"kind": "cubic"})
     with pytest.raises(ConfigError):
-        RegularityModulus("linear", np.array([0.0]), Fraction(1), "guessed")
+        RegularityModulus.linear(np.array([0.0]), Fraction(1), "guessed", Fraction(1))
     with pytest.raises(InvariantViolation):
-        RegularityModulus("linear", np.array([0.0]), Fraction(0), "analytic")
+        RegularityModulus.linear(np.array([0.0]), Fraction(0), "analytic", Fraction(1))
     with pytest.raises(InvariantViolation):
-        RegularityModulus("linear", np.array([0.0]), Fraction(1), "analytic", scale=Fraction(0))
+        RegularityModulus.linear(np.array([0.0]), Fraction(1), "analytic", Fraction(0))
     with pytest.raises(InvariantViolation):
-        RegularityModulus("table", np.array([0.0]), Fraction(1), "analytic")
+        RegularityModulus.table(np.array([0.0]), Fraction(1), "analytic", ())
     with pytest.raises(InvariantViolation):
-        RegularityModulus(
-            "table", np.array([0.0]), Fraction(1), "analytic",
-            entries=((Fraction(1), Fraction(0)),),
+        RegularityModulus.table(
+            np.array([0.0]), Fraction(1), "analytic", ((Fraction(1), Fraction(0)),)
         )
+    # the fields of a kind are its own: no defaults, and no field of the other kind
+    with pytest.raises(TypeError, match="missing field 'scale'"):
+        RegularityModulus.linear(np.array([0.0]), Fraction(1), "analytic")
+    with pytest.raises(TypeError, match="missing field 'entries'"):
+        RegularityModulus.table(np.array([0.0]), Fraction(1), "analytic")
+    with pytest.raises(TypeError):
+        RegularityModulus.linear(np.array([0.0]), Fraction(1), "analytic", 1, entries=())
 
 
 def test_modulus_json_round_trip():
     lin = linear_phi(radius=Fraction(4), scale=Fraction(2, 3))
-    tab = RegularityModulus(
-        "table",
-        np.array([0.0]),
-        Fraction(4),
-        "grid-oracle",
-        entries=((Fraction(1, 4), Fraction(1, 8)), (Fraction(2), Fraction(1))),
+    tab = RegularityModulus.table(
+        np.array([0.0]), Fraction(4), "grid-oracle",
+        ((Fraction(1, 4), Fraction(1, 8)), (Fraction(2), Fraction(1))),
     )
     for phi in (lin, tab):
         again = RegularityModulus.from_json(phi.to_json())
@@ -318,7 +321,7 @@ def calibrated_box():
 
 def test_iteration_modulus_on_the_calibrated_box():
     inst = calibrated_box()
-    phi_reg = RegularityModulus("linear", np.array([0.0, 1.0]), Fraction(8), "analytic")
+    phi_reg = RegularityModulus.linear(np.array([0.0, 1.0]), Fraction(8), "analytic", Fraction(1))
     radius = validate_regularity_ball(inst, phi_reg, Fraction(3, 4))
     trace = fq.run(inst, 12_000)
     phi = fq.build_empirical_phi(trace, inst)
@@ -354,7 +357,7 @@ def slow_lambda_instance():
 
 def test_regularity_ball_certificate():
     inst = slow_lambda_instance()
-    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "grid-oracle")
+    phi = RegularityModulus.linear(np.array([0.0]), Fraction(4), "grid-oracle", Fraction(1))
     needed = validate_regularity_ball(inst, phi, Fraction(1, 2))
     assert float(needed) == pytest.approx(3.95984, abs=1e-4)
     assert needed <= Fraction(4)
@@ -362,7 +365,7 @@ def test_regularity_ball_certificate():
         validate_regularity_ball(inst, phi, Fraction(1, 4))  # b below ||x0 - z||
     # the trajectory radius does not depend on phi's radius, which the
     # Cauchy modulus compares with it
-    small = RegularityModulus("linear", np.array([0.0]), Fraction(3), "grid-oracle")
+    small = RegularityModulus.linear(np.array([0.0]), Fraction(3), "grid-oracle", Fraction(1))
     assert validate_regularity_ball(inst, small, Fraction(1, 2)) == needed
     with pytest.raises(DomainError, match=r"radius 3 smaller than .* = 3\.95984$"):
         theta_moudafi(Fraction(1, 4), inst.quant, sum_search, small, needed)
@@ -372,7 +375,7 @@ def test_regularity_ball_certificate():
 @pytest.mark.parametrize("k_max", [0, 1, 2, 5, 37, 1000, 3000])
 def test_regularity_ball_is_the_least_candidate_over_every_k(k_max):
     inst = slow_lambda_instance()
-    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "grid-oracle")
+    phi = RegularityModulus.linear(np.array([0.0]), Fraction(4), "grid-oracle", Fraction(1))
     partial, sums = Fraction(0), []
     for n in range(inst.quant.xi(k_max) + 1):
         sums.append(partial)
@@ -427,7 +430,7 @@ def test_regularity_ball_run_ends_match_the_loop_over_every_k(xi, mu_p):
     inst = slow_lambda_instance()
     sched = ParameterSchedule(PowerRule(Fraction(1), 2), PowerRule(Fraction(1, 8), mu_p), 5000)
     inst = replace(inst, schedule=sched, quant=replace(inst.quant, xi=xi))
-    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "analytic")
+    phi = RegularityModulus.linear(np.array([0.0]), Fraction(4), "analytic", Fraction(1))
     for k_max in (0, 1, 2, 6) if xi.kind == "table" else (0, 1, 2, 1000):
         want = reference_regularity_ball(inst, phi, Fraction(1, 2), k_max)
         assert validate_regularity_ball(inst, phi, Fraction(1, 2), k_max) == want
@@ -436,7 +439,7 @@ def test_regularity_ball_run_ends_match_the_loop_over_every_k(xi, mu_p):
 def test_a_table_xi_is_refused_at_its_first_k_out_of_range():
     # a table is read at every k in order, monotone or not
     inst = slow_lambda_instance()
-    phi = RegularityModulus("linear", np.array([0.0]), Fraction(4), "analytic")
+    phi = RegularityModulus.linear(np.array([0.0]), Fraction(4), "analytic", Fraction(1))
     for values in ([1, 2, 2, 3], [3, 1, 2, 2]):
         short = replace(inst, quant=replace(inst.quant, xi=ModulusFn.table(values)))
         with pytest.raises(TableRangeError, match=r"^table modulus evaluated at 4, valid range"):
@@ -454,6 +457,7 @@ def test_grid_oracle_on_the_difference_gap():
         gap, ZEROS_1D, [0.0], Fraction(4), [Fraction(1, 4), Fraction(2)]
     )
     assert phi.kind == "table" and phi.provenance == "grid-oracle"
+    assert type(phi) is RegularityModulus.table
     # |FDiff(x)| = |x - sign(x)| away from 0, so the infimum at distance >= eps
     # is exactly eps; the oracle shrinks it by 1e-6 to stay strict
     assert float(phi.phi_value(Fraction(2))) == pytest.approx(2 * (1 - 1e-6), rel=1e-9)

@@ -265,9 +265,8 @@ def test_grid_oracle_matches_the_per_point_loop(offset):
         phi = grid_regularity_oracle(gap, ZEROS_1D, z, Fraction(2), eps_list)
         assert phi.to_json()["entries"] == want_entries
         for eps in (Fraction(1), Fraction(1, 4)):
-            scaled = RegularityModulus(
-                "table", z, Fraction(2), "grid-oracle",
-                entries=((eps, phi.phi_value(Fraction(1)) * eps),),
+            scaled = RegularityModulus.table(
+                z, Fraction(2), "grid-oracle", ((eps, phi.phi_value(Fraction(1)) * eps),)
             )
             assert verify_regularity_on_grid(
                 gap, scaled, ZEROS_1D, eps, Fraction(1, 100)
@@ -298,8 +297,8 @@ def box_instance():
 )
 def test_verify_keeps_the_grid_order(center, zeros, expect):
     gap = GapFunctional("F1", box_instance())
-    phi = RegularityModulus(
-        "linear", np.array([float(Fraction(center))]), Fraction(1, 2), "analytic"
+    phi = RegularityModulus.linear(
+        np.array([float(Fraction(center))]), Fraction(1, 2), "analytic", Fraction(1)
     )
     zeros = [np.array(z) for z in zeros]
     eps, pitch = Fraction(1, 4), Fraction(1, 100)

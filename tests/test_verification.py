@@ -23,7 +23,7 @@ from fejerquant.errors import (
     ResidualFloor,
     TableRangeError,
 )
-from fejerquant.iteration import Trace, gamma_k_check, run
+from fejerquant.iteration import PRESETS, Trace, gamma_k_check, run
 from fejerquant.moduli import ModulusFn, NaturalBound, delta, omega, phi_liminf
 from fejerquant.operators import (
     AffinePSD,
@@ -47,7 +47,7 @@ from fejerquant.verification import (
     check_quasi_fejer,
     find_metastable,
 )
-from records import replace
+from records import field_names, replace
 
 G_LINEAR = ModulusFn.affine(1, 1)  # g(n) = n + 1
 
@@ -349,7 +349,7 @@ def test_metastability_certificate_on_the_catalog():
     tr, phi = pilot_phi(inst)
     assert phi.provenance == "empirical+stationary" and phi.stationary_from == 1
     cert = certify_metastability(
-        inst, 0, G_LINEAR, phi, 300, trace=tr, use_psi_prime=True, check_gamma=True
+        inst, 0, G_LINEAR, phi, tr, use_psi_prime=True, check_gamma=True
     )
     assert cert.sound and not cert.vacuous
     assert cert.witness["N"] == 0
@@ -358,7 +358,7 @@ def test_metastability_certificate_on_the_catalog():
     assert cert.witness["P"] == "481"
     assert int(cert.bound) > 0
     # the strengthened rate dominates the window-only rate
-    assert int(NaturalBound.from_json(cert.witness["psi_prime"])) >= int(cert.bound)
+    assert int(cert.witness["psi_prime"]) >= int(cert.bound)
 
 
 def test_metastability_certificate_names_the_phi_provenance():
@@ -367,12 +367,14 @@ def test_metastability_certificate_names_the_phi_provenance():
     inst = dc()
     trace = run(inst, 1000)
     phi = build_empirical_phi(trace, inst=inst)
-    cert = certify_metastability(inst, 0, G_LINEAR, phi, horizon=1000, trace=trace)
+    cert = certify_metastability(inst, 0, G_LINEAR, phi, trace)
     assert cert.provenance == {"phi_search": "empirical+stationary"}
-    empirical = EmpiricalPhi(phi.residuals, phi.steps, phi.stationary_from, "empirical")
-    cert = certify_metastability(inst, 0, G_LINEAR, empirical, horizon=1000, trace=trace)
+    # without the stationary completion: psi overflows the cap of 10 before
+    # its first query, which lies past the trace
+    empirical = EmpiricalPhi(trace.residuals, trace.steps, None)
+    cert = certify_metastability(inst, 0, G_LINEAR, empirical, trace, cap=10)
     assert cert.provenance == {"phi_search": "empirical"}
-    cert = certify_metastability(inst, 0, G_LINEAR, lambda k, n: n + k, 1000, trace=trace)
+    cert = certify_metastability(inst, 0, G_LINEAR, lambda k, n: n + k, trace)
     assert cert.provenance == {"phi_search": "analytic"}
 
 
@@ -380,7 +382,7 @@ def test_metastability_certificate_reports_short_horizons():
     inst = dc()
     tr, phi = pilot_phi(inst)
     short = run(inst, 1)
-    cert = certify_metastability(inst, 0, ModulusFn.affine(0, 5), phi, 1, trace=short)
+    cert = certify_metastability(inst, 0, ModulusFn.affine(0, 5), phi, short)
     assert not cert.sound and not cert.vacuous
     assert any("horizon" in v["reason"] for v in cert.violations)
 
@@ -388,7 +390,7 @@ def test_metastability_certificate_reports_short_horizons():
 def test_metastability_certificate_overflow_is_vacuous():
     inst = dc()
     tr, phi = pilot_phi(inst)
-    cert = certify_metastability(inst, 0, G_LINEAR, phi, 300, trace=tr, cap=10)
+    cert = certify_metastability(inst, 0, G_LINEAR, phi, tr, cap=10)
     assert cert.vacuous and cert.sound
     assert cert.bound.is_overflow and cert.bound.to_json() == {"overflow": True}
 
@@ -409,7 +411,7 @@ def test_metastability_rate_ends_at_a_fixed_point_of_its_stages():
     tr = run(inst, 2000)
     phi = build_empirical_phi(tr, inst=inst)
     assert phi.answers_every_query
-    cert = certify_metastability(inst, 10, G_LINEAR, phi, 2000, trace=tr)
+    cert = certify_metastability(inst, 10, G_LINEAR, phi, tr)
     assert cert.witness["P"] == "8231162"
     assert cert.bound == NaturalBound(1501) and cert.sound and not cert.vacuous
 
@@ -434,9 +436,9 @@ def constant_phi(c):
 def test_metastability_decides_n_at_the_rate():
     # windows [0, 1] and [1, 2] move by 5; [2, 3] is the first of diameter <= 1
     inst, tr = dc(), hand_trace([0.0, 5.0, 10.0, 10.0, 10.0])
-    at = certify_metastability(inst, 0, G_ONE, constant_phi(2), 4, trace=tr)
+    at = certify_metastability(inst, 0, G_ONE, constant_phi(2), tr)
     assert (at.witness["N"], int(at.bound)) == (2, 2) and at.sound
-    below = certify_metastability(inst, 0, G_ONE, constant_phi(1), 4, trace=tr)
+    below = certify_metastability(inst, 0, G_ONE, constant_phi(1), tr)
     assert (below.witness["N"], int(below.bound)) == (2, 1)
     assert not below.sound and not below.vacuous
 
@@ -449,7 +451,7 @@ def test_metastability_decides_n_gamma_at_the_strengthened_rate():
     assert [_in_gamma(inst, tr, 0, i) for i in range(5)] == [False, False, True, True, True]
     for c, sound in ((2, True), (1, False)):
         cert = certify_metastability(
-            inst, 0, G_ONE, constant_phi(c), 4, trace=tr, use_psi_prime=True, check_gamma=True
+            inst, 0, G_ONE, constant_phi(c), tr, use_psi_prime=True, check_gamma=True
         )
         assert cert.witness["N"] == 0 and cert.witness["N_gamma"] == 2
         assert cert.witness["psi_prime"] == str(c)
@@ -460,7 +462,7 @@ def test_metastability_without_a_window_of_approximate_solutions_is_unsound():
     # every window is metastable, and none is made of level-0 members
     inst, tr = dc(), hand_trace([4.0, 4.0, 4.0, 4.0])
     cert = certify_metastability(
-        inst, 0, G_ONE, constant_phi(5), 3, trace=tr, use_psi_prime=True, check_gamma=True
+        inst, 0, G_ONE, constant_phi(5), tr, use_psi_prime=True, check_gamma=True
     )
     assert cert.witness["N"] == 0 and cert.witness["N_gamma"] is None
     assert cert.witness["psi_prime"] == "5"
@@ -471,8 +473,8 @@ def test_metastability_without_a_window_of_approximate_solutions_is_unsound():
 def test_certificate_json_is_reproducible():
     inst = dc()
     tr, phi = pilot_phi(inst)
-    a = certify_metastability(inst, 1, G_LINEAR, phi, 300, trace=tr)
-    b = certify_metastability(inst, 1, G_LINEAR, phi, 300, trace=tr)
+    a = certify_metastability(inst, 1, G_LINEAR, phi, tr)
+    b = certify_metastability(inst, 1, G_LINEAR, phi, tr)
     assert a.to_json() == b.to_json()
     assert a.digest == b.digest and len(a.digest) == 64
     assert a.to_json()["witness_N"] == a.witness["N"]
@@ -503,7 +505,7 @@ def test_empirical_phi_small_example():
     pts = np.array([[0.0], [2.0], [2.4], [2.44]])
     diffs = np.abs(pts[:-1, 0] - pts[1:, 0])
     tr = Trace(pts, np.ones(3), np.ones(3), diffs)
-    phi = build_empirical_phi(tr)
+    phi = build_empirical_phi(tr, dc())
     assert phi(0, 0) == 1 and phi(0, 2) == 2
     assert phi(1, 0) == 1 and phi(2, 0) == 2
     assert phi.provenance == "empirical" and phi.stationary_from is None
@@ -581,11 +583,14 @@ def test_stationary_from_matches_the_row_loop(moving, want):
     assert phi.stationary_from == (first if first < steps else None) == want
 
 
-def test_empirical_phi_without_instance_does_not_extrapolate():
-    # the trace stays at 0 from step 1, but no instance certifies 0 as fixed:
-    # past the first residual, inside the tail and past the trace, phi raises
+def test_an_unverified_constant_tail_does_not_extrapolate():
+    # the trace stays at 0 from step 1, but the instance's stage maps do not
+    # fix 0 (S x = 2x - 1 has S(0) = {-1}, T(0) = {0}): past the first
+    # residual, inside the tail and past the trace, phi raises
     tr = run(dc(), 200)
-    phi = build_empirical_phi(tr)  # no fixed-point certificate
+    inst = dc(S=AffinePSD([[2.0]], [-1.0]), known_solutions=())
+    assert not _verified_stage_fixed_point(inst, tr.points[-1])
+    phi = build_empirical_phi(tr, inst)
     assert phi.stationary_from is None and not phi.answers_every_query
     assert phi(0, 0) == 0
     for k, n in ((1, 0), (0, 1), (0, 151), (0, 200), (0, 201)):
@@ -596,8 +601,9 @@ def test_empirical_phi_without_instance_does_not_extrapolate():
 def test_empirical_phi_reports_residual_floors():
     # from x0 = 2 the residuals settle above 1: no index from 50 on qualifies
     # even at k = 0
-    tr = run(from_two(), 100)
-    phi = build_empirical_phi(tr)
+    inst = from_two()
+    tr = run(inst, 100)
+    phi = build_empirical_phi(tr, inst)
     with pytest.raises(ResidualFloor) as floor:
         phi(0, 50)
     assert (floor.value.k, floor.value.n) == (0, 50)
@@ -635,7 +641,7 @@ def test_phi_thresholds_are_int_divisions():
     assert thr == np.nextafter(2.0**-53, 0) and 1.0 / (k + 1) == 2.0**-53
     res = np.array([1.0, thr, np.nextafter(thr, 0), 0.0])
     tr = Trace(np.arange(5.0).reshape(-1, 1), np.ones(4), np.ones(4), res)
-    phi = build_empirical_phi(tr)
+    phi = build_empirical_phi(tr, dc())
     assert [phi(k, n) for n in range(4)] == [2, 2, 2, 3]
     # at k = 10**400, 1.0 / (k + 1) raises OverflowError; 1 / (k + 1) is 0.0,
     # which no residual is below: a moving trace reaches its floor, and a
@@ -742,6 +748,30 @@ def test_empirical_phi_reads_a_constant_tail_only_when_verified():
                 assert phi(k, n) == got[k, n]
         assert np.array_equal(monotonize_table(got), got)
     assert min(outcomes.values()) > 500
+
+
+def test_the_provenance_names_the_stationary_completion_exactly_when_it_is_set():
+    # provenance is derived from stationary_from, so the two never disagree:
+    # on hand traces whose constant tail is verified or not, and on the presets
+    rng = np.random.default_rng(5)
+    phis = []
+    for trial in range(40):
+        steps = int(rng.integers(1, 20))
+        first = int(rng.integers(0, steps + 1))
+        pts = np.zeros((steps + 1, 1))
+        pts[:first, 0] = 0.25 / (1 + np.arange(first))
+        if trial % 2:
+            pts[:, 0] += 0.5  # a tail that no stage map of dc-abs-1d fixes
+        tr = Trace(pts, np.ones(steps), np.ones(steps), rng.choice(PHI_POOL, size=steps))
+        phis.append(build_empirical_phi(tr, dc()))
+    for name in PRESETS:
+        inst = fq.preset(name)
+        phis.append(build_empirical_phi(run(inst, 200), inst))
+    for phi in phis:
+        stationary = phi.stationary_from is not None
+        assert phi.provenance == ("empirical+stationary" if stationary else "empirical")
+    assert {phi.provenance for phi in phis} == {"empirical", "empirical+stationary"}
+    assert "provenance" not in field_names(EmpiricalPhi)
 
 
 # --------------------------------------------------------------------------
