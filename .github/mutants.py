@@ -32,6 +32,7 @@ ITERATION = "src/fejerquant/iteration.py"
 MODULI = "src/fejerquant/moduli.py"
 FIELDS = "src/fejerquant/fields.py"
 REGULARITY = "src/fejerquant/regularity.py"
+CLI = "src/fejerquant/cli.py"
 
 # (file, original line, replacement, test files of which one must fail)
 MUTANTS = [
@@ -155,16 +156,22 @@ MUTANTS = [
      "  # T's NaN from a non-finite iterate is not reported",
      "    with np.errstate():",
      ["tests/test_stepper.py"]),
-    # _SchedulePieces: np.sum splits a range at a multiple of 8; pieces split
-    # elsewhere add the same terms in another order, which can round otherwise
+    # ParameterSchedule: a lambda that underflows to 0 within the horizon is
+    # refused when the schedule is built; run steps on without a check
     (ITERATION,
-     "            half = n // 2 - (n // 2) % 8",
-     "            half = n // 2",
+     "        if not self.lam_rule.least_value(self.horizon) > 0:",
+     "        if False:",
+     ["tests/test_stepper.py"]),
+    # _SchedulePieces: a query of a stage in another piece than the kept one
+    # reads that stage's piece, also below the kept piece
+    (ITERATION,
+     "        if x // TILE != piece:",
+     "        if x // TILE > piece:",
      ["tests/test_iteration.py"]),
     # ... and the sum of mu over the stages after a piece carries into it
     (ITERATION,
-     "        suffix = _from_right(np.add, mus, self.mu_after)",
-     "        suffix = _from_right(np.add, mus, 0.0)",
+     "            suffix = _from_right(np.add, mus, mu_after)",
+     "            suffix = _from_right(np.add, mus, 0.0)",
      ["tests/test_iteration.py"]),
     # psi's growth exit counts the stages left after this one, not one more:
     # with the cap at psi's value, the last stage must still be built
@@ -183,6 +190,17 @@ MUTANTS = [
      "        if nxt <= val:  # one test on the exact path: a decrease or a fixed point",
      "        if nxt <= val + 1:",
      ["tests/test_moduli.py"]),
+    # main: an output directory that cannot be made exits 2, naming it, and
+    # not with a traceback under exit 1, the code of an unsound certificate
+    (CLI,
+     "        except OSError as exc:",
+     "        except ValueError as exc:",
+     ["tests/test_cli.py"]),
+    # ... and so does a file of it that cannot be written
+    (CLI,
+     "    except OSError as exc:",
+     "    except ValueError as exc:",
+     ["tests/test_cli.py"]),
     # Record.to_json writes a tagged form's tag first: without it no operator,
     # schedule rule or modulus kind reads back
     (FIELDS,

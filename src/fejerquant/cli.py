@@ -77,7 +77,8 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # JSON nested past the interpreter's depth raises RecursionError
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
@@ -126,10 +127,13 @@ def _params(cfg: dict, allowed: set, ignored: tuple = ()) -> dict:
 
 
 def _write(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write a file of the output directory, which ``main`` has made."""
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -348,20 +352,21 @@ def main(argv=None) -> int:
             print(json.dumps(resolved_config(cfg, inst), sort_keys=True, indent=2))
             return 0
         inst.quant.validate_against(inst.schedule)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from None
         certs = _TASKS[args.task](cfg, inst, out_dir, args.horizon, cap)
+        for cert in certs:
+            print(_summarize(cert))
+        if args.csv and certs:
+            lines = ["kind,sound,vacuous,violations"]
+            lines += [f"{c.kind},{c.sound},{c.vacuous},{len(c.violations)}" for c in certs]
+            _write(out_dir, "certificates.csv", "\n".join(lines) + "\n")
     except FejerQuantError as exc:
         print(f"config/problem error: {exc}", file=sys.stderr)
         return 2
 
-    for cert in certs:
-        print(_summarize(cert))
-    if args.csv and certs:
-        lines = ["kind,sound,vacuous,violations"]
-        for cert in certs:
-            lines.append(
-                f"{cert.kind},{cert.sound},{cert.vacuous},{len(cert.violations)}"
-            )
-        _write(out_dir, "certificates.csv", "\n".join(lines) + "\n")
     for cert in certs:
         if not cert.sound or (cert.vacuous and not vacuous_ok):
             return 1

@@ -68,6 +68,8 @@ class Record:
       and hash as that tuple. A subclass keeps the equality it inherits;
     - ``to_json`` writes the form ``json_fields``, after the key ``tag`` (such
       as ``kind``) valued as the attribute of that name, where there is one.
+      A class with a ``tag`` but no value for it is the shared base of the
+      kinds, and building one is a ``TypeError``.
     """
 
     _fields: tuple = ()
@@ -85,6 +87,8 @@ class Record:
             cls.__eq__, cls.__hash__ = _fields_equal, _fields_hash
 
     def __init__(self, *args, **kwargs):
+        if self.tag is not None and not hasattr(self, self.tag):
+            raise TypeError(f"{type(self).__qualname__} is a base: it has no {self.tag}")
         names = self._fields
         if len(args) > len(names):
             raise TypeError(
@@ -250,8 +254,8 @@ def rational(value) -> Fraction:
 
 
 def floats(value) -> np.ndarray:
-    """A float array from a JSON number or nested lists of JSON numbers."""
-    if not _numbers(value):
+    """A float array from a JSON number, a list of them or a list of such lists."""
+    if not _numbers(value, 2):
         raise ConfigError(f"expected numbers, got {value!r}")
     import numpy as np  # here, not at the top: moduli-eval loads no numpy
 
@@ -274,9 +278,10 @@ def list_of(convert: Callable) -> Callable:
     return convert_items
 
 
-def _numbers(value) -> bool:
+def _numbers(value, depth: int) -> bool:
+    """Whether value is a JSON number or lists of them nested at most depth deep."""
     if isinstance(value, list):
-        return all(_numbers(v) for v in value)
+        return depth > 0 and all(_numbers(v, depth - 1) for v in value)
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 

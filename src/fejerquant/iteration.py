@@ -10,7 +10,6 @@ certificates are built from.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -22,7 +21,6 @@ from .errors import (
     DomainError,
     HorizonExceeded,
     InvariantViolation,
-    NonPositiveParameter,
     ScheduleError,
     SingularSystem,
     UnknownPreset,
@@ -159,8 +157,9 @@ class TableRule(Record):
         vals = vars(self)["values"] = tuple(float(v) for v in self.values)
         if not vals:
             raise ScheduleError("table rule needs at least one value")
-        if any(not v > 0 for v in vals):
-            raise ScheduleError("schedule values must be > 0")
+        # json.load reads Infinity as a float
+        if any(not 0 < v < math.inf for v in vals):
+            raise ScheduleError("schedule values must be finite and > 0")
 
     def value_array(self, n0: int, n1: int) -> np.ndarray:
         """The values of the stages n0 <= n < n1."""
@@ -203,9 +202,10 @@ class ParameterSchedule(Record, eq=True):
         # bounds validate_against's reading time and run's arrays
         if self.horizon > _MAX_HORIZON:
             raise ConfigError(f"horizon: must be at most {_MAX_HORIZON}")
-        # positivity is checked by the rules, and each one's least value
-        # checks that it covers the horizon
-        self.lam_rule.least_value(self.horizon)
+        # every stage has a finite lambda > 0 and mu >= 1e-300: the rules'
+        # values are finite and > 0, but a power rule's may underflow to 0
+        if not self.lam_rule.least_value(self.horizon) > 0:
+            raise ScheduleError("lambda underflows to 0 within the horizon")
         if self.mu_rule.least_value(self.horizon) < _MU_FLOOR:
             raise ScheduleError("mu underflows 1e-300 within the horizon")
 
@@ -252,41 +252,34 @@ def _from_right(ufunc, values: np.ndarray, carry: float) -> np.ndarray:
 
 class _SchedulePieces:
     """Stages 0..horizon of a schedule, read once right to left in pieces of
-    at most ``TILE`` stages, with the results of whole arrays bit for bit.
+    ``TILE`` stages: piece i holds the stages from i * TILE to the next
+    piece or the horizon, so stage x is in piece x // TILE.
 
-    np.sum splits a range of n > 128 elements at n // 2 - (n // 2) % 8, so
-    the pieces are the ranges this split first reaches with at most
-    ``TILE`` stages, and ``total`` adds their np.sum up the same tree.
-    Each piece keeps the sum of mu (added right to left, as np.cumsum of the
-    reversed array adds) and the maximum of lambda over the stages after
-    it, so ``suffix`` and ``lam_max`` read only the piece holding the stage.
+    ``total`` adds the pieces' np.sum of mu / lambda right to left. Each
+    piece keeps the sum of mu (added right to left, as np.cumsum of the
+    reversed array adds) and the maximum of lambda over the stages after it,
+    so ``suffix`` and ``lam_max`` read only the piece holding the stage, with
+    the results of whole arrays bit for bit.
     """
 
     def __init__(self, schedule: ParameterSchedule):
         self.schedule = schedule
-        self.pieces = []  # (start, end, sum of mu after, max of lambda after)
-        self.mu_after, self.lam_top, self.mu_top, self.mu_low = 0.0, -math.inf, -math.inf, math.inf
-        self.total = self._sum(0, schedule.horizon + 1)
-        self.pieces.reverse()
-        self.starts = [piece[0] for piece in self.pieces]
-
-    def _sum(self, n0: int, n1: int) -> float:
-        """The pairwise sum of mu / lambda over stages n0..n1 - 1, right half first."""
-        n = n1 - n0
-        if n > TILE:
-            half = n // 2 - (n // 2) % 8
-            right = self._sum(n0 + half, n1)
-            return self._sum(n0, n0 + half) + right
-        lams, mus = self.schedule.lams(n0, n1), self.schedule.mus(n0, n1)
-        self.pieces.append((n0, n1, self.mu_after, self.lam_top))
-        suffix = _from_right(np.add, mus, self.mu_after)
-        lam_max = _from_right(np.maximum, lams, self.lam_top)
-        # the pass ends on the piece of stage 0, where most queries fall
-        self.kept = {np.add: (n0, suffix), np.maximum: (n0, lam_max)}
-        self.mu_after, self.lam_top = float(suffix[0]), float(lam_max[0])
-        self.mu_top = max(self.mu_top, float(np.max(mus)))
-        self.mu_low = min(self.mu_low, float(np.min(mus)))
-        return float(np.sum(mus / lams))
+        self.carries = []  # per piece, right to left: (sum of mu after, max of lambda after)
+        mu_after, self.lam_top = 0.0, -math.inf
+        self.total, self.mu_top, self.mu_low = 0.0, -math.inf, math.inf
+        for start in range(schedule.horizon // TILE * TILE, -1, -TILE):
+            end = min(start + TILE, schedule.horizon + 1)
+            lams, mus = schedule.lams(start, end), schedule.mus(start, end)
+            self.carries.append((mu_after, self.lam_top))
+            suffix = _from_right(np.add, mus, mu_after)
+            lam_max = _from_right(np.maximum, lams, self.lam_top)
+            mu_after, self.lam_top = float(suffix[0]), float(lam_max[0])
+            self.mu_top = max(self.mu_top, float(np.max(mus)))
+            self.mu_low = min(self.mu_low, float(np.min(mus)))
+            self.total += float(np.sum(mus / lams))
+        self.carries.reverse()
+        # the pass ends on piece 0, where most queries fall
+        self.kept = {np.add: (0, suffix), np.maximum: (0, lam_max)}
 
     def suffix(self, x: int) -> float:
         """The sum of mu over stages x..horizon: np.cumsum(mus[::-1])[::-1][x]."""
@@ -297,12 +290,13 @@ class _SchedulePieces:
         return self._at(x, np.maximum, self.schedule.lams, 1)
 
     def _at(self, x: int, ufunc, values, after: int) -> float:
-        start, kept = self.kept[ufunc]
-        if not 0 <= x - start < len(kept):
-            start, end, *carries = self.pieces[bisect_right(self.starts, x) - 1]
-            kept = _from_right(ufunc, values(start, end), carries[after])
-            self.kept[ufunc] = (start, kept)
-        return kept[x - start]
+        piece, kept = self.kept[ufunc]
+        if x // TILE != piece:
+            piece = x // TILE
+            end = min((piece + 1) * TILE, self.schedule.horizon + 1)
+            kept = _from_right(ufunc, values(piece * TILE, end), self.carries[piece][after])
+            self.kept[ufunc] = (piece, kept)
+        return kept[x - piece * TILE]
 
 
 # --------------------------------------------------------------------------
@@ -357,8 +351,9 @@ class QuantitativeData(Record, eq=True):
 
         These are necessary-condition checks on the realized finite schedule;
         certification of the full-sum constants remains the caller's claim.
-        The stages are read in pieces of 64 KB per float64 temporary, with
-        every decision that of whole arrays (``_SchedulePieces``).
+        The stages are read in pieces of 64 KB per float64 temporary
+        (``_SchedulePieces``): each value but the sum of mu/lambda is that of
+        whole arrays bit for bit.
         """
         h = schedule.horizon
         stages = _SchedulePieces(schedule)
@@ -664,20 +659,12 @@ def run(inst: ProblemInstance, n_steps: int) -> Trace:
         raise HorizonExceeded(
             f"{n_steps} steps requested beyond horizon {inst.schedule.horizon}"
         )
+    # the schedule holds a finite lambda > 0 and mu > 0 at every stage
     lams, mus = inst.schedule.lams(0, n_steps), inst.schedule.mus(0, n_steps)
-    # stepping stops before the first non-positive parameter (a lambda that
-    # underflowed) and raises there, after any error of the earlier stages
-    positive = (lams > 0) & (mus > 0)
-    stop = n_steps if positive.all() else int(np.argmin(positive))
     stepper = _run_1d if inst.dim == 1 else _run_rows
-    pts = stepper(inst.T, inst.S, inst.x0, memoryview(lams[:stop]), memoryview(mus[:stop]))
+    pts = stepper(inst.T, inst.S, inst.x0, memoryview(lams), memoryview(mus))
     if not np.all(np.isfinite(pts[-1])):
-        raise DomainError(f"iterate at stage {stop} is not finite")
-    if stop < n_steps:
-        raise NonPositiveParameter(
-            f"stage {stop} has lambda={float(lams[stop])!r}, mu={float(mus[stop])!r}; "
-            "both must be > 0"
-        )
+        raise DomainError(f"iterate at stage {n_steps} is not finite")
     res = row_norms(pts[:-1] - pts[1:])
     trace = Trace(pts, lams, mus, np.divide(res, mus, out=res))
     if n_steps > 0:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fejerquant as fq
-from fejerquant import preset
+from fejerquant import cli, preset
 from fejerquant.cli import _parse_cap, build_instance, main
 from fejerquant.errors import ConfigError, UnknownPreset
 from fejerquant.iteration import PowerRule
@@ -27,6 +27,14 @@ def write_config(tmp_path, obj, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def nested(depth: int):
+    """The number 0.0 inside depth nested lists."""
+    value = 0.0
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 # an analytic regularity modulus for dc-abs-1d's cauchy-modulus configs
@@ -391,6 +399,49 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not UTF-8", "nested 100,000 deep"])
+def test_a_config_that_cannot_be_decoded_exits_2(tmp_path, capsys, content):
+    # a UnicodeDecodeError and a RecursionError: a traceback and exit 1
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"config/problem error: cannot read config {path}: " in capsys.readouterr().err
+
+
+def test_an_output_directory_that_cannot_be_made_exits_2_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    # a FileExistsError and a NotADirectoryError under exit 1, after the run
+    monkeypatch.setattr(cli, "run", None)
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"steps": 100}})
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config/problem error: cannot make output directory {out}: " in err
+
+
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"problem": "dc-abs-1d", "params": {"k": 0, "steps": 50}})
+    (tmp_path / "metastability_k0.json").mkdir()
+    assert main(["certify-metastability", "--config", cfg, "--out", str(tmp_path)]) == 2
+    target = tmp_path / "metastability_k0.json"
+    assert f"config/problem error: cannot write {target}: " in capsys.readouterr().err
+
+
+def test_a_csv_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    # the CSV was written outside main's error handling
+    cfg = write_config(tmp_path, LEMMAS_TINY)
+    (tmp_path / "certificates.csv").mkdir()
+    assert main(["check-lemmas", "--config", cfg, "--out", str(tmp_path), "--csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.count("sound=True") == 2
+    target = tmp_path / "certificates.csv"
+    assert f"config/problem error: cannot write {target}: " in captured.err
+
+
 def test_inline_problem_requires_schedule_and_quant(tmp_path, capsys):
     inst = preset("dc-abs-1d")
     problem = {
@@ -634,6 +685,22 @@ MALFORMED_VALUES = {
         "schedule: lambda: values: number out of float range",
     ),
     "x0 beyond float range": ("run", _inline_dc(x0=[10**400]), "x0: number out of float range"),
+    # a RecursionError in the check of its numbers
+    "x0 nested 600 deep": ("run", _inline_dc(x0=nested(600)), "x0: expected numbers"),
+    # json.load reads Infinity: it exited 2 with B's message
+    "table value Infinity": (
+        "run",
+        {"schedule": {"lambda": {"rule": "table", "values": [1.0, float("inf")]},
+                      "mu": {"rule": "power", "c": 1, "p": 3}, "horizon": 1}},
+        "schedule values must be finite and > 0",
+    ),
+    # 1/(n+1)^200 is 0.0 from stage 34 on
+    "lambda underflows": (
+        "run",
+        {"schedule": {"lambda": {"rule": "power", "c": 1, "p": 200},
+                      "mu": {"rule": "power", "c": 1, "p": 1}, "horizon": 60}},
+        "lambda underflows to 0 within the horizon",
+    ),
     # negative counts: a ValueError, a ZeroDivisionError and a numpy ValueError
     "steps -1": ("run", {"params": {"steps": -1}}, "steps: expected an integer >= 0"),
     "k -1": ("certify-metastability", {"params": {"k": -1}}, "k: expected an integer >= 0"),
@@ -810,8 +877,9 @@ FUZZ_CONFIGS = [
 ]
 
 # -1 is well typed, but no count, index or constant may be negative; 10**400
-# is well typed, but beyond float range and beyond every constant's bound
-WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0", -1, 10**400)
+# is well typed, but beyond float range and beyond every constant's bound; a
+# list nested 600 deep is deeper than any field reads
+WRONG_TYPES = ("x", 0.5, [1], None, {"x": 1}, "1/0", -1, 10**400, nested(600))
 
 
 def _field_paths(obj, prefix=()):

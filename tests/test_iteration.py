@@ -6,6 +6,7 @@ at 1, so 2 -> 2, 0.5 -> 0 and 0 -> 0.
 """
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from fejerquant.iteration import (
 )
 from fejerquant.moduli import ModulusFn
 from fejerquant.operators import (
+    TILE,
     AffinePSD,
     NormalConeBox,
     SubdiffAbsSum,
@@ -89,6 +91,11 @@ def test_table_rule_values():
         TableRule(())
     with pytest.raises(ScheduleError):
         TableRule((1.0, 0.0))
+    # json.load reads Infinity and NaN: a table refuses both
+    for bad in ("Infinity", "-Infinity", "NaN"):
+        values = json.loads(f"[1.0, {bad}]")
+        with pytest.raises(ScheduleError, match="^schedule values must be finite and > 0$"):
+            TableRule(values)
 
 
 def test_schedule_guards():
@@ -267,23 +274,31 @@ def piece_schedules(horizon):
 
 
 @pytest.mark.parametrize("horizon", [1, 8191, 8192, 8193, 16385, 100_000, 123_457])
-def test_schedule_pieces_give_the_whole_array_results_bit_for_bit(horizon):
-    # np.sum's pairwise order: the pieced sum relies on numpy splitting a
-    # range of n elements at n // 2 - (n // 2) % 8
+def test_schedule_pieces_read_the_tile_grid(horizon):
+    # piece i holds the stages from i * TILE on; the suffix sums, lambda
+    # maxima and extrema are those of whole arrays bit for bit, and the total
+    # adds the pieces' np.sum right to left
     rng = np.random.default_rng(horizon)
+    starts = range(0, horizon + 1, TILE)
     for schedule in piece_schedules(horizon):
         lams, mus = schedule.lams(0, horizon + 1), schedule.mus(0, horizon + 1)
         stages = _SchedulePieces(schedule)
-        bounds = [(a, b) for a, b, _, _ in stages.pieces]
-        assert bounds[0][0] == 0 and bounds[-1][1] == horizon + 1
-        assert all(b == c for (_, b), (c, _) in zip(bounds, bounds[1:]))
-        assert all(0 < b - a <= 8192 for a, b in bounds)
-        assert stages.total == float(np.sum(mus / lams))
+        assert len(stages.carries) == len(starts)
+        total = 0.0
+        for a in reversed(starts):
+            total += float(np.sum(mus[a : a + TILE] / lams[a : a + TILE]))
+        assert stages.total == total
+        # within len(starts) + 32 ulp of the exact sum: one rounding per
+        # piece added, and at most 25 per term inside np.sum's pairwise sum
+        exact = math.fsum((mus / lams).tolist())
+        assert abs(stages.total - exact) <= (len(starts) + 32) * 2.0**-52 * exact
+        if len(starts) == 1:
+            assert stages.total == float(np.sum(mus / lams))
         assert (stages.lam_top, stages.mu_top, stages.mu_low) == (lams.max(), mus.max(), mus.min())
         suffix = np.cumsum(mus[::-1])[::-1]
         lam_max = np.maximum.accumulate(lams[::-1])[::-1]
-        ends = [x for a, b in bounds for x in (a, a + 1, b - 2, b - 1) if 0 <= x <= horizon]
-        for x in sorted(ends) + rng.integers(0, horizon + 1, 20).tolist():
+        edges = [x for a in [*starts, horizon + 1] for x in (a - 2, a - 1, a, a + 1)]
+        for x in [x for x in edges if 0 <= x <= horizon] + rng.integers(0, horizon + 1, 20).tolist():
             assert stages.suffix(x) == suffix[x]
             assert stages.lam_max(x) == lam_max[x]
 

@@ -19,7 +19,7 @@ from fejerquant.errors import ScheduleError
 from fejerquant.fields import INTEGER, Field, Record, integer
 from fejerquant.iteration import ParameterSchedule, PowerRule, TableRule, Trace
 from fejerquant.moduli import ModulusFn, NaturalBound
-from fejerquant.operators import AffinePSD, NormalConeBox, SubdiffAbsSum, ZeroOperator
+from fejerquant.operators import AffinePSD, NormalConeBox, SubdiffAbsSum, ZeroOperator, _Operator
 from fejerquant.regularity import GapFunctional, GHModuli, RegularityModulus
 from fejerquant.verification import Certificate, EmpiricalPhi
 from records import field_names, replace
@@ -74,11 +74,23 @@ def record_classes():
     return found
 
 
+# the shared bases of the operators and of the kinds of the two moduli
+BASES = (_Operator, ModulusFn, RegularityModulus)
+
+
 def test_every_record_class_has_a_maker():
-    # _Operator, ModulusFn and RegularityModulus are the shared bases of the
-    # operators and of the kinds of the two moduli, never built themselves
     names = {cls.__qualname__ for cls in record_classes()}
-    assert names == {*MAKERS, "_Operator", "ModulusFn", "RegularityModulus"}
+    assert names == {*MAKERS, *(base.__qualname__ for base in BASES)}
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda base: base.__qualname__)
+def test_a_shared_base_is_not_built(base):
+    # a class with a tag but no value for it: a base built with its fields
+    # answered nothing, and its to_json raised AttributeError
+    fields = {"center": [0.0], "radius": 1, "provenance": "analytic"}
+    for args in ({}, {name: fields[name] for name in base._fields}):
+        with pytest.raises(TypeError, match=f"^{base.__qualname__} is a base: it has no kind$"):
+            base(**args)
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))

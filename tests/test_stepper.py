@@ -24,6 +24,7 @@ from fejerquant.errors import (
     FejerQuantError,
     HorizonExceeded,
     NonPositiveParameter,
+    ScheduleError,
     SingularSystem,
 )
 from fejerquant import iteration
@@ -728,20 +729,19 @@ def test_schedule_arrays_and_their_range_checks():
 # --------------------------------------------------------------------------
 
 
-def test_lambda_underflow_raises_at_its_stage():
+def test_a_lambda_that_underflows_is_refused_when_the_schedule_is_built():
+    # 1/(n+1)^200 is 0.0 from stage 34 on: run raised at that stage, and now
+    # no schedule over it can be built
     lam_rule = PowerRule(Fraction(1), 200)
     first_zero = int(np.flatnonzero(lam_rule.value_array(0, 100) == 0.0)[0])
-    inst = instance(
-        ZeroOperator(1),
-        SubdiffAbsSum(1),
-        [2.0],
-        ParameterSchedule(lam_rule, PowerRule(Fraction(1), 1), 60),
-    )
-    with pytest.raises(NonPositiveParameter, match=f"stage {first_zero} "):
-        run(inst, 60)
-    with pytest.raises(NonPositiveParameter):
-        reference_run(inst, 60)
-    assert_same_trace(run(inst, first_zero), reference_run(inst, first_zero))
+    assert first_zero == 34
+    for horizon in (first_zero, 60):
+        with pytest.raises(ScheduleError, match="^lambda underflows to 0 within the horizon$"):
+            ParameterSchedule(lam_rule, PowerRule(Fraction(1), 1), horizon)
+    schedule = ParameterSchedule(lam_rule, PowerRule(Fraction(1), 1), first_zero - 1)
+    assert schedule.lams(0, first_zero).min() > 0
+    inst = instance(ZeroOperator(1), SubdiffAbsSum(1), [2.0], schedule)
+    assert_same_trace(run(inst, first_zero - 1), reference_run(inst, first_zero - 1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
